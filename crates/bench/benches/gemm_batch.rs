@@ -1,7 +1,8 @@
 //! Per-sample vs cross-sample-GEMM batched decoding.
 //!
-//! The per-sample path (`decode_batch` with `parallelism = 1`) streams every
-//! weight matrix once per sample per step; the step-synchronous engine
+//! The per-sample path (`lad_bench::decode_per_sample`: one solo `Session`
+//! per prompt, one after the other) streams every weight matrix once per
+//! sample per step; the step-synchronous engine
 //! (`decode_batch_gemm`) stacks the batch into one activation matrix and
 //! streams each weight matrix once per *step*. Both run single-threaded here
 //! so the sweep isolates the GEMM effect from pool scheduling. The engines
@@ -15,10 +16,10 @@
 //! cargo bench --bench gemm_batch
 //! ```
 
-use lad_bench::{print_table, section};
+use lad_bench::{decode_per_sample, print_table, section};
 use lad_core::decoder::LadConfig;
 use lad_model::backend::AttentionKind;
-use lad_model::batch::{decode_batch, decode_batch_gemm};
+use lad_model::batch::decode_batch_gemm;
 use lad_model::config::ModelConfig;
 use lad_model::transformer::Model;
 use std::fmt::Write as _;
@@ -70,13 +71,13 @@ fn sweep(model: &Model, kind: &AttentionKind, label: &'static str, points: &mut 
         let prompts = prompts(batch);
         let total_tokens = (batch * (PROMPT_LEN + STEPS)) as f64;
         let (per_sample, per_sample_t) = time_per_token(total_tokens, || {
-            decode_batch(model, kind, &prompts, STEPS, 1)
+            decode_per_sample(model, kind, &prompts, STEPS)
         });
         let (batched, batched_t) = time_per_token(total_tokens, || {
             decode_batch_gemm(model, kind, &prompts, STEPS, 1)
         });
         assert_eq!(
-            per_sample.sequences, batched.sequences,
+            per_sample, batched.sequences,
             "batch={batch}: batched-GEMM decode diverged from per-sample decoding"
         );
         let speedup = per_sample_t / batched_t;

@@ -40,7 +40,7 @@
 //! measured as ratios.
 
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
-use lad_bench::section;
+use lad_bench::{decode_per_sample, section};
 use lad_core::decoder::LadConfig;
 use lad_core::kv::{KvCache, KvPrecision};
 use lad_eval::backends::backend_quality_report;
@@ -48,7 +48,7 @@ use lad_eval::datasets::alpaca_shaped;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
 use lad_math::{with_kernel, Kernel, Rng};
 use lad_model::backend::AttentionKind;
-use lad_model::batch::{decode_batch, decode_batch_gemm};
+use lad_model::batch::decode_batch_gemm;
 use lad_model::config::ModelConfig;
 use lad_model::spec::{decode_speculative, SpecConfig};
 use lad_model::transformer::Model;
@@ -89,9 +89,8 @@ const BACKEND_HERO_FLOOR: f64 = 1.2;
 
 /// Every committed baseline this binary gates. Any other `BENCH_*.json` at
 /// the repo root is a baseline without a floor, and fails the run.
-const KNOWN_BASELINES: [&str; 7] = [
+const KNOWN_BASELINES: [&str; 6] = [
     "BENCH_gemm.json",
-    "BENCH_pool.json",
     "BENCH_serve.json",
     "BENCH_spec.json",
     "BENCH_kernels.json",
@@ -614,20 +613,6 @@ fn main() {
             "sync_barriers",
         ],
     );
-    let pool_doc = load("BENCH_pool.json");
-    check_schema(
-        "BENCH_pool.json",
-        &pool_doc,
-        &[
-            "batch",
-            "head_parallelism",
-            "ms_per_token",
-            "speedup_vs_sequential",
-            "pool_tasks_executed",
-            "pool_tasks_stolen",
-            "pool_idle_wakeups",
-        ],
-    );
     let serve_doc = load("BENCH_serve.json");
     let serve_results = check_schema(
         "BENCH_serve.json",
@@ -688,8 +673,8 @@ fn main() {
         ],
     );
     println!(
-        "BENCH_gemm.json / BENCH_pool.json / BENCH_serve.json / BENCH_spec.json / \
-         BENCH_kernels.json / BENCH_backends.json / BENCH_obs.json: schemas ok"
+        "BENCH_gemm.json / BENCH_serve.json / BENCH_spec.json / BENCH_kernels.json / \
+         BENCH_backends.json / BENCH_obs.json: schemas ok"
     );
     check_no_ungated_baselines();
     println!("no ungated BENCH_*.json at the repo root");
@@ -777,12 +762,12 @@ fn main() {
         .collect();
     let total_tokens = (BATCH * (PROMPT_LEN + STEPS)) as f64;
     let (per_sample, per_sample_t) = time_per_token(total_tokens, || {
-        decode_batch(&model, &kind, &prompts, STEPS, 1)
+        decode_per_sample(&model, &kind, &prompts, STEPS)
     });
     let (batched, batched_t) = time_per_token(total_tokens, || {
         decode_batch_gemm(&model, &kind, &prompts, STEPS, 1)
     });
-    if per_sample.sequences != batched.sequences {
+    if per_sample != batched.sequences {
         fail("batched-GEMM decode diverged from per-sample decoding");
     }
     let measured = per_sample_t / batched_t;

@@ -2,13 +2,16 @@
 //!
 //! Every paper table and figure has a bench target (`harness = false`) in
 //! `benches/` that prints the corresponding rows/series. This library holds
-//! the common pieces: the KV-length sweep grid, the model list, plain-text
-//! table rendering and geometric-mean summaries.
+//! the common pieces: the KV-length sweep grid, the model list, the
+//! per-sample decode baseline, plain-text table rendering and geometric-mean
+//! summaries.
 
 use lad_accel::workload::workload_stats;
 use lad_core::stats::StatsSummary;
 use lad_math::stats;
+use lad_model::backend::AttentionKind;
 use lad_model::config::ModelConfig;
+use lad_model::transformer::{Model, Session};
 
 /// KV-cache lengths of "group 1" (512–2048, paper Sec. V-C).
 pub const GROUP1: [usize; 3] = [512, 1024, 2048];
@@ -61,6 +64,22 @@ pub fn sweep_points() -> Vec<SweepPoint> {
         }
     }
     points
+}
+
+/// The per-sample baseline the batched-GEMM speedup is measured against:
+/// every prompt greedy-decoded alone through a fresh sequential [`Session`],
+/// one after the other, so each weight matrix streams once per sample per
+/// step. Returns the generated tokens per prompt, prompt order.
+pub fn decode_per_sample(
+    model: &Model,
+    kind: &AttentionKind,
+    prompts: &[Vec<u32>],
+    steps: usize,
+) -> Vec<Vec<u32>> {
+    prompts
+        .iter()
+        .map(|prompt| Session::new(model, kind).generate_greedy(prompt, steps))
+        .collect()
 }
 
 /// Prints a titled separator.

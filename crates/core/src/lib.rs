@@ -26,7 +26,7 @@
 //! | [`mod@reference`] | Eq. 2–3 | exact and direct-PWL oracles |
 //! | [`locality`] | Sec. II-B, Fig. 2 | numerical-locality analysis |
 //! | [`stats`] | Sec. IV | per-step instrumentation for the accelerator |
-//! | [`pool`] | — | shared two-level decode worker pool (batch × heads) |
+//! | [`pool`] | — | shared work-helping decode worker pool |
 //!
 //! ## Quickstart
 //!
@@ -67,5 +67,5 @@ pub use decoder::{Identification, LadAttention, LadConfig, StepOutput};
 pub use kv::KvCache;
 pub use locality::{LocalityAnalyzer, LocalityReport};
 pub use modes::ModeTracker;
-pub use pool::{PoolMetrics, PoolScope, TaskLevel, WorkerPool};
+pub use pool::{PoolMetrics, PoolScope, WorkerPool};
 pub use stats::{StatsSummary, StepStats};

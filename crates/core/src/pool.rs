@@ -1,31 +1,23 @@
 //! Shared decode worker pool.
 //!
-//! Batch decoding (sequence-level tasks) and the per-layer head fan-out
-//! (head-level tasks) used to run on *separate* `std::thread::scope` spawns,
-//! which forced them to be mutually exclusive: batch workers pinned the head
-//! fan-out to `parallelism = 1` so the two scopes would not oversubscribe the
-//! machine. This module replaces both with one long-lived pool and a
-//! **two-level task queue**:
-//!
-//! * [`TaskLevel::Sequence`] — coarse tasks, one whole sequence of a batch.
-//! * [`TaskLevel::Head`] — fine tasks, a chunk of attention heads within one
-//!   decode step. Head tasks always dequeue first: they sit on the critical
-//!   path of a step that some sequence task is already blocked on.
+//! One long-lived set of threads behind one FIFO task queue. The only decode
+//! path that spawns on it is the step-synchronous batch engine
+//! (`lad_model::batch::BatchSession`), which fans the attention of one layer
+//! out as one task per chunk of samples and waits for the layer to drain
+//! before the next cross-sample GEMM.
 //!
 //! Scheduling is work-helping: a thread that waits on a [`WorkerPool::scope`]
 //! does not block — it keeps executing queued tasks (its own scope's or any
-//! other's) until its scope drains. This is what lets a small batch soak up
-//! leftover cores: while few sequence tasks are in flight, the waiting
-//! threads and idle workers pick up the head-level tasks those sequences
-//! spawn. It also makes the pool deadlock-free by construction at any worker
-//! count, including zero (everything help-runs inline), and keeps nested
-//! scopes (a sequence task stepping a session that fans out heads) safe.
+//! other's) until its scope drains. That makes the pool deadlock-free by
+//! construction at any worker count, including zero (everything help-runs
+//! inline), and keeps nested scopes (a task that opens a scope of its own)
+//! safe.
 //!
 //! **Determinism.** The pool never influences results: every task writes to
 //! its own pre-assigned output slot and a scope only returns once all of its
 //! tasks completed, so outputs are collected in program order regardless of
 //! which thread ran what. The top-level differential harness
-//! (`tests/differential.rs`) pins this down against the sequential paths.
+//! (`tests/differential.rs`) pins this down against the sequential reference.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -35,16 +27,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::Instant;
 
-/// Priority class of a pool task (the two queue levels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskLevel {
-    /// Coarse-grained: decode one whole sequence of a batch.
-    Sequence,
-    /// Fine-grained: step a chunk of attention heads; dequeues before
-    /// sequence tasks because a sequence task is already waiting on it.
-    Head,
-}
-
 /// Snapshot of the pool's monotonic scheduling counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
@@ -52,7 +34,7 @@ pub struct PoolMetrics {
     pub tasks_executed: usize,
     /// Tasks executed by a thread other than the one that spawned them.
     pub tasks_stolen: usize,
-    /// Times a worker woke from the condvar and found both queues empty.
+    /// Times a worker woke from the condvar and found the queue empty.
     pub idle_wakeups: usize,
     /// Scopes fully drained ([`WorkerPool::scope`] returns). A step-synchronous
     /// batch engine contributes one per per-layer fan-out, so this counts its
@@ -90,22 +72,6 @@ struct Task {
     submitter: ThreadId,
 }
 
-#[derive(Default)]
-struct Queues {
-    head: VecDeque<Task>,
-    seq: VecDeque<Task>,
-}
-
-impl Queues {
-    fn pop(&mut self) -> Option<Task> {
-        self.head.pop_front().or_else(|| self.seq.pop_front())
-    }
-
-    fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.seq.is_empty()
-    }
-}
-
 /// Live registry handles mirroring the pool's counters into the process
 /// metrics exposition (`lad_obs::metrics`). All no-ops while metrics are
 /// disabled; the handles are resolved once at pool construction.
@@ -130,7 +96,7 @@ impl PoolObs {
 }
 
 struct Shared {
-    queues: Mutex<Queues>,
+    queue: Mutex<VecDeque<Task>>,
     /// Notified on new work, task completion and shutdown; workers and
     /// helping scope owners both wait on it.
     work_cv: Condvar,
@@ -160,19 +126,19 @@ impl Default for ScopeState {
     }
 }
 
-/// A long-lived two-level work-helping thread pool (see the module docs).
+/// A long-lived work-helping thread pool (see the module docs).
 ///
 /// # Example
 ///
 /// ```
-/// use lad_core::pool::{TaskLevel, WorkerPool};
+/// use lad_core::pool::WorkerPool;
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let pool = WorkerPool::new(2);
 /// let hits = AtomicUsize::new(0);
 /// pool.scope(|scope| {
 ///     for _ in 0..8 {
-///         scope.spawn(TaskLevel::Head, || {
+///         scope.spawn(|| {
 ///             hits.fetch_add(1, Ordering::Relaxed);
 ///         });
 ///     }
@@ -198,7 +164,7 @@ impl WorkerPool {
     /// valid: scopes then execute every task inline while "waiting".
     pub fn new(workers: usize) -> WorkerPool {
         let shared = Arc::new(Shared {
-            queues: Mutex::new(Queues::default()),
+            queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tasks_executed: AtomicUsize::new(0),
@@ -280,19 +246,16 @@ impl WorkerPool {
     fn help_until_done(&self, state: &Arc<ScopeState>) {
         loop {
             let task = {
-                let mut queues = self.shared.queues.lock().unwrap();
+                let mut queue = self.shared.queue.lock().unwrap();
                 loop {
                     if state.pending.load(Ordering::Acquire) == 0 {
                         return;
                     }
-                    if let Some(task) = queues.pop() {
-                        self.shared
-                            .obs
-                            .queue_depth
-                            .set((queues.head.len() + queues.seq.len()) as i64);
+                    if let Some(task) = queue.pop_front() {
+                        self.shared.obs.queue_depth.set(queue.len() as i64);
                         break task;
                     }
-                    queues = parked_wait(&self.shared, queues, "pool.help_wait");
+                    queue = parked_wait(&self.shared, queue, "pool.help_wait");
                 }
             };
             execute(&self.shared, task);
@@ -304,7 +267,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
             // Flag under the lock so no worker can check-then-sleep around it.
-            let _guard = self.shared.queues.lock().unwrap();
+            let _guard = self.shared.queue.lock().unwrap();
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.work_cv.notify_all();
@@ -322,9 +285,9 @@ pub struct PoolScope<'pool, 'env> {
 }
 
 impl<'pool, 'env> PoolScope<'pool, 'env> {
-    /// Queues `task` at `level`. The task may borrow from the environment;
-    /// the owning [`WorkerPool::scope`] call completes it before returning.
-    pub fn spawn<F>(&self, level: TaskLevel, task: F)
+    /// Queues `task`. The task may borrow from the environment; the owning
+    /// [`WorkerPool::scope`] call completes it before returning.
+    pub fn spawn<F>(&self, task: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -342,17 +305,10 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
             submitter: thread::current().id(),
         };
         {
-            let mut queues = self.pool.shared.queues.lock().unwrap();
+            let mut queue = self.pool.shared.queue.lock().unwrap();
             self.state.pending.fetch_add(1, Ordering::AcqRel);
-            match level {
-                TaskLevel::Head => queues.head.push_back(task),
-                TaskLevel::Sequence => queues.seq.push_back(task),
-            }
-            self.pool
-                .shared
-                .obs
-                .queue_depth
-                .set((queues.head.len() + queues.seq.len()) as i64);
+            queue.push_back(task);
+            self.pool.shared.obs.queue_depth.set(queue.len() as i64);
         }
         self.pool.shared.work_cv.notify_one();
     }
@@ -376,7 +332,7 @@ fn execute(shared: &Shared, task: Task) {
         // Decrement under the queue lock: scope owners check-then-wait under
         // the same lock, so the final decrement can never slip between their
         // check and their sleep.
-        let _guard = shared.queues.lock().unwrap();
+        let _guard = shared.queue.lock().unwrap();
         task.scope.pending.fetch_sub(1, Ordering::AcqRel);
     }
     shared.work_cv.notify_all();
@@ -389,35 +345,32 @@ fn execute(shared: &Shared, task: Task) {
 /// per task.
 fn parked_wait<'q>(
     shared: &Shared,
-    queues: std::sync::MutexGuard<'q, Queues>,
+    queue: std::sync::MutexGuard<'q, VecDeque<Task>>,
     span_name: &'static str,
-) -> std::sync::MutexGuard<'q, Queues> {
+) -> std::sync::MutexGuard<'q, VecDeque<Task>> {
     let _span = lad_obs::span(span_name);
     let parked_at = Instant::now();
-    let queues = shared.work_cv.wait(queues).unwrap();
+    let queue = shared.work_cv.wait(queue).unwrap();
     let parked_ns = parked_at.elapsed().as_nanos() as u64;
     shared.park_nanos.fetch_add(parked_ns, Ordering::Relaxed);
     shared.obs.park_nanos.inc(parked_ns);
-    queues
+    queue
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let task = {
-            let mut queues = shared.queues.lock().unwrap();
+            let mut queue = shared.queue.lock().unwrap();
             loop {
-                if let Some(task) = queues.pop() {
-                    shared
-                        .obs
-                        .queue_depth
-                        .set((queues.head.len() + queues.seq.len()) as i64);
+                if let Some(task) = queue.pop_front() {
+                    shared.obs.queue_depth.set(queue.len() as i64);
                     break Some(task);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                queues = parked_wait(shared, queues, "pool.park");
-                if queues.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
+                queue = parked_wait(shared, queue, "pool.park");
+                if queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
                     shared.idle_wakeups.fetch_add(1, Ordering::Relaxed);
                     shared.obs.idle_wakeups.inc(1);
                 }
@@ -441,7 +394,7 @@ mod tests {
         let hits = AtomicUsize::new(0);
         pool.scope(|scope| {
             for _ in 0..32 {
-                scope.spawn(TaskLevel::Head, || {
+                scope.spawn(|| {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -458,7 +411,7 @@ mod tests {
         pool.scope(|scope| {
             for i in 0..10usize {
                 let sum = &sum;
-                scope.spawn(TaskLevel::Sequence, move || {
+                scope.spawn(move || {
                     sum.fetch_add(i, Ordering::Relaxed);
                 });
             }
@@ -470,17 +423,17 @@ mod tests {
 
     #[test]
     fn nested_scopes_complete_at_any_worker_count() {
-        // A sequence task that itself fans out head tasks — the decode_batch
-        // + Session::step shape — must drain even on a worker-less pool.
+        // A task that itself opens a scope and fans out must drain even on a
+        // worker-less pool.
         for workers in [0usize, 1, 3] {
             let pool = WorkerPool::new(workers);
             let hits = AtomicUsize::new(0);
             pool.scope(|outer| {
                 for _ in 0..4 {
-                    outer.spawn(TaskLevel::Sequence, || {
+                    outer.spawn(|| {
                         pool.scope(|inner| {
                             for _ in 0..4 {
-                                inner.spawn(TaskLevel::Head, || {
+                                inner.spawn(|| {
                                     hits.fetch_add(1, Ordering::Relaxed);
                                 });
                             }
@@ -498,7 +451,7 @@ mod tests {
         let mut out = vec![0usize; 4];
         let total = pool.scope(|scope| {
             for (i, slot) in out.iter_mut().enumerate() {
-                scope.spawn(TaskLevel::Head, move || {
+                scope.spawn(move || {
                     *slot = i + 1;
                 });
             }
@@ -513,7 +466,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|scope| {
-                scope.spawn(TaskLevel::Head, || panic!("boom in task"));
+                scope.spawn(|| panic!("boom in task"));
             });
         }));
         let payload = caught.expect_err("panic must propagate");
@@ -522,7 +475,7 @@ mod tests {
         // The pool must stay usable after a task panic.
         let ran = AtomicUsize::new(0);
         pool.scope(|scope| {
-            scope.spawn(TaskLevel::Head, || {
+            scope.spawn(|| {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -560,7 +513,7 @@ mod tests {
         let before = pool.metrics();
         for _ in 0..3 {
             pool.scope(|scope| {
-                scope.spawn(TaskLevel::Head, || {});
+                scope.spawn(|| {});
             });
         }
         assert_eq!(pool.metrics().delta(before).scopes_completed, 3);
@@ -571,13 +524,13 @@ mod tests {
         let pool = WorkerPool::new(1);
         // Run one task so the worker is definitely up, then leave it idle.
         pool.scope(|scope| {
-            scope.spawn(TaskLevel::Head, || {});
+            scope.spawn(|| {});
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Poke the worker so its current park interval gets accounted; the
         // accounting lands when the worker wakes, so poll briefly.
         pool.scope(|scope| {
-            scope.spawn(TaskLevel::Head, || {});
+            scope.spawn(|| {});
         });
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         while pool.metrics().park_nanos < 10_000_000 {
@@ -599,7 +552,7 @@ mod tests {
         lad_obs::metrics::set_metrics_enabled(true);
         pool.scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(TaskLevel::Head, || {});
+                scope.spawn(|| {});
             }
         });
         lad_obs::metrics::set_metrics_enabled(false);
@@ -620,7 +573,7 @@ mod tests {
         let before = pool.metrics();
         pool.scope(|scope| {
             for _ in 0..64 {
-                scope.spawn(TaskLevel::Head, || {
+                scope.spawn(|| {
                     // Enough work that background workers get a chance to
                     // grab some tasks even on a loaded machine.
                     std::hint::black_box((0..500).sum::<usize>());

@@ -50,9 +50,10 @@ pub struct StepStats {
     /// Positions evicted (masked dead) by the backend this step; 0 for
     /// non-evicting backends.
     pub evictions: usize,
-    /// Width of the head fan-out this step was scheduled with (1 = inline
-    /// sequential, >1 = shared-pool fan-out, 0 = head stepped outside a
-    /// session). Scheduling metadata only — see [`StepStats::algorithmic`].
+    /// Width of the sample-chunk fan-out the step that ran this head was
+    /// scheduled with (1 = inline, >1 = shared-pool fan-out under the batch
+    /// engine, 0 = head stepped outside a session). Scheduling metadata
+    /// only — see [`StepStats::algorithmic`].
     pub fanout_width: usize,
 }
 
@@ -141,7 +142,7 @@ pub struct StatsSummary {
     pub total_bytes_moved: usize,
     /// Total positions evicted across the aggregated steps — a *sum*.
     pub total_evictions: usize,
-    /// Mean scheduled head fan-out width.
+    /// Mean scheduled fan-out width.
     pub mean_fanout_width: f64,
     /// Worker-pool tasks stolen while these steps decoded (0 unless injected
     /// via [`StatsSummary::with_pool_metrics`]).

@@ -1,35 +1,31 @@
-//! Batched decoding across samples on the shared worker pool.
+//! Step-synchronous batched decoding across samples.
 //!
 //! The paper's throughput evaluation decodes batches of samples; each sample
-//! owns its per-head attention state but shares the model weights, so
-//! samples decode independently. Every sample becomes a *sequence-level*
-//! task on the shared [`WorkerPool`]; inside each sample, every decode step
-//! fans its attention heads out as *head-level* tasks on the **same** pool.
-//! That ends the old mutual exclusion where batch workers pinned
-//! `parallelism = 1`: a small batch's sequence tasks leave cores idle, and
-//! those cores now drain the head-level queue instead.
+//! owns its per-head attention state but shares the model weights. A
+//! [`BatchSession`] advances all samples **one token per global step**, their
+//! activation vectors stacked into a `batch × hidden` matrix so every linear
+//! layer runs as a single cross-sample blocked GEMM ([`lad_math::gemm`]) —
+//! the weights stream once per step instead of once per sample. The
+//! attention heads, which own per-sample state, are the only part that fans
+//! out: one task per chunk of samples per layer on the shared
+//! [`WorkerPool`]. This is the only parallel decode path; the serving
+//! engine, speculative decoding and [`decode_batch_gemm`] all drive it.
 //!
-//! Scheduling never changes results — samples are independent, each session
-//! is deterministic, and head outputs are collected in head order — which
-//! `tests/differential.rs` pins down against the sequential paths.
-//!
-//! [`BatchSession`] / [`decode_batch_gemm`] go one step further: instead of
-//! one independent session per sample, all samples advance **one token per
-//! global step**, their activation vectors stacked into a `batch × hidden`
-//! matrix so every linear layer runs as a single cross-sample blocked GEMM
-//! ([`lad_math::gemm`]) — the weights stream once per step instead of once
-//! per sample. The GEMM's ascending-`k` accumulation contract keeps this
-//! bit-identical to the per-sample paths.
+//! Neither batching nor scheduling changes results: the GEMM's ascending-`k`
+//! accumulation contract makes every row bit-identical to the per-sample
+//! `matvec`, samples are independent, and head outputs are collected in
+//! (row, head) order. `tests/differential.rs` pins tokens and algorithmic
+//! stats against solo [`Session`](crate::transformer::Session) decodes, the
+//! sequential reference.
 
 use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, HeadStepOutput};
 use crate::config::{MlpKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, ROPE_BASE};
-use crate::transformer::{argmax, Model, Session};
-use lad_core::pool::{PoolMetrics, TaskLevel, WorkerPool};
+use crate::transformer::{argmax, Model};
+use lad_core::pool::{PoolMetrics, WorkerPool};
 use lad_core::stats::{GemmBatchMetrics, StatsSummary, StepStats};
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
 use lad_math::vector;
-use std::sync::Arc;
 
 /// Result of decoding one batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,11 +37,10 @@ pub struct BatchResult {
     /// fills its identification fields.
     pub final_stats: Vec<StepStats>,
     /// Worker-pool scheduling counters metered across the whole batch (zero
-    /// on the sequential path; best-effort on a pool shared with concurrent
-    /// decodes).
+    /// when every step ran inline; best-effort on a pool shared with
+    /// concurrent decodes).
     pub pool: PoolMetrics,
-    /// Batched-GEMM calls and step barriers (zero on the per-sample paths;
-    /// populated by [`decode_batch_gemm`]).
+    /// Batched-GEMM calls and step barriers crossed.
     pub gemm: GemmBatchMetrics,
 }
 
@@ -56,103 +51,6 @@ impl BatchResult {
         StatsSummary::from_steps(&self.final_stats)
             .with_pool_metrics(self.pool)
             .with_gemm_metrics(self.gemm)
-    }
-}
-
-/// Greedy-decodes every prompt for `steps` tokens.
-///
-/// `parallelism == 1` is the sequential reference path: every sample decodes
-/// inline, one after the other, without touching the pool. Any larger value
-/// schedules the batch on the process-global [`WorkerPool`] and also serves
-/// as the per-step head fan-out width inside each sample. Results are
-/// identical in every configuration.
-///
-/// # Panics
-///
-/// Panics if `parallelism == 0` or any prompt is empty.
-pub fn decode_batch(
-    model: &Model,
-    kind: &AttentionKind,
-    prompts: &[Vec<u32>],
-    steps: usize,
-    parallelism: usize,
-) -> BatchResult {
-    assert!(parallelism > 0, "decode_batch: threads must be positive");
-    assert!(
-        prompts.iter().all(|p| !p.is_empty()),
-        "decode_batch: empty prompt"
-    );
-    if parallelism == 1 {
-        let mut sequences = Vec::with_capacity(prompts.len());
-        let mut final_stats = Vec::new();
-        for prompt in prompts {
-            let mut session = Session::with_parallelism(model, kind, 1);
-            sequences.push(session.generate_greedy(prompt, steps));
-            final_stats.extend(session.last_stats().iter().copied());
-        }
-        return BatchResult {
-            sequences,
-            final_stats,
-            pool: PoolMetrics::default(),
-            gemm: GemmBatchMetrics::default(),
-        };
-    }
-    decode_batch_on(
-        WorkerPool::global(),
-        model,
-        kind,
-        prompts,
-        steps,
-        parallelism,
-    )
-}
-
-/// Greedy-decodes every prompt for `steps` tokens on an explicit shared
-/// `pool`: one sequence-level task per sample, and up to `head_parallelism`
-/// head-level tasks per decode step inside each sample, all on the same
-/// two-level queue.
-///
-/// # Panics
-///
-/// Panics if any prompt is empty.
-pub fn decode_batch_on(
-    pool: &Arc<WorkerPool>,
-    model: &Model,
-    kind: &AttentionKind,
-    prompts: &[Vec<u32>],
-    steps: usize,
-    head_parallelism: usize,
-) -> BatchResult {
-    assert!(
-        prompts.iter().all(|p| !p.is_empty()),
-        "decode_batch: empty prompt"
-    );
-    let before = pool.metrics();
-    let mut outputs: Vec<Option<(Vec<u32>, Vec<StepStats>)>> = vec![None; prompts.len()];
-
-    pool.scope(|scope| {
-        for (prompt, slot) in prompts.iter().zip(outputs.iter_mut()) {
-            let task_pool = Arc::clone(pool);
-            scope.spawn(TaskLevel::Sequence, move || {
-                let mut session = Session::with_pool(model, kind, task_pool, head_parallelism);
-                let tokens = session.generate_greedy(prompt, steps);
-                *slot = Some((tokens, session.last_stats().to_vec()));
-            });
-        }
-    });
-
-    let mut sequences = Vec::with_capacity(prompts.len());
-    let mut final_stats = Vec::new();
-    for slot in outputs {
-        let (tokens, stats) = slot.expect("every prompt decoded");
-        sequences.push(tokens);
-        final_stats.extend(stats);
-    }
-    BatchResult {
-        sequences,
-        final_stats,
-        pool: pool.metrics().delta(before),
-        gemm: GemmBatchMetrics::default(),
     }
 }
 
@@ -227,19 +125,19 @@ struct SampleCheckpoints {
 
 /// Step-synchronous batched decode session (the cross-sample GEMM engine).
 ///
-/// Where [`decode_batch`] runs one independent [`Session`] per sample (each
-/// streaming every weight matrix once per sample per step), a `BatchSession`
-/// advances **all** samples one token per global step: the per-sample
-/// activation vectors are stacked into a `batch × hidden` matrix and every
-/// linear layer runs as *one* matrix-matrix product
-/// ([`lad_math::gemm`]) — the weights stream once per step, not once per
-/// sample. The attention heads, which own per-sample state, fan out as one
-/// pool task per (sample-chunk, layer) on the shared [`WorkerPool`].
+/// Where one [`Session`](crate::transformer::Session) per sample streams
+/// every weight matrix once per sample per step, a `BatchSession` advances
+/// **all** samples one token per global step: the per-sample activation
+/// vectors are stacked into a `batch × hidden` matrix and every linear layer
+/// runs as *one* matrix-matrix product ([`lad_math::gemm`]) — the weights
+/// stream once per step, not once per sample. The attention heads, which own
+/// per-sample state, fan out as one pool task per (sample-chunk, layer) on
+/// the process-global [`WorkerPool`].
 ///
 /// The GEMM kernel's ascending-`k` accumulation contract makes every row of
 /// a batched projection bit-identical to the per-sample `matvec`, so tokens
-/// and algorithmic stats are exactly those of [`Session`] /
-/// [`decode_batch`]; `tests/differential.rs` pins this down.
+/// and algorithmic stats are exactly those of a solo `Session`;
+/// `tests/differential.rs` pins this down.
 ///
 /// # Dynamic membership
 ///
@@ -266,10 +164,10 @@ pub struct BatchSession<'m> {
     free_slots: Vec<usize>,
     /// Fan-out width of the per-layer sample-chunk scheduling.
     parallelism: usize,
-    /// Explicit pool override (`None` = the process-global pool).
-    pool: Option<Arc<WorkerPool>>,
-    /// Per-sample statistics from each sample's latest step, in
-    /// (layer, head) order.
+    /// Per-sample statistics from each sample's latest step: one entry per
+    /// (layer, row, head) in that order, so `layers × rows × heads` entries
+    /// after a multi-row run (rejected rows included) and plain
+    /// (layer, head) order after a one-row step.
     last_stats: Vec<Vec<StepStats>>,
     scratch: BatchScratch,
     gemm_metrics: GemmBatchMetrics,
@@ -299,19 +197,7 @@ impl<'m> BatchSession<'m> {
         parallelism: usize,
     ) -> BatchSession<'m> {
         assert!(batch > 0, "BatchSession: batch must be positive");
-        BatchSession::build(model, kind, batch, parallelism, None)
-    }
-
-    /// Like [`BatchSession::new`] but scheduling on an explicit shared pool.
-    pub fn with_pool(
-        model: &'m Model,
-        kind: &AttentionKind,
-        batch: usize,
-        pool: Arc<WorkerPool>,
-        parallelism: usize,
-    ) -> BatchSession<'m> {
-        assert!(batch > 0, "BatchSession: batch must be positive");
-        BatchSession::build(model, kind, batch, parallelism, Some(pool))
+        BatchSession::build(model, kind, batch, parallelism)
     }
 
     /// Opens a session with **zero** sample slots for dynamic-membership
@@ -322,7 +208,7 @@ impl<'m> BatchSession<'m> {
     ///
     /// Panics if `parallelism == 0`.
     pub fn dynamic(model: &'m Model, kind: &AttentionKind, parallelism: usize) -> BatchSession<'m> {
-        BatchSession::build(model, kind, 0, parallelism, None)
+        BatchSession::build(model, kind, 0, parallelism)
     }
 
     fn build(
@@ -330,7 +216,6 @@ impl<'m> BatchSession<'m> {
         kind: &AttentionKind,
         batch: usize,
         parallelism: usize,
-        pool: Option<Arc<WorkerPool>>,
     ) -> BatchSession<'m> {
         assert!(parallelism > 0, "BatchSession: threads must be positive");
         let d = model.cfg.head_dim();
@@ -353,7 +238,6 @@ impl<'m> BatchSession<'m> {
             live: vec![true; batch],
             free_slots: Vec::new(),
             parallelism,
-            pool,
             last_stats: vec![Vec::new(); batch],
             scratch: BatchScratch::default(),
             gemm_metrics: GemmBatchMetrics::default(),
@@ -461,8 +345,11 @@ impl<'m> BatchSession<'m> {
             .collect()
     }
 
-    /// Step statistics of `sample` from its latest step, in (layer, head)
-    /// order.
+    /// Step statistics of `sample` from its latest step: one entry per
+    /// (layer, row, head), in that order. A one-row step yields the plain
+    /// (layer, head) listing; a run of `L` rows through
+    /// [`BatchSession::step_runs`] yields `layers × L × heads` entries, rows
+    /// later rejected by [`BatchSession::rollback_sample`] included.
     pub fn last_stats(&self, sample: usize) -> &[StepStats] {
         &self.last_stats[sample]
     }
@@ -655,12 +542,8 @@ impl<'m> BatchSession<'m> {
         }
 
         let width = self.parallelism.min(n_runs).max(1);
-        let pool: Option<Arc<WorkerPool>> = (width > 1).then(|| {
-            self.pool
-                .clone()
-                .unwrap_or_else(|| Arc::clone(WorkerPool::global()))
-        });
-        let pool_before = pool.as_ref().map(|p| p.metrics());
+        let pool = (width > 1).then(WorkerPool::global);
+        let pool_before = pool.map(|p| p.metrics());
         let mut gemm_calls = 0usize;
 
         // The scratch matrices move out of `self` for the step so the head
@@ -749,7 +632,7 @@ impl<'m> BatchSession<'m> {
             ck_slots.clear();
             ck_slots.resize_with(rows * heads_n, || None);
             let attn_span = lad_obs::span("batch.attn_fanout");
-            match &pool {
+            match pool {
                 None => step_run_chunk(
                     0,
                     hidden,
@@ -791,7 +674,7 @@ impl<'m> BatchSession<'m> {
                             } else {
                                 let (q, k, v) = (&q, &k, &v);
                                 let fr = first_row;
-                                scope.spawn(TaskLevel::Head, move || {
+                                scope.spawn(move || {
                                     step_run_chunk(
                                         fr, hidden, d, heads_n, h_chunk, l_chunk, s_chunk, c_chunk,
                                         q, k, v,
@@ -914,7 +797,7 @@ impl<'m> BatchSession<'m> {
         self.ckpts = ckpt_store;
         self.gemm_metrics.gemm_calls += gemm_calls;
         self.gemm_metrics.sync_barriers += 1;
-        if let (Some(pool), Some(before)) = (&pool, pool_before) {
+        if let (Some(pool), Some(before)) = (pool, pool_before) {
             let delta = pool.metrics().delta(before);
             self.pool_metrics.tasks_executed += delta.tasks_executed;
             self.pool_metrics.tasks_stolen += delta.tasks_stolen;
@@ -968,7 +851,8 @@ fn step_run_chunk(
 /// [`BatchSession`]: all samples advance one token per global step with
 /// cross-sample batched GEMMs; ragged prompts are handled by shrinking the
 /// active set as samples finish. Tokens and algorithmic stats are
-/// bit-identical to [`decode_batch`] at any `parallelism`.
+/// bit-identical to one solo [`Session`](crate::transformer::Session) decode
+/// per prompt at any `parallelism`.
 ///
 /// # Panics
 ///
@@ -1049,6 +933,7 @@ pub fn decode_batch_gemm(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::transformer::Session;
     use lad_core::decoder::LadConfig;
 
     fn model() -> Model {
@@ -1059,95 +944,36 @@ mod tests {
         vec![vec![1, 2, 3], vec![9, 8], vec![4, 4, 4, 4], vec![200, 100]]
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let model = model();
-        let sequential = decode_batch(&model, &AttentionKind::Exact, &prompts(), 10, 1);
-        let parallel = decode_batch(&model, &AttentionKind::Exact, &prompts(), 10, 4);
-        assert_eq!(sequential.sequences, parallel.sequences);
-    }
-
-    #[test]
-    fn matches_single_session_decoding() {
-        let model = model();
-        let batch = decode_batch(&model, &AttentionKind::Exact, &prompts(), 8, 2);
-        for (prompt, expected) in prompts().iter().zip(&batch.sequences) {
-            let mut session = Session::new(&model, &AttentionKind::Exact);
-            assert_eq!(&session.generate_greedy(prompt, 8), expected);
+    /// The sequential reference: one solo [`Session`] greedy decode per
+    /// prompt. Returns the generated tokens and every sample's final-step
+    /// `algorithmic()` stats, prompt order.
+    fn solo_reference(
+        model: &Model,
+        kind: &AttentionKind,
+        prompts: &[Vec<u32>],
+        steps: usize,
+    ) -> (Vec<Vec<u32>>, Vec<StepStats>) {
+        let mut sequences = Vec::new();
+        let mut final_stats = Vec::new();
+        for prompt in prompts {
+            let mut session = Session::new(model, kind);
+            sequences.push(session.generate_greedy(prompt, steps));
+            final_stats.extend(session.last_stats().iter().map(|s| s.algorithmic()));
         }
-    }
-
-    #[test]
-    fn dedicated_pool_matches_sequential() {
-        // An explicit pool (with background workers) must agree with the
-        // inline path token-for-token and stat-for-stat.
-        let model = model();
-        let pool = Arc::new(WorkerPool::new(2));
-        let kind = AttentionKind::Lad(LadConfig::default());
-        let sequential = decode_batch(&model, &kind, &prompts(), 8, 1);
-        let pooled = decode_batch_on(&pool, &model, &kind, &prompts(), 8, 2);
-        assert_eq!(sequential.sequences, pooled.sequences);
-        assert_eq!(sequential.final_stats.len(), pooled.final_stats.len());
-        for (a, b) in sequential.final_stats.iter().zip(&pooled.final_stats) {
-            assert_eq!(a.algorithmic(), b.algorithmic());
-        }
-        // The batch ran entirely through the dedicated pool: one sequence
-        // task per sample, head tasks on top.
-        assert!(pooled.pool.tasks_executed >= prompts().len());
-    }
-
-    #[test]
-    fn lad_batch_collects_stats() {
-        let model = model();
-        let batch = decode_batch(
-            &model,
-            &AttentionKind::Lad(LadConfig::default()),
-            &prompts(),
-            6,
-            2,
-        );
-        // 4 samples x 2 layers x 2 heads.
-        assert_eq!(batch.final_stats.len(), 16);
-        let summary = batch.stats_summary();
-        assert_eq!(summary.steps, 16);
-        assert!(summary.mean_centers > 0.0);
-        // Heads fan out 2-wide inside each sequence task now (the old path
-        // pinned this to 1).
-        assert!(batch.final_stats.iter().all(|s| s.fanout_width == 2));
-    }
-
-    #[test]
-    fn exact_batch_reports_traffic_stats() {
-        let model = model();
-        let batch = decode_batch(&model, &AttentionKind::Exact, &prompts(), 4, 3);
-        // 4 samples x 2 layers x 2 heads, each carrying traffic counters.
-        assert_eq!(batch.final_stats.len(), 16);
-        assert!(batch
-            .final_stats
-            .iter()
-            .all(|s| s.keys_scored == s.n && s.bytes_moved > 0));
-        assert_eq!(batch.sequences.len(), 4);
-    }
-
-    #[test]
-    fn more_threads_than_prompts_is_fine() {
-        let model = model();
-        let batch = decode_batch(&model, &AttentionKind::Exact, &prompts()[..2], 4, 16);
-        assert_eq!(batch.sequences.len(), 2);
+        (sequences, final_stats)
     }
 
     #[test]
     #[should_panic(expected = "threads must be positive")]
     fn zero_threads_rejected() {
-        decode_batch(&model(), &AttentionKind::Exact, &prompts(), 2, 0);
+        decode_batch_gemm(&model(), &AttentionKind::Exact, &prompts(), 2, 0);
     }
 
     #[test]
     fn gemm_batch_matches_sequential_exactly() {
         // The tentpole invariant: the step-synchronous batched engine emits
-        // bit-identical tokens and algorithmic stats to the per-sample
-        // sequential reference, for exact and LAD backends, ragged prompts
-        // included.
+        // bit-identical tokens and algorithmic stats to solo `Session`
+        // decodes, for exact and LAD backends, ragged prompts included.
         let model = model();
         for kind in [
             AttentionKind::Exact,
@@ -1155,13 +981,15 @@ mod tests {
             AttentionKind::topk(6),
             AttentionKind::h2o_budget(12, 4),
         ] {
-            let reference = decode_batch(&model, &kind, &prompts(), 10, 1);
+            let (sequences, final_stats) = solo_reference(&model, &kind, &prompts(), 10);
             let batched = decode_batch_gemm(&model, &kind, &prompts(), 10, 1);
-            assert_eq!(reference.sequences, batched.sequences);
-            assert_eq!(reference.final_stats.len(), batched.final_stats.len());
-            for (a, b) in reference.final_stats.iter().zip(&batched.final_stats) {
-                assert_eq!(a.algorithmic(), b.algorithmic());
-            }
+            assert_eq!(sequences, batched.sequences);
+            let batched_stats: Vec<StepStats> = batched
+                .final_stats
+                .iter()
+                .map(|s| s.algorithmic())
+                .collect();
+            assert_eq!(final_stats, batched_stats);
         }
     }
 
@@ -1170,9 +998,9 @@ mod tests {
         // Learned positions + LayerNorm + GELU exercise the other batched
         // code paths (pos-embed add, gelu loop, no RoPE).
         let model = Model::random(ModelConfig::tiny_opt("opt-batch", 2, 32, 2), 77);
-        let reference = decode_batch(&model, &AttentionKind::Exact, &prompts(), 8, 1);
+        let (sequences, _) = solo_reference(&model, &AttentionKind::Exact, &prompts(), 8);
         let batched = decode_batch_gemm(&model, &AttentionKind::Exact, &prompts(), 8, 1);
-        assert_eq!(reference.sequences, batched.sequences);
+        assert_eq!(sequences, batched.sequences);
     }
 
     #[test]
@@ -1201,9 +1029,6 @@ mod tests {
         let summary = batched.stats_summary();
         assert_eq!(summary.sync_barriers, barriers);
         assert_eq!(summary.gemm_calls, batched.gemm.gemm_calls);
-        // The per-sample paths never report batched-GEMM activity.
-        let reference = decode_batch(&model, &AttentionKind::Exact, &prompts(), steps, 1);
-        assert_eq!(reference.gemm, GemmBatchMetrics::default());
     }
 
     #[test]
@@ -1294,6 +1119,9 @@ mod tests {
             }
             let run = [20u32, 21, 22, 23];
             spec.step_runs(&[(0, &run), (1, &[50u32])]);
+            // One stats entry per (layer, row, head): 2 layers x 2 heads.
+            assert_eq!(spec.last_stats(0).len(), 2 * run.len() * 2);
+            assert_eq!(spec.last_stats(1).len(), 2 * 2);
             let spec_logits: Vec<Vec<f32>> = (0..5).map(|r| spec.logits(r).to_vec()).collect();
             for (r, &t) in run.iter().enumerate() {
                 seq.step(&[(0, t)]);
@@ -1419,19 +1247,5 @@ mod tests {
     #[should_panic(expected = "empty prompt")]
     fn empty_prompt_rejected_on_gemm_path() {
         decode_batch_gemm(&model(), &AttentionKind::Exact, &[vec![1], vec![]], 2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty prompt")]
-    fn empty_prompt_rejected_on_pool_path() {
-        let pool = Arc::new(WorkerPool::new(0));
-        decode_batch_on(
-            &pool,
-            &model(),
-            &AttentionKind::Exact,
-            &[vec![1], vec![]],
-            2,
-            2,
-        );
     }
 }

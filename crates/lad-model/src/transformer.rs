@@ -5,17 +5,20 @@
 //! model one token at a time. Different sessions over the *same* model with
 //! different [`AttentionKind`]s are exactly the paper's comparison setup:
 //! the original model vs. its LAD/Qserve/H2O variants (Table I/II).
+//!
+//! `Session` is the plain sequential matvec forward: one sample, heads run
+//! inline in head order, no pool. It is the independent reference every
+//! differential leg compares the batched engine
+//! ([`crate::batch::BatchSession`], the only parallel executor) against.
 
-use crate::backend::{AttentionKind, HeadState, HeadStepOutput};
+use crate::backend::{AttentionKind, HeadState};
 use crate::config::{MlpKind, ModelConfig, NormKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, LayerNorm, Linear, RmsNorm, ROPE_BASE};
 use lad_core::audit::QkvStream;
 use lad_core::locality::LocalityAnalyzer;
-use lad_core::pool::{PoolMetrics, TaskLevel, WorkerPool};
 use lad_core::stats::StepStats;
 use lad_math::pwl::PwlExp;
 use lad_math::{vector, Matrix, Rng};
-use std::sync::Arc;
 
 /// Normalisation layer (LayerNorm or RMSNorm, per config).
 #[derive(Debug, Clone, PartialEq)]
@@ -268,16 +271,6 @@ pub struct Session<'m> {
     model: &'m Model,
     heads: Vec<Vec<HeadState>>,
     pos: usize,
-    /// Fan-out width the per-layer head scheduling may use (`1` = fully
-    /// sequential, inline). Outputs are bit-identical at any setting.
-    parallelism: usize,
-    /// Worker pool the head fan-out is scheduled on (`None` = the
-    /// process-global [`WorkerPool`]). Only touched when the effective
-    /// fan-out width exceeds 1.
-    pool: Option<Arc<WorkerPool>>,
-    /// Pool scheduling counters observed during the latest step (zero when
-    /// the step ran inline).
-    last_pool_metrics: PoolMetrics,
     /// LAD step statistics of every (layer, head) at the latest step.
     last_stats: Vec<StepStats>,
     /// Locality analyzers per (layer, head), when score recording is on.
@@ -290,47 +283,9 @@ pub struct Session<'m> {
 }
 
 impl<'m> Session<'m> {
-    /// Opens a session over `model` with every head running `kind`. Head
-    /// steps fan out over all available cores; see
-    /// [`Session::with_parallelism`] to pick the worker count explicitly.
+    /// Opens a session over `model` with every head running `kind`. Every
+    /// step runs the heads inline on the calling thread, in head order.
     pub fn new(model: &'m Model, kind: &AttentionKind) -> Session<'m> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Session::with_parallelism(model, kind, workers)
-    }
-
-    /// Opens a session whose per-layer head fan-out is at most `parallelism`
-    /// wide (`1` runs every head inline; values are clamped to at least 1).
-    /// Widths above 1 schedule head chunks on the process-global
-    /// [`WorkerPool`]. Heads within a layer are independent and outputs are
-    /// collected in head order, so any setting produces bit-identical logits.
-    pub fn with_parallelism(
-        model: &'m Model,
-        kind: &AttentionKind,
-        parallelism: usize,
-    ) -> Session<'m> {
-        Session::build(model, kind, parallelism, None)
-    }
-
-    /// Opens a session that schedules its head fan-out on an explicit shared
-    /// `pool` instead of the process-global one. Batch decoding uses this so
-    /// sequence-level and head-level tasks share one set of workers.
-    pub fn with_pool(
-        model: &'m Model,
-        kind: &AttentionKind,
-        pool: Arc<WorkerPool>,
-        parallelism: usize,
-    ) -> Session<'m> {
-        Session::build(model, kind, parallelism, Some(pool))
-    }
-
-    fn build(
-        model: &'m Model,
-        kind: &AttentionKind,
-        parallelism: usize,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Session<'m> {
         let d = model.cfg.head_dim();
         let heads = (0..model.cfg.layers)
             .map(|_| {
@@ -343,32 +298,11 @@ impl<'m> Session<'m> {
             model,
             heads,
             pos: 0,
-            parallelism: parallelism.max(1),
-            pool,
-            last_pool_metrics: PoolMetrics::default(),
             last_stats: Vec::new(),
             analyzers: None,
             qkv_taps: None,
             scratch: StepScratch::default(),
         }
-    }
-
-    /// Sets the worker-thread cap for subsequent steps (clamped to >= 1).
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism.max(1);
-    }
-
-    /// The current worker-thread cap.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Pool scheduling counters (tasks executed/stolen, idle wakeups)
-    /// observed during the latest step. Zero when the step ran inline; on a
-    /// pool shared with other sessions the delta is best-effort (concurrent
-    /// decodes meter into the same counters).
-    pub fn last_pool_metrics(&self) -> PoolMetrics {
-        self.last_pool_metrics
     }
 
     /// Total bytes of KV state across every (layer, head) right now — the
@@ -434,16 +368,6 @@ impl<'m> Session<'m> {
         let d = cfg.head_dim();
         let record = self.analyzers.is_some();
 
-        // Resolve the fan-out width and pool once per step; `width == 1`
-        // never touches the pool (the pure sequential reference path).
-        let width = self.parallelism.min(cfg.heads).max(1);
-        let pool: Option<Arc<WorkerPool>> = (width > 1).then(|| {
-            self.pool
-                .clone()
-                .unwrap_or_else(|| Arc::clone(WorkerPool::global()))
-        });
-        let pool_before = pool.as_ref().map(|p| p.metrics());
-
         // The scratch buffers move out of `self` for the step so the head
         // states below can be borrowed mutably alongside them; every buffer
         // is overwritten before use.
@@ -475,8 +399,7 @@ impl<'m> Session<'m> {
             block.wv.forward_into(normed, v_full);
 
             // RoPE is applied in place on each head's span of the shared
-            // projection buffers, so the fan-out below can hand every worker
-            // plain sub-slices of immutable data.
+            // projection buffers.
             if cfg.position == PositionKind::Rope {
                 for h in 0..cfg.heads {
                     let span = h * d..(h + 1) * d;
@@ -487,74 +410,14 @@ impl<'m> Session<'m> {
             drop(qkv_span);
             let attn_span = lad_obs::span("layer.attn");
 
-            // Heads within a layer are independent (only `x` is sequential,
-            // between layers), so their steps fan out as head-level tasks on
-            // the shared worker pool; this thread runs the first chunk itself
-            // and then help-executes queued tasks until the layer drains.
-            // Post-processing stays in head order below, making the logits
-            // bit-identical to the sequential path.
-            let head_row = &mut self.heads[layer];
-            let outputs: Vec<HeadStepOutput> = match &pool {
-                None => head_row
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(h, head)| {
-                        let span = h * d..(h + 1) * d;
-                        head.step(
-                            &q_full[span.clone()],
-                            &k_full[span.clone()],
-                            &v_full[span],
-                            record,
-                        )
-                    })
-                    .collect(),
-                Some(pool) => {
-                    let chunk = cfg.heads.div_ceil(width);
-                    let mut slots: Vec<Option<HeadStepOutput>> =
-                        (0..cfg.heads).map(|_| None).collect();
-                    pool.scope(|scope| {
-                        let mut pieces = head_row
-                            .chunks_mut(chunk)
-                            .zip(slots.chunks_mut(chunk))
-                            .enumerate();
-                        let first = pieces.next();
-                        for (c, (heads_chunk, out_chunk)) in pieces {
-                            let (q_full, k_full, v_full) = (&q_full, &k_full, &v_full);
-                            scope.spawn(TaskLevel::Head, move || {
-                                step_head_chunk(
-                                    c * chunk,
-                                    d,
-                                    record,
-                                    heads_chunk,
-                                    out_chunk,
-                                    q_full,
-                                    k_full,
-                                    v_full,
-                                );
-                            });
-                        }
-                        if let Some((_, (heads_chunk, out_chunk))) = first {
-                            step_head_chunk(
-                                0,
-                                d,
-                                record,
-                                heads_chunk,
-                                out_chunk,
-                                q_full,
-                                k_full,
-                                v_full,
-                            );
-                        }
-                    });
-                    slots
-                        .into_iter()
-                        .map(|slot| slot.expect("every head ran"))
-                        .collect()
-                }
-            };
-
-            for (h, out) in outputs.into_iter().enumerate() {
+            for (h, head) in self.heads[layer].iter_mut().enumerate() {
                 let span = h * d..(h + 1) * d;
+                let out = head.step(
+                    &q_full[span.clone()],
+                    &k_full[span.clone()],
+                    &v_full[span.clone()],
+                    record,
+                );
                 if let Some(taps) = self.qkv_taps.as_mut() {
                     taps[layer * cfg.heads + h].push((
                         q_full[span.clone()].to_vec(),
@@ -564,7 +427,7 @@ impl<'m> Session<'m> {
                 }
                 attn[span].copy_from_slice(&out.output);
                 if let Some(mut stats) = out.stats {
-                    stats.fanout_width = width;
+                    stats.fanout_width = 1;
                     self.last_stats.push(stats);
                 }
                 if let (Some(analyzers), Some(scores)) =
@@ -586,10 +449,6 @@ impl<'m> Session<'m> {
             vector::axpy(x, 1.0, proj);
         }
 
-        self.last_pool_metrics = match (&pool, pool_before) {
-            (Some(pool), Some(before)) => pool.metrics().delta(before),
-            _ => PoolMetrics::default(),
-        };
         self.pos += 1;
         let logits_span = lad_obs::span("session.logits");
         self.model.final_norm.forward_into(x, final_h);
@@ -624,32 +483,6 @@ impl<'m> Session<'m> {
             logits = self.step(next);
         }
         out
-    }
-}
-
-/// Steps a contiguous chunk of heads starting at `first_head`, writing each
-/// head's output into its pre-assigned slot (the pool-task body of the
-/// per-layer fan-out).
-#[allow(clippy::too_many_arguments)]
-fn step_head_chunk(
-    first_head: usize,
-    d: usize,
-    record: bool,
-    heads: &mut [HeadState],
-    slots: &mut [Option<HeadStepOutput>],
-    q_full: &[f32],
-    k_full: &[f32],
-    v_full: &[f32],
-) {
-    for (i, (head, slot)) in heads.iter_mut().zip(slots.iter_mut()).enumerate() {
-        let h = first_head + i;
-        let span = h * d..(h + 1) * d;
-        *slot = Some(head.step(
-            &q_full[span.clone()],
-            &k_full[span.clone()],
-            &v_full[span],
-            record,
-        ));
     }
 }
 
@@ -781,46 +614,6 @@ mod tests {
                 .iter()
                 .all(|(q, k, v)| { q.len() == d && k.len() == d && v.len() == d }));
         }
-    }
-
-    #[test]
-    fn parallel_fanout_is_bit_identical_to_sequential() {
-        // The tentpole invariant: any parallelism setting yields exactly the
-        // same logits, for every backend.
-        let model = Model::random(ModelConfig::tiny("par", 2, 64, 8), 21);
-        let kinds = [
-            AttentionKind::Exact,
-            AttentionKind::Lad(LadConfig::new(PwlExp::accurate_default())),
-            AttentionKind::h2o_default(),
-            AttentionKind::topk(6),
-            AttentionKind::h2o_budget(12, 4),
-        ];
-        for kind in &kinds {
-            let mut serial = Session::with_parallelism(&model, kind, 1);
-            let mut fanned = Session::with_parallelism(&model, kind, 4);
-            assert_eq!(serial.parallelism(), 1);
-            assert_eq!(fanned.parallelism(), 4);
-            for t in [3u32, 1, 4, 1, 5, 9, 2, 6] {
-                assert_eq!(serial.step(t), fanned.step(t), "kind {kind:?}");
-            }
-            assert_eq!(
-                serial.generate_greedy(&[7, 7], 24),
-                fanned.generate_greedy(&[7, 7], 24),
-                "kind {kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallelism_knob_clamps_and_updates() {
-        let model = tiny_model();
-        let mut s = Session::with_parallelism(&model, &AttentionKind::Exact, 0);
-        assert_eq!(s.parallelism(), 1);
-        s.set_parallelism(0);
-        assert_eq!(s.parallelism(), 1);
-        s.set_parallelism(6);
-        assert_eq!(s.parallelism(), 6);
-        assert!(Session::new(&model, &AttentionKind::Exact).parallelism() >= 1);
     }
 
     #[test]

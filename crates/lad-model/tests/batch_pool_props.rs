@@ -1,20 +1,19 @@
-//! Property tests of the shared-pool batch decoder.
+//! Property tests of the batch engine's sample-chunk fan-out.
 //!
-//! For arbitrary seeded configurations, `decode_batch` on the shared worker
-//! pool must produce exactly the tokens and (algorithmic) `StatsSummary`
-//! that decoding each sequence alone, sequentially and inline, produces.
-//! This is the determinism contract of `lad_core::pool` exercised from the
-//! outside, across model shapes, batch sizes, fan-out widths and backends.
+//! For arbitrary seeded configurations, `decode_batch_gemm` — inline or
+//! fanned out on the shared worker pool at any width — must produce exactly
+//! the tokens and (algorithmic) final-step stats that decoding each prompt
+//! alone through a solo `Session` produces. Ragged prompt lengths shrink the
+//! active set mid-decode, so the run-boundary split of the fan-out is
+//! exercised at every chunk shape, not just full batches.
 
 use lad_core::decoder::LadConfig;
-use lad_core::pool::WorkerPool;
-use lad_core::stats::StatsSummary;
+use lad_core::stats::StepStats;
 use lad_model::backend::AttentionKind;
-use lad_model::batch::{decode_batch, decode_batch_on};
+use lad_model::batch::decode_batch_gemm;
 use lad_model::config::ModelConfig;
 use lad_model::transformer::{Model, Session};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Deterministic prompt for sample `s` of a seeded batch.
 fn prompt(seed: u64, s: usize, len: usize) -> Vec<u32> {
@@ -25,13 +24,12 @@ fn prompt(seed: u64, s: usize, len: usize) -> Vec<u32> {
 
 proptest! {
     #[test]
-    fn pooled_batch_matches_per_sequence_sequential(
+    fn fanned_batch_matches_solo_sessions(
         seed in 0u64..5000,
-        batch in 1usize..4,
-        prompt_len in 1usize..5,
+        // One entry per sample (batch 1-6), each its own prompt length.
+        prompt_lens in prop::collection::vec(1usize..6, 1..7),
         steps in 1usize..6,
-        parallelism in 2usize..5,
-        workers in 0usize..3,
+        parallelism in 1usize..5,
         lad in 0u8..2,
     ) {
         let model = Model::random(ModelConfig::tiny("prop", 1, 16, 2), seed);
@@ -40,46 +38,27 @@ proptest! {
         } else {
             AttentionKind::Exact
         };
-        let prompts: Vec<Vec<u32>> =
-            (0..batch).map(|s| prompt(seed, s, prompt_len)).collect();
+        let prompts: Vec<Vec<u32>> = prompt_lens
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| prompt(seed, s, len))
+            .collect();
 
-        // Reference: each sequence decoded alone, inline, head fan-out 1.
         let mut expected_sequences = Vec::new();
-        let mut expected_stats = Vec::new();
+        let mut expected_stats: Vec<StepStats> = Vec::new();
         for p in &prompts {
-            let mut session = Session::with_parallelism(&model, &kind, 1);
+            let mut session = Session::new(&model, &kind);
             expected_sequences.push(session.generate_greedy(p, steps));
-            expected_stats.extend(session.last_stats().iter().copied());
+            expected_stats.extend(session.last_stats().iter().map(|s| s.algorithmic()));
         }
 
-        // Same batch on a dedicated shared pool: sequence-level tasks that
-        // each fan their heads out on the same queue.
-        let pool = Arc::new(WorkerPool::new(workers));
-        let pooled = decode_batch_on(&pool, &model, &kind, &prompts, steps, parallelism);
-
-        prop_assert_eq!(&pooled.sequences, &expected_sequences);
-        prop_assert_eq!(pooled.final_stats.len(), expected_stats.len());
-        let expected_summary = StatsSummary::from_steps(&expected_stats);
-        let pooled_algo: Vec<_> =
-            pooled.final_stats.iter().map(|s| s.algorithmic()).collect();
-        let expected_algo: Vec<_> =
-            expected_stats.iter().map(|s| s.algorithmic()).collect();
-        prop_assert_eq!(&pooled_algo, &expected_algo);
-        prop_assert_eq!(
-            StatsSummary::from_steps(&pooled_algo),
-            StatsSummary::from_steps(&expected_algo)
-        );
-        // The summary means the algorithm determines must survive the pool
-        // path end-to-end (den fallbacks included).
-        let pooled_summary = pooled.stats_summary();
-        prop_assert_eq!(
-            pooled_summary.total_den_fallbacks,
-            expected_summary.total_den_fallbacks
-        );
-        prop_assert_eq!(pooled_summary.mean_kv_reads, expected_summary.mean_kv_reads);
-
-        // And the global-pool entry point agrees with the dedicated pool.
-        let global = decode_batch(&model, &kind, &prompts, steps, parallelism);
-        prop_assert_eq!(&global.sequences, &expected_sequences);
+        let batched = decode_batch_gemm(&model, &kind, &prompts, steps, parallelism);
+        prop_assert_eq!(&batched.sequences, &expected_sequences);
+        let batched_stats: Vec<StepStats> =
+            batched.final_stats.iter().map(|s| s.algorithmic()).collect();
+        prop_assert_eq!(&batched_stats, &expected_stats);
+        // One barrier per global step, whatever the fan-out width.
+        let horizon = prompt_lens.iter().max().expect("non-empty batch") + steps;
+        prop_assert_eq!(batched.gemm.sync_barriers, horizon);
     }
 }

@@ -117,7 +117,7 @@ impl TimelineKind {
 /// record path moves it into the ring and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Caller-chosen request id (the serving [`Request::id`] domain).
+    /// Caller-chosen request id (the serving `Request::id` domain).
     pub request: u64,
     /// Lifecycle stage.
     pub kind: TimelineKind,

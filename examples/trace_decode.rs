@@ -8,14 +8,14 @@
 //!
 //! Outputs land in `target/`:
 //! * `target/trace_decode.trace.json` — open at <https://ui.perfetto.dev>
-//!   (or `chrome://tracing`); one track per thread (`main` + pool workers).
+//!   (or `chrome://tracing`); one track per thread (`main` + any pool
+//!   workers — the global pool has none on a single-core host).
 //! * `target/trace_decode.jsonl` — one JSON object per event, for grepping
 //!   or downstream tooling.
 //!
 //! Both files are validated before the example exits, and CI runs it.
 
 use lad::core::decoder::LadConfig;
-use lad::core::pool::WorkerPool;
 use lad::core::stats::StatsSummary;
 use lad::model::backend::AttentionKind;
 use lad::model::batch::decode_batch_gemm;
@@ -23,7 +23,6 @@ use lad::model::config::ModelConfig;
 use lad::model::transformer::{Model, Session};
 use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
 use lad::obs::StageBreakdown;
-use std::sync::Arc;
 
 const PROMPT_LEN: usize = 24;
 const STEPS: usize = 48;
@@ -37,16 +36,12 @@ fn prompt(salt: u32) -> Vec<u32> {
 fn main() {
     let model = Model::random(ModelConfig::tiny("trace", 2, 128, 4), 11);
     let kind = AttentionKind::Lad(LadConfig::default());
-    // An explicit two-worker pool so the trace shows real worker tracks even
-    // on a single-core host (the global pool would have zero workers there).
-    let pool = Arc::new(WorkerPool::new(2));
 
     println!("trace_decode: recording a {STEPS}-step LAD decode (+ a short batched decode)\n");
     lad::obs::set_enabled(true);
 
-    // Single-sequence decode: per-layer head fan-out on the shared pool.
-    let mut session = Session::with_pool(&model, &kind, Arc::clone(&pool), 2);
-    let pool_before = pool.metrics();
+    // Single-sequence decode: the sequential reference forward.
+    let mut session = Session::new(&model, &kind);
     let mut stats = Vec::new();
     let mut logits = session.prefill(&prompt(0));
     for _ in 0..STEPS {
@@ -59,10 +54,9 @@ fn main() {
         logits = session.step(next);
         stats.extend_from_slice(session.last_stats());
     }
-    let pool_metrics = pool.metrics().delta(pool_before);
 
-    // A short step-synchronous batched decode, so the batch.* spans show up
-    // on the same timeline.
+    // A short step-synchronous batched decode fanned out on the global pool,
+    // so the batch.* and pool.* spans show up on the same timeline.
     let batched = decode_batch_gemm(&model, &kind, &[prompt(1), prompt(2)], 8, 2);
 
     lad::obs::set_enabled(false);
@@ -100,10 +94,10 @@ fn main() {
     );
 
     // Per-stage latency table, assembled exactly like library users would:
-    // histograms from the capture, pool counters from the metered decode.
+    // histograms from the capture, pool counters from the batched decode.
     let stages = StageBreakdown::from_events(&threads);
     let summary = StatsSummary::from_steps(&stats)
-        .with_pool_metrics(pool_metrics)
+        .with_pool_metrics(batched.pool)
         .with_stage_latencies(stages.clone());
     println!("{}", summary.stage_table());
 

@@ -8,7 +8,7 @@
 //!    path is one thread-local read plus one relaxed atomic load.
 //! 2. The instrumentation woven through `Session::step` adds zero
 //!    allocations to the decode hot path: the steady-state allocation count
-//!    of a parallelism-1 decode is identical whether the recorder was never
+//!    of a solo `Session` decode is identical whether the recorder was never
 //!    enabled, was enabled and then disabled, or is actively recording
 //!    (ring buffers are allocated once per thread on the *first* enabled
 //!    record, which the warm-up step absorbs; events are `Copy` writes into
@@ -74,13 +74,13 @@ fn prompt() -> Vec<u32> {
     (0..PROMPT_LEN as u32).map(|i| (i * 37 + 3) % 256).collect()
 }
 
-/// Greedy-decodes `STEPS` tokens on a fresh parallelism-1 session and
+/// Greedy-decodes `STEPS` tokens on a fresh solo session and
 /// returns the tokens plus the allocation count of the steady-state steps.
 /// The prefill and one warm-up step run uncounted: scratch growth, stats
 /// capacity, and (when the recorder is enabled) the thread's ring buffer
 /// all land there by design.
 fn steady_state_decode(model: &Model, kind: &AttentionKind) -> (Vec<u32>, u64) {
-    let mut session = Session::with_parallelism(model, kind, 1);
+    let mut session = Session::new(model, kind);
     let mut logits = session.prefill(&prompt());
     let mut tokens = Vec::with_capacity(STEPS);
     let next = argmax(&logits);

@@ -1,38 +1,33 @@
-//! Differential decoding harness: pooled batch + head decoding vs the
-//! sequential paths.
+//! Differential decoding harness: the batched engine vs the sequential
+//! reference.
 //!
-//! LAD's claim (and this repo's tentpole invariant) is that *scheduling*
-//! never changes *results*: decoding a batch on the shared two-level worker
-//! pool — sequence-level tasks fanning head-level tasks onto the same queue
-//! — must be token-exact against (a) the sequential LAD path and (b) the
-//! exact-softmax reference decoder run sequentially, and must report
-//! identical per-step `StepStats` (including `den_fallbacks`) up to the
-//! scheduling metadata that `StepStats::algorithmic()` strips. The same
-//! holds for the step-synchronous batched engine (`decode_batch_gemm`),
-//! whose cross-sample blocked GEMMs carry a bit-exact ascending-`k`
-//! accumulation contract: batching must never change a token or a stat.
+//! LAD's claim (and this repo's tentpole invariant) is that neither
+//! *batching* nor *scheduling* ever changes *results*: the step-synchronous
+//! batched engine (`decode_batch_gemm` over `BatchSession`) — cross-sample
+//! blocked GEMMs under a bit-exact ascending-`k` accumulation contract,
+//! attention fanned out as sample-chunk tasks on the shared worker pool —
+//! must be token-exact against one solo sequential `Session` decode per
+//! prompt, for the LAD backend and the exact-softmax reference alike, and
+//! must report identical `StepStats` (including `den_fallbacks`) up to the
+//! scheduling metadata that `StepStats::algorithmic()` strips.
 //!
 //! The harness decodes seeded random models under a grid of
-//! {parallelism × batch size × window size × stream length} and asserts all
-//! three equalities per configuration. At least one grid point is engineered
-//! (coarse PWL partition, seed found by search) to exercise the
-//! degenerate-denominator fallback path, so the fallback's cached
+//! {parallelism × batch size × window size × stream length} and asserts the
+//! equalities, inline and fanned, per configuration. At least one grid point
+//! is engineered (coarse PWL partition, seed found by search) to exercise
+//! the degenerate-denominator fallback path, so the fallback's cached
 //! window-score slice is covered differentially too.
 //!
 //! Interpreting a mismatch: see `tests/README.md`.
 
 use lad::core::decoder::LadConfig;
-use lad::core::pool::WorkerPool;
 use lad::core::stats::StepStats;
 use lad::math::pwl::PwlExp;
 use lad::model::backend::AttentionKind;
-use lad::model::batch::{
-    decode_batch, decode_batch_gemm, decode_batch_on, BatchSession, StepOutcome,
-};
+use lad::model::batch::{decode_batch_gemm, BatchSession, StepOutcome};
 use lad::model::config::ModelConfig;
 use lad::model::spec::{decode_speculative, SpecConfig};
 use lad::model::transformer::{argmax, Model, Session};
-use std::sync::Arc;
 
 /// One grid point of the differential sweep.
 struct DiffConfig {
@@ -47,7 +42,7 @@ struct DiffConfig {
     prompt_len: usize,
     /// Greedy decode steps after the prompt.
     steps: usize,
-    /// Pool fan-out width (batch and head level).
+    /// Pool fan-out width of the batched engine's sample-chunk tasks.
     parallelism: usize,
     /// LAD latest-window size.
     window: usize,
@@ -129,64 +124,32 @@ fn assert_stats_match(label: &str, kind: &str, seq: &[StepStats], pooled: &[Step
     }
 }
 
-/// Runs every differential leg for one grid point over the given attention
+/// Runs the differential leg for one grid point over the given attention
 /// backends; returns the total LAD `den_fallbacks` observed on the
 /// sequential reference path (0 when no LAD backend is in `kinds`).
-fn run_config_kinds(
-    pool: &Arc<WorkerPool>,
-    cfg: &DiffConfig,
-    kinds: &[(&str, AttentionKind)],
-) -> usize {
+fn run_config_kinds(cfg: &DiffConfig, kinds: &[(&str, AttentionKind)]) -> usize {
     let model = cfg.model();
     let prompts = cfg.prompts();
+    let per_step = cfg.layers * cfg.heads;
     let mut lad_fallbacks = 0usize;
 
     for (kind_name, kind) in kinds {
-        // Leg 1 — per-sequence: pooled head fan-out vs inline sequential.
-        let mut reference = Vec::new();
+        // The reference: every prompt decoded alone through a sequential
+        // `Session`, keeping its full per-step stats stream.
+        let mut expected: Vec<Vec<u32>> = Vec::new();
+        let mut expected_final: Vec<StepStats> = Vec::new();
         for prompt in &prompts {
-            let mut seq_session = Session::with_parallelism(&model, kind, 1);
-            let seq = decode_all(&mut seq_session, prompt, cfg.steps);
-            let mut pooled_session =
-                Session::with_pool(&model, kind, Arc::clone(pool), cfg.parallelism);
-            let pooled = decode_all(&mut pooled_session, prompt, cfg.steps);
-            assert_eq!(
-                seq.tokens, pooled.tokens,
-                "{}/{kind_name}: pooled head fan-out diverged from sequential",
-                cfg.label
-            );
-            assert_stats_match(cfg.label, kind_name, &seq.stats, &pooled.stats);
+            let seq = decode_all(&mut Session::new(&model, kind), prompt, cfg.steps);
             if *kind_name == "lad" {
                 lad_fallbacks += seq.stats.iter().map(|s| s.den_fallbacks).sum::<usize>();
             }
-            reference.push(seq);
+            expected_final.extend_from_slice(&seq.stats[seq.stats.len() - per_step..]);
+            expected.push(seq.tokens);
         }
 
-        // Leg 2 — batch: sequence+head tasks on the shared pool vs the
-        // sequential batch path vs the per-sequence reference.
-        let sequential = decode_batch(&model, kind, &prompts, cfg.steps, 1);
-        let pooled = decode_batch_on(pool, &model, kind, &prompts, cfg.steps, cfg.parallelism);
-        let expected: Vec<Vec<u32>> = reference.iter().map(|o| o.tokens.clone()).collect();
-        assert_eq!(
-            sequential.sequences, expected,
-            "{}/{kind_name}: sequential batch diverged from single sessions",
-            cfg.label
-        );
-        assert_eq!(
-            pooled.sequences, expected,
-            "{}/{kind_name}: pooled batch diverged from single sessions",
-            cfg.label
-        );
-        assert_stats_match(
-            cfg.label,
-            kind_name,
-            &sequential.final_stats,
-            &pooled.final_stats,
-        );
-
-        // Leg 3 — step-synchronous batched GEMM engine: cross-sample
-        // matrix-matrix projections (inline and pool-fanned) vs the
-        // per-sample reference, token- and stats-exact.
+        // Step-synchronous batched GEMM engine: cross-sample matrix-matrix
+        // projections (inline and pool-fanned) vs the per-sample reference,
+        // token- and stats-exact.
         let gemm_inline = decode_batch_gemm(&model, kind, &prompts, cfg.steps, 1);
         let gemm_fanned = decode_batch_gemm(&model, kind, &prompts, cfg.steps, cfg.parallelism);
         assert_eq!(
@@ -202,13 +165,13 @@ fn run_config_kinds(
         assert_stats_match(
             cfg.label,
             kind_name,
-            &sequential.final_stats,
+            &expected_final,
             &gemm_inline.final_stats,
         );
         assert_stats_match(
             cfg.label,
             kind_name,
-            &sequential.final_stats,
+            &expected_final,
             &gemm_fanned.final_stats,
         );
         // Every prompt in this harness has the same length, so the batched
@@ -231,12 +194,12 @@ fn run_config_kinds(
 
 /// The exact + LAD legs of one grid point, with the den-fallback
 /// expectation enforced.
-fn run_config(pool: &Arc<WorkerPool>, cfg: &DiffConfig) -> usize {
+fn run_config(cfg: &DiffConfig) -> usize {
     let kinds: [(&str, AttentionKind); 2] = [
         ("exact", AttentionKind::Exact),
         ("lad", AttentionKind::Lad(cfg.lad_config())),
     ];
-    let lad_fallbacks = run_config_kinds(pool, cfg, &kinds);
+    let lad_fallbacks = run_config_kinds(cfg, &kinds);
     if cfg.expect_den_fallback {
         assert!(
             lad_fallbacks > 0,
@@ -398,27 +361,25 @@ fn default_grid() -> Vec<DiffConfig> {
 
 #[test]
 fn differential_grid() {
-    let pool = Arc::new(WorkerPool::new(3));
     let grid = default_grid();
     assert!(grid.len() >= 16, "grid shrank below the acceptance floor");
     let mut fallbacks = 0usize;
     for cfg in &grid {
-        fallbacks += run_config(&pool, cfg);
+        fallbacks += run_config(cfg);
     }
     assert!(fallbacks > 0, "no grid point exercised the den fallback");
 }
 
 /// Backend-zoo leg: the scheduling contract extends verbatim to the sparse
 /// backends — top-k score selection and budget-based H2O eviction must be
-/// oblivious to pooled head fan-out, batch membership and the batched-GEMM
-/// engine on the same 16-point grid the exact/LAD sweep runs (den-fallback
+/// oblivious to batch membership, the batched-GEMM engine and its pool
+/// fan-out on the same 16-point grid the exact/LAD sweep runs (den-fallback
 /// partition point included; its coarse PWL only parameterises LAD, but the
 /// long 48-step stream exercises many evictions). Stats equality covers the
 /// new traffic counters: `keys_scored`, `keys_read`, `bytes_moved` and
 /// `evictions` all survive `StepStats::algorithmic()`.
 #[test]
 fn backend_zoo_differential_grid() {
-    let pool = Arc::new(WorkerPool::new(3));
     let grid = default_grid();
     assert!(grid.len() >= 16, "grid shrank below the acceptance floor");
     let kinds: [(&str, AttentionKind); 2] = [
@@ -426,7 +387,7 @@ fn backend_zoo_differential_grid() {
         ("h2o", AttentionKind::h2o_budget(12, 4)),
     ];
     for cfg in &grid {
-        run_config_kinds(&pool, cfg, &kinds);
+        run_config_kinds(cfg, &kinds);
     }
 }
 
@@ -586,8 +547,8 @@ fn speculative_decode_is_token_identical_under_simd_kernel() {
 /// Traffic-counter invariant leg: each backend's analytic `bytes_moved`
 /// (reported in `StepStats` from per-step arithmetic) must equal what a
 /// shadow byte meter at the KV-arena read sites actually observes. The
-/// meter is thread-local, so the decode is pinned inline (`parallelism 1`);
-/// every backend — exact, LAD (approximate identification, correction
+/// meter is thread-local and a solo `Session` runs every head on the calling
+/// thread; every backend — exact, LAD (approximate identification, correction
 /// cache, den fallback included), top-k and H2O — is swept over a slice of
 /// the grid covering the LLaMA point, the wider-head point and the
 /// den-fallback point.
@@ -616,7 +577,7 @@ fn stats_bytes_moved_matches_traffic_meter() {
             ("h2o", AttentionKind::h2o_budget(12, 4)),
         ];
         for (kind_name, kind) in &kinds {
-            let mut session = Session::with_parallelism(&model, kind, 1);
+            let mut session = Session::new(&model, kind);
             let mut logits = Vec::new();
             let mut feed: Vec<u32> = prompt.clone();
             for step in 0..prompt.len() + cfg.steps {
@@ -714,7 +675,6 @@ fn empty_steps_are_idle_and_invisible() {
 /// engine (so the `batch.*` spans are exercised under the toggle too).
 #[test]
 fn recorder_toggle_never_changes_results() {
-    let pool = Arc::new(WorkerPool::new(3));
     let grid = default_grid();
     let legs: Vec<&DiffConfig> = grid
         .iter()
@@ -731,18 +691,17 @@ fn recorder_toggle_never_changes_results() {
         let model = cfg.model();
         let kind = AttentionKind::Lad(cfg.lad_config());
         let prompts = cfg.prompts();
-        let run = |pool: &Arc<WorkerPool>| {
-            let mut session = Session::with_pool(&model, &kind, Arc::clone(pool), cfg.parallelism);
-            let single = decode_all(&mut session, &prompts[0], cfg.steps);
+        let run = || {
+            let single = decode_all(&mut Session::new(&model, &kind), &prompts[0], cfg.steps);
             let batched = decode_batch_gemm(&model, &kind, &prompts, cfg.steps, cfg.parallelism);
             (single, batched)
         };
 
         lad::obs::set_enabled(false);
-        let (base, base_batch) = run(&pool);
+        let (base, base_batch) = run();
 
         lad::obs::set_enabled(true);
-        let (on, on_batch) = run(&pool);
+        let (on, on_batch) = run();
         lad::obs::set_enabled(false);
         let recorded = lad::obs::drain();
         assert!(
@@ -751,7 +710,7 @@ fn recorder_toggle_never_changes_results() {
             cfg.label
         );
 
-        let (off_again, off_again_batch) = run(&pool);
+        let (off_again, off_again_batch) = run();
 
         for (state, (single, batched)) in [
             ("enabled", (&on, &on_batch)),
@@ -784,7 +743,6 @@ fn recorder_toggle_never_changes_results() {
 #[test]
 #[ignore = "long-stream differential grid; run with --ignored in release"]
 fn differential_grid_long_streams() {
-    let pool = Arc::new(WorkerPool::new(3));
     let base = DiffConfig {
         label: "",
         opt_style: false,
@@ -860,6 +818,6 @@ fn differential_grid_long_streams() {
         },
     ];
     for cfg in &grid {
-        run_config(&pool, cfg);
+        run_config(cfg);
     }
 }

@@ -53,7 +53,7 @@ proptest! {
 
         let mut spec = BatchSession::dynamic(&model, &kind, 1);
         let slot = spec.add_sample();
-        let mut reference = Session::with_parallelism(&model, &kind, 1);
+        let mut reference = Session::new(&model, &kind);
 
         // Pool mirror: admitted at prompt length, grown/truncated per round
         // the way the serving engine does it.
