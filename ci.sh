@@ -42,6 +42,11 @@ echo "   smoke and the enabled-recorder overhead ceiling;"
 echo "   also fails on any committed BENCH_*.json bench_check has no gate for)"
 cargo run --release -p lad-bench --bin bench_check
 
+echo "== serving ledger smoke (benchmark/run.sh --quick: all four workloads at"
+echo "   1/8 size, incl. long_context's 512-1024-token prompts at prefill_chunk 8;"
+echo "   exits non-zero if any served stream differs from its solo decode)"
+bash benchmark/run.sh --quick
+
 echo "== slow tests (long-stream + differential grid, warnings are errors)"
 RUSTFLAGS="-D warnings" cargo test --workspace --release -q -- --ignored
 

@@ -203,6 +203,13 @@ pub struct H2oBudgetState {
     recent: usize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`HeadState::checkpoint`] calls made on this thread, so unit tests can
+    /// pin which rows pay for a snapshot.
+    pub(crate) static CHECKPOINTS_TAKEN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Snapshot of a [`HeadState`], taken before a speculative row so rejected
 /// drafts can be rolled back bit-exactly ([`HeadState::restore`]).
 ///
@@ -394,6 +401,8 @@ impl HeadState {
     ///
     /// [`restore`]: HeadState::restore
     pub fn checkpoint(&self) -> HeadCheckpoint {
+        #[cfg(test)]
+        CHECKPOINTS_TAKEN.with(|n| n.set(n.get() + 1));
         match self {
             HeadState::Exact { kv }
             | HeadState::ExactF16 { kv }

@@ -110,16 +110,58 @@ pub enum StepOutcome {
     Idle,
 }
 
-/// Rollback state of one sample's multi-row run, captured during the latest
-/// [`BatchSession::step_runs`] so rejected speculative rows can be unwound.
+/// One sample's run of consecutive tokens in a [`BatchSession::step_runs`]
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run<'a> {
+    /// Sample slot the run feeds.
+    pub sample: usize,
+    /// Tokens fed in order; row `r` attends over the KV state rows `< r`
+    /// left behind.
+    pub tokens: &'a [u32],
+    /// Trailing rows [`BatchSession::rollback_sample`] may unwind (the drafts
+    /// of a speculative verify run). Only these rows are checkpointed, so a
+    /// run with `drafts == 0` — a prompt chunk, a plain decode token — costs
+    /// no checkpoint at all.
+    pub drafts: usize,
+}
+
+impl<'a> Run<'a> {
+    /// A run that is never rolled back: prompt tokens or a plain decode
+    /// token.
+    pub fn new(sample: usize, tokens: &'a [u32]) -> Run<'a> {
+        Run {
+            sample,
+            tokens,
+            drafts: 0,
+        }
+    }
+
+    /// A speculative verify run: the pending token followed by drafted
+    /// tokens, every draft row rollback-able.
+    pub fn verify(sample: usize, tokens: &'a [u32]) -> Run<'a> {
+        Run {
+            sample,
+            tokens,
+            drafts: tokens.len().saturating_sub(1),
+        }
+    }
+}
+
+/// Rollback state of one sample's run with drafts, captured during the
+/// latest [`BatchSession::step_runs`] so rejected speculative rows can be
+/// unwound.
 #[derive(Debug)]
 struct SampleCheckpoints {
     sample: usize,
     /// Tokens the sample had consumed before the run.
     pos_before: usize,
     run_len: usize,
-    /// Head state before each row, indexed
-    /// `(row * layers + layer) * heads + head`.
+    /// First rollback-able row (`run_len - drafts`): a rollback keeps at
+    /// least this many rows.
+    first_row: usize,
+    /// Head state before each rollback-able row, indexed
+    /// `((row - first_row) * layers + layer) * heads + head`.
     heads: Vec<Option<HeadCheckpoint>>,
 }
 
@@ -172,12 +214,14 @@ pub struct BatchSession<'m> {
     scratch: BatchScratch,
     gemm_metrics: GemmBatchMetrics,
     pool_metrics: PoolMetrics,
-    /// Run descriptors of the in-flight step (samples, run lengths, tokens
-    /// run-major) — reused scratch so stepping stays allocation-free.
+    /// Run descriptors of the in-flight step (samples, run lengths, draft
+    /// rows, tokens run-major) — reused scratch so stepping stays
+    /// allocation-free.
     run_samples: Vec<usize>,
     run_lens: Vec<usize>,
+    run_drafts: Vec<usize>,
     run_tokens: Vec<u32>,
-    /// Rollback checkpoints from the latest step's multi-row runs
+    /// Rollback checkpoints from the latest step's runs with drafts
     /// (invalidated by the next step).
     ckpts: Vec<SampleCheckpoints>,
 }
@@ -244,6 +288,7 @@ impl<'m> BatchSession<'m> {
             pool_metrics: PoolMetrics::default(),
             run_samples: Vec::new(),
             run_lens: Vec::new(),
+            run_drafts: Vec::new(),
             run_tokens: Vec::new(),
             ckpts: Vec::new(),
         }
@@ -392,64 +437,72 @@ impl<'m> BatchSession<'m> {
     pub fn step(&mut self, tokens: &[(usize, u32)]) -> StepOutcome {
         self.run_samples.clear();
         self.run_lens.clear();
+        self.run_drafts.clear();
         self.run_tokens.clear();
         for &(s, t) in tokens {
             self.run_samples.push(s);
             self.run_lens.push(1);
+            self.run_drafts.push(0);
             self.run_tokens.push(t);
         }
         self.step_flat()
     }
 
     /// Advances every listed sample by a *run* of consecutive tokens in one
-    /// step-synchronous global step — the speculative-verify shape. All rows
-    /// of all runs are stacked run-major into the shared activation matrix,
-    /// so each linear layer is still one cross-sample GEMM; within a run the
-    /// attention heads consume the rows sequentially (row `r` attends over
-    /// the KV state left by rows `< r`), making every row's logits
-    /// bit-identical to feeding the same tokens one [`BatchSession::step`]
-    /// at a time. Logits land row-per-row in [`BatchSession::logits`], in
-    /// run order (a run of length `L` starting at global row `r0` owns rows
-    /// `r0..r0 + L`).
+    /// step-synchronous global step — the shape of both a prompt chunk and
+    /// a speculative verify round. All rows of all runs are stacked
+    /// run-major into the shared activation matrix, so each linear layer is
+    /// still one cross-sample GEMM; within a run the attention heads consume
+    /// the rows sequentially (row `r` attends over the KV state left by rows
+    /// `< r`), making every row's logits bit-identical to feeding the same
+    /// tokens one [`BatchSession::step`] at a time. Logits land row-per-row
+    /// in [`BatchSession::logits`], in run order (a run of length `L`
+    /// starting at global row `r0` owns rows `r0..r0 + L`).
     ///
-    /// For every run longer than one token the session records per-row head
-    /// checkpoints so [`BatchSession::rollback_sample`] can unwind rejected
-    /// speculative rows; single-token runs skip the bookkeeping entirely and
-    /// behave exactly like [`BatchSession::step`].
+    /// Only a run's last [`Run::drafts`] rows are checkpointed: the session
+    /// records the head state before each of them so
+    /// [`BatchSession::rollback_sample`] can unwind rejected speculative
+    /// rows. A run with no drafts — prompt tokens, a plain decode token —
+    /// skips the bookkeeping entirely.
     ///
     /// An empty `runs` slice is the same documented no-op as an empty
     /// [`BatchSession::step`], returning [`StepOutcome::Idle`].
     ///
     /// # Panics
     ///
-    /// Panics on out-of-order or repeated sample indices, empty runs,
-    /// samples out of range or not live, tokens outside the vocabulary, or
-    /// a run overshooting the model's maximum sequence length.
-    pub fn step_runs(&mut self, runs: &[(usize, &[u32])]) -> StepOutcome {
+    /// Panics on out-of-order or repeated sample indices, empty runs, more
+    /// drafts than rows, samples out of range or not live, tokens outside
+    /// the vocabulary, or a run overshooting the model's maximum sequence
+    /// length.
+    pub fn step_runs(&mut self, runs: &[Run<'_>]) -> StepOutcome {
         self.run_samples.clear();
         self.run_lens.clear();
+        self.run_drafts.clear();
         self.run_tokens.clear();
-        for &(s, toks) in runs {
-            self.run_samples.push(s);
-            self.run_lens.push(toks.len());
-            self.run_tokens.extend_from_slice(toks);
+        for run in runs {
+            self.run_samples.push(run.sample);
+            self.run_lens.push(run.tokens.len());
+            self.run_drafts.push(run.drafts);
+            self.run_tokens.extend_from_slice(run.tokens);
         }
         self.step_flat()
     }
 
-    /// Unwinds sample `sample` to just after row `keep_rows` of its
-    /// multi-row run in the latest [`BatchSession::step_runs`] call: head
-    /// states are restored from the per-row checkpoints (KV arenas
+    /// Unwinds sample `sample` to just after row `keep_rows` of its run in
+    /// the latest [`BatchSession::step_runs`] call: head states are restored
+    /// from the checkpoint taken before row `keep_rows` (KV arenas
     /// truncated, in-place metadata rewound) and the sample's position is
     /// reset, so subsequent steps are bit-identical to never having fed the
-    /// rejected rows. `keep_rows == run_len` is a no-op. Each run's
-    /// checkpoints can be consumed once and are invalidated by the next
-    /// step.
+    /// rejected rows. Only draft rows can be unwound: `keep_rows` ranges
+    /// from `run_len - drafts` to `run_len`, and `keep_rows == run_len` is a
+    /// no-op. Each run's checkpoints can be consumed once and are
+    /// invalidated by the next step.
     ///
     /// # Panics
     ///
-    /// Panics if the latest step held no multi-row run for `sample` (or it
-    /// was already rolled back), or if `keep_rows` exceeds the run length.
+    /// Panics if the latest step held no run with drafts for `sample` (or it
+    /// was already rolled back), or if `keep_rows` is outside the range
+    /// above.
     pub fn rollback_sample(&mut self, sample: usize, keep_rows: usize) {
         let _rollback_span = lad_obs::span("batch.rollback");
         let idx = self
@@ -463,6 +516,11 @@ impl<'m> BatchSession<'m> {
             "rollback_sample: keep_rows {keep_rows} exceeds run length {}",
             ck.run_len
         );
+        assert!(
+            keep_rows >= ck.first_row,
+            "rollback_sample: keep_rows {keep_rows} unwinds rows before the first draft row {}",
+            ck.first_row
+        );
         if keep_rows == ck.run_len {
             return;
         }
@@ -470,7 +528,7 @@ impl<'m> BatchSession<'m> {
         let heads_n = self.model.cfg.heads;
         for (layer, row) in self.heads[sample].iter_mut().enumerate() {
             for (h, head) in row.iter_mut().enumerate() {
-                let slot = (keep_rows * layers + layer) * heads_n + h;
+                let slot = ((keep_rows - ck.first_row) * layers + layer) * heads_n + h;
                 let hc = ck.heads[slot].as_ref().expect("checkpoint recorded");
                 head.restore(hc);
             }
@@ -479,19 +537,27 @@ impl<'m> BatchSession<'m> {
     }
 
     /// The shared step body: consumes the run descriptors staged in
-    /// `run_samples` / `run_lens` / `run_tokens`.
+    /// `run_samples` / `run_lens` / `run_drafts` / `run_tokens`.
     fn step_flat(&mut self) -> StepOutcome {
         let samples = std::mem::take(&mut self.run_samples);
         let lens = std::mem::take(&mut self.run_lens);
+        let drafts = std::mem::take(&mut self.run_drafts);
         let toks = std::mem::take(&mut self.run_tokens);
-        let outcome = self.step_impl(&samples, &lens, &toks);
+        let outcome = self.step_impl(&samples, &lens, &drafts, &toks);
         self.run_samples = samples;
         self.run_lens = lens;
+        self.run_drafts = drafts;
         self.run_tokens = toks;
         outcome
     }
 
-    fn step_impl(&mut self, samples: &[usize], lens: &[usize], toks: &[u32]) -> StepOutcome {
+    fn step_impl(
+        &mut self,
+        samples: &[usize],
+        lens: &[usize],
+        drafts: &[usize],
+        toks: &[u32],
+    ) -> StepOutcome {
         if samples.is_empty() {
             return StepOutcome::Idle;
         }
@@ -503,8 +569,9 @@ impl<'m> BatchSession<'m> {
                 "BatchSession::step: sample indices must be strictly increasing"
             );
         }
-        for (&s, &len) in samples.iter().zip(lens) {
+        for ((&s, &len), &d) in samples.iter().zip(lens).zip(drafts) {
             assert!(len > 0, "BatchSession::step_runs: empty token run");
+            assert!(d <= len, "BatchSession::step_runs: more drafts than rows");
             assert!(s < self.pos.len(), "sample index out of range");
             assert!(self.live[s], "BatchSession::step: sample {s} is not live");
             assert!(self.pos[s] + len <= cfg.max_seq, "sequence length exceeded");
@@ -519,21 +586,22 @@ impl<'m> BatchSession<'m> {
         let heads_n = cfg.heads;
         let layers_n = cfg.layers;
 
-        // Rollback state: one checkpoint set per multi-row run, filled
+        // Rollback state: one checkpoint set per run with drafts, filled
         // layer by layer below. The previous step's checkpoints die here.
         let mut ckpt_store = std::mem::take(&mut self.ckpts);
         ckpt_store.clear();
-        // Run index -> index into `ckpt_store` (multi-row runs only).
+        // Run index -> index into `ckpt_store` (runs with drafts only).
         let mut store_of_run: Vec<Option<usize>> = Vec::with_capacity(n_runs);
-        for (&s, &len) in samples.iter().zip(lens) {
-            if len > 1 {
+        for ((&s, &len), &d) in samples.iter().zip(lens).zip(drafts) {
+            if d > 0 {
                 store_of_run.push(Some(ckpt_store.len()));
                 ckpt_store.push(SampleCheckpoints {
                     sample: s,
                     pos_before: self.pos[s],
                     run_len: len,
+                    first_row: len - d,
                     heads: std::iter::repeat_with(|| None)
-                        .take(len * layers_n * heads_n)
+                        .take(d * layers_n * heads_n)
                         .collect(),
                 });
             } else {
@@ -640,6 +708,7 @@ impl<'m> BatchSession<'m> {
                     heads_n,
                     &mut layer_heads,
                     lens,
+                    drafts,
                     &mut slots,
                     &mut ck_slots,
                     q,
@@ -653,6 +722,7 @@ impl<'m> BatchSession<'m> {
                         // checkpoint slots — at run boundaries.
                         let mut heads_rest: &mut [&mut [HeadState]] = &mut layer_heads;
                         let mut lens_rest: &[usize] = lens;
+                        let mut drafts_rest: &[usize] = drafts;
                         let mut slots_rest: &mut [Option<HeadStepOutput>] = &mut slots;
                         let mut ck_rest: &mut [Option<HeadCheckpoint>] = &mut ck_slots;
                         let mut first_row = 0usize;
@@ -663,29 +733,31 @@ impl<'m> BatchSession<'m> {
                             let rows_here: usize = lens_rest[..take].iter().sum();
                             let (h_chunk, h_rest) = heads_rest.split_at_mut(take);
                             let (l_chunk, l_rest) = lens_rest.split_at(take);
+                            let (d_chunk, d_rest) = drafts_rest.split_at(take);
                             let (s_chunk, s_rest) = slots_rest.split_at_mut(rows_here * heads_n);
                             let (c_chunk, c_rest) = ck_rest.split_at_mut(rows_here * heads_n);
                             heads_rest = h_rest;
                             lens_rest = l_rest;
+                            drafts_rest = d_rest;
                             slots_rest = s_rest;
                             ck_rest = c_rest;
                             if c == 0 {
-                                first_piece = Some((h_chunk, l_chunk, s_chunk, c_chunk));
+                                first_piece = Some((h_chunk, l_chunk, d_chunk, s_chunk, c_chunk));
                             } else {
                                 let (q, k, v) = (&q, &k, &v);
                                 let fr = first_row;
                                 scope.spawn(move || {
                                     step_run_chunk(
-                                        fr, hidden, d, heads_n, h_chunk, l_chunk, s_chunk, c_chunk,
-                                        q, k, v,
+                                        fr, hidden, d, heads_n, h_chunk, l_chunk, d_chunk, s_chunk,
+                                        c_chunk, q, k, v,
                                     );
                                 });
                             }
                             first_row += rows_here;
                             c += 1;
                         }
-                        if let Some((h, l, s, ck)) = first_piece {
-                            step_run_chunk(0, hidden, d, heads_n, h, l, s, ck, q, k, v);
+                        if let Some((h, l, dr, s, ck)) = first_piece {
+                            step_run_chunk(0, hidden, d, heads_n, h, l, dr, s, ck, q, k, v);
                         }
                     });
                 }
@@ -693,6 +765,7 @@ impl<'m> BatchSession<'m> {
 
             let mut row0 = 0usize;
             for (i, (&s, &len)) in samples.iter().zip(lens).enumerate() {
+                let first_ck = len - drafts[i];
                 for r in 0..len {
                     for h in 0..heads_n {
                         let out = slots[(row0 + r) * heads_n + h]
@@ -704,12 +777,12 @@ impl<'m> BatchSession<'m> {
                             stats.fanout_width = width;
                             self.last_stats[s].push(stats);
                         }
-                        if let Some(store) = store_of_run[i] {
+                        if let (Some(store), true) = (store_of_run[i], r >= first_ck) {
                             let ck = ck_slots[(row0 + r) * heads_n + h]
                                 .take()
-                                .expect("multi-row run checkpointed");
-                            ckpt_store[store].heads[(r * layers_n + layer) * heads_n + h] =
-                                Some(ck);
+                                .expect("draft row checkpointed");
+                            ckpt_store[store].heads
+                                [((r - first_ck) * layers_n + layer) * heads_n + h] = Some(ck);
                         }
                     }
                 }
@@ -810,12 +883,12 @@ impl<'m> BatchSession<'m> {
 }
 
 /// Steps every head of a contiguous chunk of runs whose first row sits at
-/// global row `first_row`, writing each (row, head) output — and, for
-/// multi-row runs, the head state *before* the row — into its pre-assigned
-/// slot (the pool-task body of the per-(run-chunk, layer) fan-out). Within a
-/// run each head consumes its rows oldest-first, so row `r` attends over
-/// exactly the KV state rows `< r` left behind — the sequential semantics
-/// speculative verification relies on.
+/// global row `first_row`, writing each (row, head) output — and, for the
+/// last `drafts` rows of each run, the head state *before* the row — into
+/// its pre-assigned slot (the pool-task body of the per-(run-chunk, layer)
+/// fan-out). Within a run each head consumes its rows oldest-first, so row
+/// `r` attends over exactly the KV state rows `< r` left behind — the
+/// sequential semantics prompt chunks and speculative verification rely on.
 #[allow(clippy::too_many_arguments)]
 fn step_run_chunk(
     first_row: usize,
@@ -824,6 +897,7 @@ fn step_run_chunk(
     heads_n: usize,
     runs: &mut [&mut [HeadState]],
     run_lens: &[usize],
+    run_drafts: &[usize],
     slots: &mut [Option<HeadStepOutput>],
     ckpts: &mut [Option<HeadCheckpoint>],
     q: &[f32],
@@ -831,13 +905,13 @@ fn step_run_chunk(
     v: &[f32],
 ) {
     let mut row = first_row;
-    for (run_heads, &len) in runs.iter_mut().zip(run_lens) {
+    for ((run_heads, &len), &drafts) in runs.iter_mut().zip(run_lens).zip(run_drafts) {
         for (h, head) in run_heads.iter_mut().enumerate() {
             for r in 0..len {
                 let base = (row + r) * hidden;
                 let span = base + h * d..base + (h + 1) * d;
                 let slot = (row + r - first_row) * heads_n + h;
-                if len > 1 {
+                if r >= len - drafts {
                     ckpts[slot] = Some(head.checkpoint());
                 }
                 slots[slot] = Some(head.step(&q[span.clone()], &k[span.clone()], &v[span], false));
@@ -1103,7 +1177,9 @@ mod tests {
     fn multi_row_run_matches_sequential_steps() {
         // A run of L tokens through `step_runs` must produce, row by row,
         // the exact logits of feeding the same tokens one `step` at a time —
-        // for exact and LAD backends, mixed with a plain 1-row sample.
+        // for exact, LAD, top-k and H2O backends, mixed with a plain 1-row
+        // sample. Stepped as a non-rollback run (a prompt chunk), it takes
+        // no head checkpoint at all and cannot be rolled back.
         let model = model();
         for kind in [
             AttentionKind::Exact,
@@ -1118,7 +1194,13 @@ mod tests {
                 seq.step(&[(0, t), (1, t + 1)]);
             }
             let run = [20u32, 21, 22, 23];
-            spec.step_runs(&[(0, &run), (1, &[50u32])]);
+            let before = checkpoints_taken();
+            spec.step_runs(&[Run::new(0, &run), Run::new(1, &[50u32])]);
+            assert_eq!(
+                checkpoints_taken(),
+                before,
+                "{kind:?}: a run without drafts took head checkpoints"
+            );
             // One stats entry per (layer, row, head): 2 layers x 2 heads.
             assert_eq!(spec.last_stats(0).len(), 2 * run.len() * 2);
             assert_eq!(spec.last_stats(1).len(), 2 * 2);
@@ -1138,7 +1220,57 @@ mod tests {
                 "{kind:?}: plain row diverged"
             );
             assert_eq!(spec.position(0), seq.position(0));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                spec.rollback_sample(0, 2);
+            }));
+            let message = caught
+                .expect_err("rolling back a run without drafts must panic")
+                .downcast::<String>()
+                .expect("panic message is a formatted String");
+            assert!(
+                message.contains("no checkpointed run"),
+                "{kind:?}: unexpected panic {message}"
+            );
         }
+    }
+
+    /// [`HeadState::checkpoint`] calls made on this thread so far.
+    fn checkpoints_taken() -> usize {
+        crate::backend::CHECKPOINTS_TAKEN.with(|n| n.get())
+    }
+
+    #[test]
+    fn verify_run_checkpoints_only_its_draft_rows() {
+        // A verify run of a pending token plus three drafts snapshots each
+        // head before every draft row and never before the pending row.
+        let model = model(); // 2 layers x 2 heads
+        for kind in [
+            AttentionKind::Exact,
+            AttentionKind::Lad(LadConfig::default()),
+            AttentionKind::h2o_budget(12, 4),
+        ] {
+            let mut session = BatchSession::new(&model, &kind, 2, 1);
+            session.step(&[(0, 5), (1, 6)]);
+            let before = checkpoints_taken();
+            session.step_runs(&[
+                Run::verify(0, &[10u32, 11, 12, 13]),
+                Run::new(1, &[40u32, 41, 42]),
+            ]);
+            assert_eq!(checkpoints_taken() - before, 3 * 2 * 2, "{kind:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first draft row")]
+    fn rollback_into_committed_rows_panics() {
+        let model = model();
+        let mut session = BatchSession::new(&model, &AttentionKind::Exact, 1, 1);
+        session.step_runs(&[Run {
+            sample: 0,
+            tokens: &[1, 2, 3, 4],
+            drafts: 2,
+        }]);
+        session.rollback_sample(0, 1);
     }
 
     #[test]
@@ -1157,7 +1289,7 @@ mod tests {
             let mut seq = BatchSession::new(&model, &kind, 1, 1);
             spec.step(&[(0, 5)]);
             seq.step(&[(0, 5)]);
-            spec.step_runs(&[(0, &[10u32, 11, 12, 13])]);
+            spec.step_runs(&[Run::verify(0, &[10u32, 11, 12, 13])]);
             spec.rollback_sample(0, 2);
             assert_eq!(spec.position(0), 3);
             seq.step(&[(0, 10)]);
@@ -1184,7 +1316,11 @@ mod tests {
         let mut fanned = BatchSession::new(&model, &kind, 3, 4);
         for session in [&mut inline, &mut fanned] {
             session.step(&[(0, 1), (1, 2), (2, 3)]);
-            session.step_runs(&[(0, &[4u32, 5, 6]), (1, &[7u32]), (2, &[8u32, 9])]);
+            session.step_runs(&[
+                Run::verify(0, &[4u32, 5, 6]),
+                Run::new(1, &[7u32]),
+                Run::new(2, &[8u32, 9]),
+            ]);
         }
         for r in 0..6 {
             assert_eq!(inline.logits(r), fanned.logits(r), "row {r} diverged");
@@ -1212,7 +1348,7 @@ mod tests {
     fn empty_run_rejected() {
         let model = model();
         let mut session = BatchSession::new(&model, &AttentionKind::Exact, 1, 1);
-        session.step_runs(&[(0, &[])]);
+        session.step_runs(&[Run::new(0, &[])]);
     }
 
     #[test]

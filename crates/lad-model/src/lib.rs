@@ -38,7 +38,7 @@ pub mod spec;
 pub mod transformer;
 
 pub use backend::{AttentionKind, HeadState, HeadStepOutput};
-pub use batch::{decode_batch_gemm, BatchResult, BatchSession, StepOutcome};
+pub use batch::{decode_batch_gemm, BatchResult, BatchSession, Run, StepOutcome};
 pub use config::{MlpKind, ModelConfig, NormKind, PositionKind};
 pub use sampling::{generate, Sampler};
 pub use spec::{decode_speculative, DraftPolicy, Drafter, SpecConfig, SpecReport};

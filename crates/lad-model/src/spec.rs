@@ -27,7 +27,7 @@
 //! bonus token) positions per forward pass.
 
 use crate::backend::AttentionKind;
-use crate::batch::BatchSession;
+use crate::batch::{BatchSession, Run};
 use crate::transformer::{argmax, Model};
 use lad_obs::Histogram;
 use std::collections::HashMap;
@@ -237,7 +237,8 @@ impl SpecReport {
     }
 }
 
-/// Greedy-decodes `steps` tokens from `prompt` speculatively: each round
+/// Greedy-decodes `steps` tokens from `prompt` speculatively: all prompt
+/// tokens but the last go through one multi-row forward, then each round
 /// drafts up to `cfg.k` tokens, verifies them in one multi-row
 /// [`BatchSession::step_runs`] forward, commits the longest matching prefix
 /// (plus the model's correction/bonus token) and rolls the rest back.
@@ -263,12 +264,13 @@ pub fn decode_speculative(
     let mut drafter = Drafter::new(cfg.policy.clone());
     drafter.observe_all(prompt);
 
-    // Prefill everything but the last prompt token; that token is the first
-    // round's pending input.
-    for &t in &prompt[..prompt.len() - 1] {
-        session.step(&[(0, t)]);
+    // Prefill everything but the last prompt token as one run that is never
+    // rolled back; that token is the first round's pending input.
+    let (&last, prefix) = prompt.split_last().expect("prompt checked non-empty");
+    if !prefix.is_empty() {
+        session.step_runs(&[Run::new(0, prefix)]);
     }
-    let mut pending = prompt[prompt.len() - 1];
+    let mut pending = last;
 
     let mut report = SpecReport {
         tokens: Vec::with_capacity(steps),
@@ -295,7 +297,7 @@ pub fn decode_speculative(
         run_buf.extend_from_slice(&drafts);
         {
             let _verify_span = lad_obs::span("spec.verify");
-            session.step_runs(&[(0, &run_buf)]);
+            session.step_runs(&[Run::verify(0, &run_buf)]);
         }
 
         // Acceptance walk: commit row argmaxes while they confirm drafts.

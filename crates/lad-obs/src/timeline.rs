@@ -60,7 +60,7 @@ pub enum TimelineKind {
     /// The request joined the active batch (`value` = prompt tokens of this
     /// incarnation).
     Admit,
-    /// A prefill sub-step consumed prompt tokens (`value` = tokens).
+    /// A tick's step fed a run of prompt tokens (`value` = tokens).
     PrefillChunk,
     /// A decode tick committed generated tokens (`value` = tokens).
     DecodeTick,

@@ -7,13 +7,16 @@
 //!    is preempted (recompute style) until the append fits;
 //! 2. **admission** — FIFO queue head(s) whose arrival step has come join
 //!    while a batch slot and their prompt's blocks are available;
-//! 3. **sub-step 0** — all active requests advance one token through the
-//!    shared [`BatchSession`] (cross-sample GEMMs);
-//! 4. **prefill sub-steps** — requests still consuming their prompt get up
-//!    to `prefill_chunk - 1` extra prompt tokens in prefill-only steps;
-//! 5. **sampling + retirement** — requests past their prompt sample the
-//!    next token; EOS/`max_tokens` retires the request and returns its
-//!    blocks.
+//! 3. **one step** — every active request contributes one run to a single
+//!    [`BatchSession::step_runs`] call, so the weights stream once per tick
+//!    (cross-sample GEMMs): a prefilling request its next
+//!    `min(prefill_chunk, prompt left)` prompt tokens, a decode request its
+//!    pending token plus any speculative drafts. Only draft rows are
+//!    checkpointed for rollback;
+//! 4. **sampling + retirement** — a request whose prompt ends in this run
+//!    samples its first token from the run's last row, a decode request its
+//!    next token (plus accepted drafts); EOS/`max_tokens` retires the
+//!    request and returns its blocks.
 //!
 //! Scheduling never changes results: samples are independent and greedy
 //! decoding is deterministic, so whatever the admission pattern, each
@@ -33,7 +36,7 @@
 use crate::{FinishReason, Incident, IncidentReason, ReqState, Request, ServeConfig, ServeReport};
 use lad_accel::paged::BlockPool;
 use lad_model::backend::AttentionKind;
-use lad_model::batch::{BatchSession, StepOutcome};
+use lad_model::batch::{BatchSession, Run, StepOutcome};
 use lad_model::spec::Drafter;
 use lad_model::transformer::{argmax, Model};
 use lad_obs::metrics::{self, Counter, Gauge, MetricHistogram};
@@ -121,18 +124,19 @@ impl Active {
     fn in_prefill(&self) -> bool {
         self.consumed < self.state.prompt.len()
     }
+}
 
-    /// The token this request feeds on the next shared sub-step.
-    fn next_token(&self) -> u32 {
-        if self.in_prefill() {
-            self.state.prompt[self.consumed]
-        } else {
-            *self
-                .generated
-                .last()
-                .expect("decode phase feeds last token")
-        }
-    }
+/// One active request's run in the tick's step.
+struct Part {
+    /// Sample slot in the [`BatchSession`].
+    slot: usize,
+    /// Index into the engine's active list.
+    active: usize,
+    /// Whether `tokens` ranges over the request's prompt; otherwise it ranges
+    /// over the tick's decode-token buffer (the pending token, then any
+    /// drafts).
+    prompt: bool,
+    tokens: std::ops::Range<usize>,
 }
 
 /// Continuous-batching serving engine over one model.
@@ -294,15 +298,7 @@ impl<'m> Engine<'m> {
             return;
         }
 
-        // Sub-step 0: everyone advances one token.
-        self.run_substep(true);
-        // Extra prefill-only sub-steps (chunked prefill).
-        for _ in 1..self.cfg.prefill_chunk {
-            if !self.active.iter().any(Active::in_prefill) {
-                break;
-            }
-            self.run_substep(false);
-        }
+        self.step_active();
         self.reclaim_evicted();
         self.obs.active.set(self.active.len() as i64);
         self.obs.queued.set(self.queue.len() as i64);
@@ -313,7 +309,7 @@ impl<'m> Engine<'m> {
     /// every (layer, head) state of a sample has evicted (H2O budget /
     /// streaming-window backends) is marked dead in the pool, and a block
     /// whose tokens are all dead returns to the free list. Runs after the
-    /// tick's sub-steps — past any speculative rollback — so only decisions
+    /// tick's step — past any speculative rollback — so only decisions
     /// that survived verification are committed ([`BlockPool::mark_dead`] is
     /// irreversible). Exact, top-k and LAD heads never evict, so for those
     /// requests this is a no-op.
@@ -480,80 +476,105 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Runs one [`BatchSession::step_runs`] over the active requests
-    /// (`include_decode = false` restricts it to prefilling requests),
-    /// then samples next tokens and retires finished requests.
+    /// Runs the tick's one [`BatchSession::step_runs`] over every active
+    /// request, then samples next tokens and retires finished requests.
     ///
-    /// A prefilling or plain decode request contributes a one-token run — a
-    /// row of the cross-sample GEMM, exactly as before. A speculative
-    /// decode request contributes a `1 + d`-row run (its pending token plus
-    /// `d` drafted tokens); after the step the acceptance walk commits the
-    /// greedy-matching prefix, rolls the session back to the kept rows and
-    /// returns the rejected rows' KV blocks to the pool. Every committed
-    /// token is the argmax of logits conditioned only on committed rows, so
-    /// the stream is bit-identical to the request's plain decode.
-    fn run_substep(&mut self, include_decode: bool) {
-        // The sub-step span covers run building, the cross-sample GEMMs and
-        // the sampling/retirement walk, so `serve.tick` time decomposes
-        // almost entirely into its direct children (the coverage invariant
+    /// A prefilling request contributes its next
+    /// `min(prefill_chunk, prompt left)` prompt tokens as a run that is
+    /// never rolled back (so it takes no head checkpoints); the run that
+    /// finishes the prompt yields the first token from its last row. A
+    /// plain decode request contributes a one-token run. A speculative
+    /// decode request contributes a `1 + d`-row verify run (its pending
+    /// token plus `d` drafted tokens); after the step the acceptance walk
+    /// commits the greedy-matching prefix, rolls the session back to the
+    /// kept rows and returns the rejected rows' KV blocks to the pool. Every
+    /// committed token is the argmax of logits conditioned only on committed
+    /// rows, so the stream is bit-identical to the request's plain decode.
+    fn step_active(&mut self) {
+        // The step span covers run building, the cross-sample GEMMs and the
+        // sampling/retirement walk, so `serve.tick` time decomposes almost
+        // entirely into its direct children (the coverage invariant
         // `examples/serve_trace.rs` asserts).
-        let any_decode = include_decode && self.active.iter().any(|a| !a.in_prefill());
-        let _outer = if any_decode {
+        let _outer = if self.active.iter().any(|a| !a.in_prefill()) {
             lad_obs::span("serve.decode_step")
         } else {
             lad_obs::span("serve.prefill_chunk")
         };
         let step_u64 = self.step as u64;
-        // (slot, run tokens, active index), sorted by slot as the session
-        // requires strictly increasing sample ids.
-        let mut parts: Vec<(usize, Vec<u32>, usize)> = Vec::new();
+        // Decode runs are built here; prompt runs borrow the prompt.
+        let mut decode_tokens: Vec<u32> = Vec::new();
+        let mut parts: Vec<Part> = Vec::with_capacity(self.active.len());
         let mut any_spec = false;
         for (i, a) in self.active.iter().enumerate() {
             if a.in_prefill() {
-                parts.push((a.slot, vec![a.next_token()], i));
-            } else if include_decode {
-                let pending = a.next_token();
-                let mut run = vec![pending];
-                if let (Some(drafter), true) = (&a.drafter, a.granted > 0) {
-                    let _span = lad_obs::span("spec.draft");
-                    let mut drafts = drafter.draft(a.granted);
-                    drafts.truncate(a.granted);
-                    if !drafts.is_empty() {
-                        timeline::record(
-                            a.state.id,
-                            TimelineKind::SpecDraft,
-                            step_u64,
-                            drafts.len() as u64,
-                        );
-                    }
-                    run.extend_from_slice(&drafts);
-                }
-                any_spec |= run.len() > 1;
-                parts.push((a.slot, run, i));
+                let take = self
+                    .cfg
+                    .prefill_chunk
+                    .min(a.state.prompt.len() - a.consumed);
+                parts.push(Part {
+                    slot: a.slot,
+                    active: i,
+                    prompt: true,
+                    tokens: a.consumed..a.consumed + take,
+                });
+                continue;
             }
+            let start = decode_tokens.len();
+            decode_tokens.push(*a.generated.last().expect("decode phase feeds last token"));
+            if let (Some(drafter), true) = (&a.drafter, a.granted > 0) {
+                let _span = lad_obs::span("spec.draft");
+                let mut drafts = drafter.draft(a.granted);
+                drafts.truncate(a.granted);
+                if !drafts.is_empty() {
+                    timeline::record(
+                        a.state.id,
+                        TimelineKind::SpecDraft,
+                        step_u64,
+                        drafts.len() as u64,
+                    );
+                }
+                any_spec |= !drafts.is_empty();
+                decode_tokens.extend_from_slice(&drafts);
+            }
+            parts.push(Part {
+                slot: a.slot,
+                active: i,
+                prompt: false,
+                tokens: start..decode_tokens.len(),
+            });
         }
-        if parts.is_empty() {
-            return;
-        }
-        parts.sort_unstable_by_key(|&(slot, _, _)| slot);
-        let runs: Vec<(usize, &[u32])> = parts.iter().map(|(s, r, _)| (*s, r.as_slice())).collect();
+        // The session requires strictly increasing sample ids.
+        parts.sort_unstable_by_key(|p| p.slot);
+        let runs: Vec<Run> = parts
+            .iter()
+            .map(|p| {
+                if p.prompt {
+                    Run::new(
+                        p.slot,
+                        &self.active[p.active].state.prompt[p.tokens.clone()],
+                    )
+                } else {
+                    Run::verify(p.slot, &decode_tokens[p.tokens.clone()])
+                }
+            })
+            .collect();
         {
             let _verify = any_spec.then(|| lad_obs::span("spec.verify"));
             self.session.step_runs(&runs);
         }
         // Per-backend KV traffic: every head of every stepped sample
-        // reports bytes_moved for this sub-step; fold each sample's total
-        // into its backend's counter (gated here to skip the stats walk
-        // entirely while metrics are off).
+        // reports bytes_moved for this step; fold each sample's total into
+        // its backend's counter (gated here to skip the stats walk entirely
+        // while metrics are off).
         if metrics::metrics_enabled() {
-            for (slot, _, i) in &parts {
+            for p in &parts {
                 let bytes: usize = self
                     .session
-                    .last_stats(*slot)
+                    .last_stats(p.slot)
                     .iter()
                     .map(|s| s.bytes_moved)
                     .sum();
-                self.active[*i].traffic.inc(bytes as u64);
+                self.active[p.active].traffic.inc(bytes as u64);
             }
         }
 
@@ -561,51 +582,35 @@ impl<'m> Engine<'m> {
         let mut retired: Vec<(usize, FinishReason)> = Vec::new();
         // Logits rows are run-major in `runs` order: track each run's base.
         let mut base = 0usize;
-        for (_, run, i) in &parts {
+        for p in &parts {
             let row_base = base;
-            base += run.len();
-            let i = *i;
+            let len = p.tokens.len();
+            base += len;
+            let i = p.active;
             let a = &mut self.active[i];
-            let was_prefill = a.in_prefill();
-            a.consumed += run.len();
-            if was_prefill {
-                // The run consumed prompt tokens (a crossing sample falls
-                // through and also decodes this sub-step).
-                timeline::record(
-                    a.state.id,
-                    TimelineKind::PrefillChunk,
-                    step_u64,
-                    run.len() as u64,
-                );
+            a.consumed += len;
+            // The first row the walk samples from, and the drafts it checks.
+            let (first_row, drafts) = if p.prompt {
+                timeline::record(a.state.id, TimelineKind::PrefillChunk, step_u64, len as u64);
                 if a.in_prefill() {
                     continue;
                 }
-            }
-            if a.state.spec.is_none() {
-                // Plain request: the single row yields its next token.
-                let next = argmax(self.session.logits(row_base));
-                a.state.record_token(now, &mut self.ttft, &mut self.itl);
-                a.generated.push(next);
-                timeline::record(a.state.id, TimelineKind::DecodeTick, step_u64, 1);
-                self.obs.tokens.inc(1);
-                if self.cfg.eos == Some(next) {
-                    retired.push((i, FinishReason::Eos));
-                } else if a.generated.len() >= a.state.remaining {
-                    retired.push((i, FinishReason::MaxTokens));
-                }
-                continue;
-            }
+                // The prompt is done: its last row yields the first token.
+                // Prompt rows are never drafts, so nothing rolls back.
+                (row_base + len - 1, &[][..])
+            } else {
+                (row_base, &decode_tokens[p.tokens.start + 1..p.tokens.end])
+            };
 
-            // Speculative acceptance walk. Row `row_base + j` holds the
-            // logits after the committed prefix plus `j` matched drafts, so
-            // its argmax is the exact greedy next token at that point.
-            let drafts = &run[1..];
-            let was_prefill_tail = a.consumed == a.state.prompt.len();
+            // Acceptance walk. Row `first_row + j` holds the logits after
+            // the committed prefix plus `j` matched drafts, so its argmax is
+            // the exact greedy next token at that point. Without drafts it
+            // commits exactly one token.
             let mut matched = 0usize;
             let mut committed = 0usize;
             let mut finish = None;
             loop {
-                let next = argmax(self.session.logits(row_base + matched));
+                let next = argmax(self.session.logits(first_row + matched));
                 a.state.record_token(now, &mut self.ttft, &mut self.itl);
                 a.generated.push(next);
                 if let Some(d) = a.drafter.as_mut() {
@@ -626,10 +631,9 @@ impl<'m> Engine<'m> {
                     break;
                 }
             }
-            // A spec request that just crossed prefill→decode fed its last
-            // prompt token as a one-row run with no reservation: not a
-            // verify round, so it is kept out of the acceptance accounting.
-            if !was_prefill_tail {
+            // A verify round is a speculative request's decode run; the
+            // token sampled where the prompt ends is not one.
+            if a.state.spec.is_some() && !p.prompt {
                 self.spec_drafted += drafts.len();
                 self.spec_accepted += matched;
                 self.accepted_len.record(committed as u64);
@@ -658,27 +662,29 @@ impl<'m> Engine<'m> {
                 retired.push((i, finish));
                 continue;
             }
-            if run.len() > 1 {
+            if !drafts.is_empty() {
                 let _span = lad_obs::span("spec.rollback");
                 timeline::record(
                     a.state.id,
                     TimelineKind::SpecRollback,
                     step_u64,
-                    (run.len() - committed) as u64,
+                    (len - committed) as u64,
                 );
                 self.session.rollback_sample(a.slot, committed);
             }
-            // Return the rejected rows' blocks: the pool currently holds
-            // `1 + granted` rows reserved this tick, only `committed` stay.
-            let current = self
-                .pool
-                .sequence_tokens(a.pool_id)
-                .expect("active request has a live pool sequence");
-            let target = current - (1 + a.granted) + committed;
-            if target < current {
-                self.pool.truncate(a.pool_id, target);
+            if a.granted > 0 {
+                // Return the rejected rows' blocks: the pool holds `1 +
+                // granted` rows reserved this tick, only `committed` stay.
+                let current = self
+                    .pool
+                    .sequence_tokens(a.pool_id)
+                    .expect("active request has a live pool sequence");
+                let target = current - (1 + a.granted) + committed;
+                if target < current {
+                    self.pool.truncate(a.pool_id, target);
+                }
+                a.granted = 0;
             }
-            a.granted = 0;
         }
         // Retire in descending active-index order so removals do not shift
         // the remaining indices (parts are in slot order, not index order).

@@ -13,9 +13,9 @@
 //!   `decode_batch_gemm`, generalised to true dynamic membership with join
 //!   *and* leave per global step;
 //! * **chunked prefill** interleaved with decode: decode-phase requests
-//!   advance one token per engine tick, while prefilling requests may
-//!   consume up to `prefill_chunk` prompt tokens per tick through extra
-//!   prefill-only sub-steps;
+//!   advance one token per engine tick, while prefilling requests consume
+//!   up to `prefill_chunk` prompt tokens per tick as one multi-row run in
+//!   the tick's single step, so every tick streams the weights once;
 //! * **retirement** on EOS or `max_tokens`, returning exactly the
 //!   request's KV blocks to the pool;
 //! * **recompute preemption**: on pool exhaustion the youngest active
@@ -125,9 +125,9 @@ impl Request {
 pub struct ServeConfig {
     /// Batch budget: maximum simultaneously active requests (sample slots).
     pub max_active: usize,
-    /// Prompt tokens a prefilling request may consume per engine tick (the
-    /// first rides the shared sub-step, the rest run as prefill-only
-    /// sub-steps). `1` disables chunking — prefill advances in lockstep
+    /// Prompt tokens a prefilling request may consume per engine tick, fed
+    /// as one multi-row run in the tick's single step alongside every
+    /// decode row. `1` disables chunking — prefill advances in lockstep
     /// with decode, exactly like the fixed-batch engine.
     pub prefill_chunk: usize,
     /// Token that terminates generation early (`None` = decode to

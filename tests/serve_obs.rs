@@ -105,6 +105,86 @@ fn forced_preemption_timeline_chains_through_readmission() {
 }
 
 #[test]
+fn one_tick_is_one_step_and_prefill_chunks_cover_each_prompt() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The three-block squeeze at `prefill_chunk: 4` (prompts fed as 4-row
+    // runs, a folded prompt replayed after preemption), a speculative
+    // request, and a late arrival that leaves idle ticks in between.
+    let cfg = ServeConfig {
+        max_active: 2,
+        prefill_chunk: 4,
+        ..ServeConfig::default()
+    };
+    let requests = vec![
+        Request::new(0, prompt(0, 8), 24),
+        Request::new(1, prompt(1, 8), 24)
+            .with_speculation(lad::model::spec::SpecConfig::recency(4)),
+        Request::new(2, prompt(2, 10), 6).arriving_at(80),
+    ];
+    lad::obs::drain();
+    lad::obs::set_enabled(true);
+    let (report, events) = serve_recorded(&AttentionKind::Exact, 3, cfg, requests);
+    lad::obs::set_enabled(false);
+    let threads = lad::obs::drain();
+
+    assert!(report.preemptions >= 1, "squeeze must force a preemption");
+    assert!(
+        report.idle_steps >= 1,
+        "the late arrival must leave idle ticks"
+    );
+    let begun = |name: &str| -> usize {
+        threads
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.kind == lad::obs::EventKind::Begin && e.name == name)
+            .count()
+    };
+    assert_eq!(begun("serve.tick"), report.steps);
+    assert_eq!(begun("serve.idle"), report.idle_steps);
+    assert_eq!(
+        begun("batch.step"),
+        report.steps - report.idle_steps,
+        "every non-idle tick must be exactly one batch step"
+    );
+    assert_eq!(
+        begun("serve.decode_step") + begun("serve.prefill_chunk"),
+        report.steps - report.idle_steps
+    );
+
+    // Per incarnation (an Admit opens one, carrying its prompt length), the
+    // PrefillChunk values sum to that prompt once it starts decoding, and
+    // never exceed it (a victim may be preempted mid-prompt).
+    timeline::validate_chains(&events).expect("chains must validate");
+    // request -> (prompt tokens, prompt tokens fed, decoded) per incarnation
+    let mut incarnations: std::collections::BTreeMap<u64, Vec<(u64, u64, bool)>> =
+        Default::default();
+    for e in &events {
+        let list = incarnations.entry(e.request).or_default();
+        match e.kind {
+            TimelineKind::Admit => list.push((e.value, 0, false)),
+            TimelineKind::PrefillChunk => list.last_mut().expect("admitted").1 += e.value,
+            TimelineKind::DecodeTick => list.last_mut().expect("admitted").2 = true,
+            _ => {}
+        }
+    }
+    assert_eq!(incarnations.len(), 3);
+    let readmitted = incarnations.values().filter(|l| l.len() > 1).count();
+    assert!(readmitted >= 1, "a preempted request must be re-admitted");
+    for (req, list) in &incarnations {
+        for &(prompt_len, fed, decoded) in list {
+            assert!(fed <= prompt_len, "request {req} fed past its prompt");
+            if decoded {
+                assert_eq!(
+                    fed, prompt_len,
+                    "request {req} decoded before its prompt ended"
+                );
+            }
+        }
+        assert!(list.last().unwrap().2, "request {req} never decoded");
+    }
+}
+
+#[test]
 fn eviction_reclaim_events_cover_the_streaming_leg() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Streaming-window requests roll a live window over 80+ tokens, so

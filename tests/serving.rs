@@ -19,7 +19,7 @@ use lad::core::decoder::LadConfig;
 use lad::math::pwl::PwlExp;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
-use lad::model::spec::SpecConfig;
+use lad::model::spec::{Drafter, SpecConfig};
 use lad::model::transformer::{Model, Session};
 use lad::serve::baseline::serve_fixed_batches;
 use lad::serve::{Engine, Request, ServeConfig, ServeReport};
@@ -144,7 +144,9 @@ fn build_request(g: &ServeGrid, id: u64, plen: usize, max: usize, at: usize) -> 
     }
 }
 
-fn run_grid_point(g: &ServeGrid) {
+/// Serves the grid point continuously and with the fixed-batch baseline,
+/// checks both against solo decodes, and returns the continuous report.
+fn run_grid_point(g: &ServeGrid) -> ServeReport {
     let model = g.model();
     let kind = g.kind();
 
@@ -194,6 +196,7 @@ fn run_grid_point(g: &ServeGrid) {
         .collect();
     let fixed = serve_fixed_batches(&model, &kind, &g.cfg(), requests);
     assert_streams_match(g, "fixed", &model, &fixed);
+    report
 }
 
 /// Ragged max_tokens at a shared arrival: members retire mid-flight and the
@@ -432,6 +435,130 @@ fn serving_differential_h2o_mixed_speculative() {
         spec_ids: &[1, 3],
         expect_preemption: false,
     });
+}
+
+/// Whole-prompt legs: a chunk as long as the longest prompt feeds each
+/// prompt as a single multi-row run in its admission tick, and the first
+/// token comes from that run's last row.
+fn whole_prompt_leg(label: &'static str, backend: GridBackend) {
+    run_grid_point(&ServeGrid {
+        label,
+        backend,
+        model_seed: 29,
+        pool_blocks: 64,
+        max_active: 3,
+        prefill_chunk: STAGGERED.iter().map(|&(_, plen, _, _)| plen).max().unwrap(),
+        specs: STAGGERED,
+        spec_ids: &[],
+        expect_preemption: false,
+    });
+}
+
+#[test]
+fn serving_differential_exact_whole_prompt_run() {
+    whole_prompt_leg("exact-whole-prompt", GridBackend::Exact);
+}
+
+#[test]
+fn serving_differential_lad_whole_prompt_run() {
+    whole_prompt_leg("lad-whole-prompt", GridBackend::Lad);
+}
+
+#[test]
+fn serving_differential_h2o_whole_prompt_run() {
+    whole_prompt_leg("h2o-whole-prompt", GridBackend::H2o);
+}
+
+/// Forced preemption with multi-row prefill: the three-block squeeze at
+/// `prefill_chunk: 4`, so both the first prompt and the victim's folded
+/// prompt (prompt plus everything it generated) replay as 4-row runs.
+fn chunked_preemption_leg(label: &'static str, backend: GridBackend) {
+    run_grid_point(&ServeGrid {
+        label,
+        backend,
+        model_seed: 71,
+        pool_blocks: 3,
+        max_active: 2,
+        prefill_chunk: 4,
+        specs: PRESSURE,
+        spec_ids: &[],
+        expect_preemption: true,
+    });
+}
+
+#[test]
+fn serving_differential_exact_chunked_forced_preemption() {
+    chunked_preemption_leg("exact-preempt-chunk4", GridBackend::Exact);
+}
+
+#[test]
+fn serving_differential_lad_chunked_forced_preemption() {
+    chunked_preemption_leg("lad-preempt-chunk4", GridBackend::Lad);
+}
+
+#[test]
+fn serving_differential_h2o_chunked_forced_preemption() {
+    chunked_preemption_leg("h2o-preempt-chunk4", GridBackend::H2o);
+}
+
+/// A speculative request whose prompt ends mid-run: its 10-token prompt at
+/// `prefill_chunk: 4` is fed as runs of 4, 4 and 2, and the first token comes
+/// from the last row of the 2-row run. Prompt rows are never drafts, so the
+/// engine's draft and acceptance counts must equal a replay of the same
+/// drafter over the solo stream, in which the token sampled where the
+/// prompt ends opens no verify round.
+#[test]
+fn serving_differential_speculative_prompt_ends_mid_run() {
+    let g = ServeGrid {
+        label: "exact-spec-mid-run",
+        backend: GridBackend::Exact,
+        model_seed: 71,
+        pool_blocks: 64,
+        max_active: 2,
+        prefill_chunk: 4,
+        specs: &[(0, 10, 24, 0), (1, 7, 12, 0)],
+        spec_ids: &[0],
+        expect_preemption: false,
+    };
+    let report = run_grid_point(&g);
+
+    // Replay: the pool never refuses a draft row, so every round asks the
+    // drafter for `min(k, tokens left - 1)` drafts.
+    let spec = SpecConfig::recency(4);
+    let (plen, max) = (10, 24);
+    let prompt = g.prompt(0, plen);
+    let stream = solo(&g.model(), &g.kind(), &prompt, max, None);
+    let mut drafter = Drafter::new(spec.policy.clone());
+    drafter.observe_all(&prompt);
+    drafter.observe(stream[0]);
+    let (mut done, mut rounds, mut drafted, mut accepted) = (1, 0, 0, 0);
+    while done < max {
+        let drafts = drafter.draft(spec.k.min(max - done - 1));
+        drafted += drafts.len();
+        let mut matched = 0;
+        loop {
+            let next = stream[done];
+            drafter.observe(next);
+            done += 1;
+            if done == max || matched == drafts.len() || drafts[matched] != next {
+                break;
+            }
+            matched += 1;
+        }
+        accepted += matched;
+        rounds += 1;
+    }
+    assert!(
+        drafted > 0,
+        "the replay never drafted; the leg tests nothing"
+    );
+    assert_eq!(
+        report.spec_drafted, drafted,
+        "prompt rows counted as drafts"
+    );
+    assert_eq!(report.spec_accepted, accepted);
+    assert_eq!(report.accepted_len.count(), rounds as u64);
+    assert_eq!(report.accepted_len.sum(), (max - 1) as u64);
 }
 
 /// Mixed-backend leg: one engine tick carries exact, LAD, top-k and H2O

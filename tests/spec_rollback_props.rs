@@ -18,7 +18,7 @@
 //! included) through every round, with all blocks returned at release.
 
 use lad::model::backend::AttentionKind;
-use lad::model::batch::BatchSession;
+use lad::model::batch::{BatchSession, Run};
 use lad::model::config::ModelConfig;
 use lad::model::transformer::{Model, Session};
 use lad_accel::paged::BlockPool;
@@ -86,7 +86,7 @@ proptest! {
             for _ in 0..run.len() {
                 prop_assert!(pool.append_token(id), "pool sized to never run dry");
             }
-            spec.step_runs(&[(slot, &run)]);
+            spec.step_runs(&[Run::verify(slot, &run)]);
 
             // Random accepted prefix: commit 1..=1+draft_len rows.
             let committed = 1 + next(&mut rng, draft_len + 1);
