@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs build (warnings are errors, so intra-doc links cannot rot)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: cargo build --release"
 cargo build --release
 

@@ -51,7 +51,7 @@ fn kv_obs() -> &'static KvObs {
 /// Per-sequence paged state: token count, per-token liveness, and which of
 /// the sequence's blocks have been reclaimed by eviction.
 ///
-/// Evicting attention backends (H2O, streaming) mark positions dead via
+/// The evicting attention backend (H2O) marks positions dead via
 /// [`BlockPool::mark_dead`]; a block whose 16 tokens are all dead *and* all
 /// materialised (no partial tail block) is returned to the pool while the
 /// sequence keeps running — the paged analogue of H2O freeing device memory

@@ -4,19 +4,20 @@
 //! mirroring the paper's comparison set (Sec. V-A) plus the sparse-attention
 //! families it implicitly argues with:
 //!
-//! * [`AttentionKind::Exact`] — the original model (vLLM baseline).
+//! * [`AttentionKind::Exact`] — the original model (vLLM baseline), and
+//!   [`AttentionKind::ExactF16`], the same algorithm over fp16 KV arenas.
 //! * [`AttentionKind::Lad`] — LAD attention ([`lad_core`]).
 //! * [`AttentionKind::QserveKv4`] — Qserve's A16W16KV4 configuration: the KV
 //!   cache is quantised to 4 bits, everything else fp16.
-//! * [`AttentionKind::H2o`] — the Heavy-Hitter Oracle with *ratio* knobs:
-//!   only the top `heavy_ratio` cumulative-attention positions plus the
-//!   `recent_ratio` most recent ones are kept; the rest are evicted.
 //! * [`AttentionKind::TopK`] — dynamic top-k selection: exact scores over
 //!   every key, softmax restricted to the `k` best-scoring positions
 //!   (deterministic ties: lowest index wins).
-//! * [`AttentionKind::H2O`] — budget-based H2O eviction: an absolute
-//!   `budget` of heavy hitters plus a `recent` window, evicting per step so
-//!   the live set never exceeds `budget + recent`.
+//! * [`AttentionKind::H2O`] — the Heavy-Hitter Oracle: the positions with
+//!   the highest accumulated attention mass plus a window of the most recent
+//!   ones survive each step; the rest are evicted. The keep budget is either
+//!   absolute counts ([`AttentionKind::h2o_budget`]) or fractions of the
+//!   sequence length (the paper's 0.1 + 0.1, [`AttentionKind::h2o_default`]);
+//!   a zero heavy budget is a plain rolling window.
 //!
 //! Every backend reports the shared [`StepStats`] traffic counters
 //! (`keys_scored`, `keys_read`, `bytes_moved`, `evictions`) and implements
@@ -26,7 +27,6 @@ use lad_core::decoder::{LadAttention, LadCheckpoint, LadConfig};
 use lad_core::kv::{KvCache, KvPrecision};
 use lad_core::reference;
 use lad_core::stats::StepStats;
-use lad_math::softmax::softmax;
 use lad_math::vector;
 
 /// Which attention algorithm a head runs.
@@ -45,23 +45,6 @@ pub enum AttentionKind {
     Lad(LadConfig),
     /// Qserve-style 4-bit KV-cache quantisation (per-vector asymmetric).
     QserveKv4,
-    /// H2O eviction with heavy/recent keep ratios (paper default 0.1/0.1).
-    H2o {
-        /// Fraction of positions kept by cumulative attention mass.
-        heavy_ratio: f64,
-        /// Fraction of most recent positions always kept.
-        recent_ratio: f64,
-    },
-    /// StreamingLLM-style window attention (the paper's cited window-based
-    /// KV discard class): a few initial "attention sink" positions plus a
-    /// sliding window of recent positions are kept, everything else is
-    /// evicted.
-    StreamingWindow {
-        /// Initial positions always kept (attention sinks).
-        sinks: usize,
-        /// Recent positions kept.
-        window: usize,
-    },
     /// Dynamic top-k selection: exact scores over **all** keys, softmax
     /// restricted to the `k` best-scoring positions. Ties are broken
     /// deterministically by lowest position index, so decodes are
@@ -71,35 +54,61 @@ pub enum AttentionKind {
         /// Positions kept per step (must be at least 1).
         k: usize,
     },
-    /// Budget-based H2O eviction: the `budget` positions with the highest
-    /// accumulated attention mass plus the `recent` newest live positions
-    /// survive each step; everything else is evicted (masked dead in the
-    /// arena, accounted exactly in the paged pool). Cumulative-mass ties are
-    /// broken deterministically: the lowest index is kept. While the live
-    /// set fits inside `budget + recent`, outputs are bit-identical to
-    /// [`AttentionKind::Exact`].
+    /// H2O eviction: after each step the heavy-hitter positions with the
+    /// highest accumulated attention mass plus the newest live positions
+    /// survive, sized by `keep` at the current length; everything else is
+    /// evicted (masked dead in the arena, accounted exactly in the paged
+    /// pool). Cumulative-mass ties are broken deterministically: the lowest
+    /// index is kept. While the live set fits inside the budget, outputs are
+    /// bit-identical to [`AttentionKind::Exact`].
     H2O {
-        /// Heavy-hitter positions retained by accumulated attention mass.
-        budget: usize,
-        /// Newest live positions always retained (must be at least 1).
-        recent: usize,
+        /// Keep budget, as counts or as fractions of the sequence length.
+        keep: H2oKeep,
     },
 }
 
-impl AttentionKind {
-    /// The paper's H2O default configuration.
-    pub fn h2o_default() -> AttentionKind {
-        AttentionKind::H2o {
-            heavy_ratio: 0.1,
-            recent_ratio: 0.1,
+/// Keep budget of an [`AttentionKind::H2O`] head.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum H2oKeep {
+    /// Absolute counts: `heavy` heavy hitters plus the `recent` newest live
+    /// positions (`recent` must be at least 1).
+    Counts {
+        /// Heavy-hitter positions retained by accumulated attention mass.
+        heavy: usize,
+        /// Newest live positions always retained.
+        recent: usize,
+    },
+    /// Fractions of the sequence length `n`, each kept count being
+    /// `max(1, ceil(ratio · n))`.
+    Ratios {
+        /// Fraction of positions kept by accumulated attention mass.
+        heavy: f64,
+        /// Fraction of most recent positions always kept.
+        recent: f64,
+    },
+}
+
+impl H2oKeep {
+    /// The `(heavy, recent)` counts kept after a step over `n` positions.
+    pub(crate) fn at(&self, n: usize) -> (usize, usize) {
+        match *self {
+            H2oKeep::Counts { heavy, recent } => (heavy, recent),
+            H2oKeep::Ratios { heavy, recent } => {
+                let count = |ratio: f64| ((ratio * n as f64).ceil() as usize).max(1);
+                (count(heavy), count(recent))
+            }
         }
     }
+}
 
-    /// A StreamingLLM-style default: 4 sinks + 256 recent positions.
-    pub fn streaming_default() -> AttentionKind {
-        AttentionKind::StreamingWindow {
-            sinks: 4,
-            window: 256,
+impl AttentionKind {
+    /// The paper's H2O default configuration: 0.1 heavy + 0.1 recent.
+    pub fn h2o_default() -> AttentionKind {
+        AttentionKind::H2O {
+            keep: H2oKeep::Ratios {
+                heavy: 0.1,
+                recent: 0.1,
+            },
         }
     }
 
@@ -110,7 +119,12 @@ impl AttentionKind {
 
     /// Budget-based H2O keeping `budget` heavy hitters + `recent` newest.
     pub fn h2o_budget(budget: usize, recent: usize) -> AttentionKind {
-        AttentionKind::H2O { budget, recent }
+        AttentionKind::H2O {
+            keep: H2oKeep::Counts {
+                heavy: budget,
+                recent,
+            },
+        }
     }
 }
 
@@ -137,14 +151,10 @@ pub struct HeadStepOutput {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum HeadState {
-    /// Full-cache exact softmax.
+    /// Full-cache exact softmax ([`AttentionKind::Exact`] on an f32 arena,
+    /// [`AttentionKind::ExactF16`] on an fp16 one).
     Exact {
         /// The head's KV cache.
-        kv: KvCache,
-    },
-    /// Full-cache exact softmax over fp16 KV arenas.
-    ExactF16 {
-        /// The head's fp16 KV cache.
         kv: KvCache,
     },
     /// LAD decoder state.
@@ -154,19 +164,6 @@ pub enum HeadState {
         /// Stores *dequantised* keys/values (quantisation error baked in).
         kv: KvCache,
     },
-    /// H2O eviction state.
-    H2o(H2oState),
-    /// StreamingLLM sink+window state.
-    Streaming {
-        /// The head's KV cache (evicted positions masked, not freed).
-        kv: KvCache,
-        /// Liveness per position.
-        alive: Vec<bool>,
-        /// Sink count.
-        sinks: usize,
-        /// Window size.
-        window: usize,
-    },
     /// Top-k selection over the full cache (no eviction).
     TopK {
         /// The head's KV cache.
@@ -174,33 +171,20 @@ pub enum HeadState {
         /// Positions kept per step.
         k: usize,
     },
-    /// Budget-based H2O eviction state.
-    H2OBudget(H2oBudgetState),
+    /// H2O eviction state.
+    H2O(H2oState),
 }
 
-/// State of an H2O head: KV cache plus cumulative attention mass and
-/// liveness flags.
+/// State of an H2O head ([`AttentionKind::H2O`]): the KV arena stays
+/// append-only (evicted positions are masked dead, never compacted), so
+/// checkpoint/rollback and paged accounting work exactly like every other
+/// backend.
 #[derive(Debug, Clone)]
 pub struct H2oState {
     kv: KvCache,
     cumulative: Vec<f64>,
     alive: Vec<bool>,
-    heavy_ratio: f64,
-    recent_ratio: f64,
-}
-
-/// State of a budget-based H2O head ([`AttentionKind::H2O`]): the KV arena
-/// stays append-only (evicted positions are masked dead, never compacted),
-/// so checkpoint/rollback and paged accounting work exactly like every other
-/// backend. All reads go through the precision-aware kernels, so fp16 arenas
-/// work unchanged.
-#[derive(Debug, Clone)]
-pub struct H2oBudgetState {
-    kv: KvCache,
-    cumulative: Vec<f64>,
-    alive: Vec<bool>,
-    budget: usize,
-    recent: usize,
+    keep: H2oKeep,
 }
 
 #[cfg(test)]
@@ -215,32 +199,15 @@ thread_local! {
 ///
 /// Every backend only *appends* to its KV arena, so the arena is rewound by
 /// truncation; metadata that backends mutate in place for old positions
-/// (H2O's cumulative mass and liveness, streaming liveness, LAD's
-/// counters/caches) is copied.
+/// (H2O's cumulative mass and liveness, LAD's counters/caches) is copied.
 #[derive(Debug, Clone)]
 pub enum HeadCheckpoint {
-    /// Exact and Qserve heads: the arena length is the whole state.
+    /// Exact, Qserve and top-k heads: the arena length is the whole state.
     KvLen(usize),
     /// LAD head snapshot (boxed: the copied caches dwarf the other variants).
     Lad(Box<LadCheckpoint>),
     /// H2O head: arena length plus cumulative mass and liveness.
-    H2o {
-        /// KV arena length at the checkpoint.
-        kv_len: usize,
-        /// Cumulative attention mass per position.
-        cumulative: Vec<f64>,
-        /// Liveness per position.
-        alive: Vec<bool>,
-    },
-    /// Streaming head: arena length plus liveness.
-    Streaming {
-        /// KV arena length at the checkpoint.
-        kv_len: usize,
-        /// Liveness per position.
-        alive: Vec<bool>,
-    },
-    /// Budget-based H2O head: arena length plus cumulative mass and liveness.
-    H2OBudget {
+    H2O {
         /// KV arena length at the checkpoint.
         kv_len: usize,
         /// Cumulative attention mass per position.
@@ -257,29 +224,13 @@ impl HeadState {
             AttentionKind::Exact => HeadState::Exact {
                 kv: KvCache::new(dim),
             },
-            AttentionKind::ExactF16 => HeadState::ExactF16 {
+            AttentionKind::ExactF16 => HeadState::Exact {
                 kv: KvCache::with_precision(dim, KvPrecision::F16),
             },
             AttentionKind::Lad(cfg) => HeadState::Lad(LadAttention::new(dim, cfg.clone())),
             AttentionKind::QserveKv4 => HeadState::Qserve {
                 kv: KvCache::new(dim),
             },
-            AttentionKind::H2o {
-                heavy_ratio,
-                recent_ratio,
-            } => HeadState::H2o(H2oState {
-                kv: KvCache::new(dim),
-                cumulative: Vec::new(),
-                alive: Vec::new(),
-                heavy_ratio: *heavy_ratio,
-                recent_ratio: *recent_ratio,
-            }),
-            AttentionKind::StreamingWindow { sinks, window } => HeadState::Streaming {
-                kv: KvCache::new(dim),
-                alive: Vec::new(),
-                sinks: *sinks,
-                window: *window,
-            },
             AttentionKind::TopK { k } => {
                 assert!(*k >= 1, "AttentionKind::TopK: k must be at least 1");
                 HeadState::TopK {
@@ -287,96 +238,44 @@ impl HeadState {
                     k: *k,
                 }
             }
-            AttentionKind::H2O { budget, recent } => {
-                assert!(
-                    *recent >= 1,
-                    "AttentionKind::H2O: recent must be at least 1"
-                );
-                HeadState::H2OBudget(H2oBudgetState {
+            AttentionKind::H2O { keep } => {
+                if let H2oKeep::Counts { recent, .. } = keep {
+                    assert!(
+                        *recent >= 1,
+                        "AttentionKind::H2O: recent must be at least 1"
+                    );
+                }
+                HeadState::H2O(H2oState {
                     kv: KvCache::new(dim),
                     cumulative: Vec::new(),
                     alive: Vec::new(),
-                    budget: *budget,
-                    recent: *recent,
+                    keep: *keep,
                 })
             }
-        }
-    }
-
-    /// Like [`HeadState::new`] but with an explicit KV storage precision.
-    ///
-    /// Only the full-cache and sparse-selection backends support fp16 arenas
-    /// (`Exact`/`ExactF16`, `TopK`, `H2O`) — their reads all go through the
-    /// precision-aware kernels. `Exact` with [`KvPrecision::F16`] is the
-    /// `ExactF16` backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics for backends without an fp16 read path (LAD, Qserve, ratio-H2O,
-    /// streaming).
-    pub fn with_kv_precision(
-        dim: usize,
-        kind: &AttentionKind,
-        precision: KvPrecision,
-    ) -> HeadState {
-        if precision == KvPrecision::F32 {
-            return HeadState::new(dim, kind);
-        }
-        match kind {
-            AttentionKind::Exact | AttentionKind::ExactF16 => HeadState::ExactF16 {
-                kv: KvCache::with_precision(dim, KvPrecision::F16),
-            },
-            AttentionKind::TopK { k } => {
-                assert!(*k >= 1, "AttentionKind::TopK: k must be at least 1");
-                HeadState::TopK {
-                    kv: KvCache::with_precision(dim, KvPrecision::F16),
-                    k: *k,
-                }
-            }
-            AttentionKind::H2O { budget, recent } => {
-                assert!(
-                    *recent >= 1,
-                    "AttentionKind::H2O: recent must be at least 1"
-                );
-                HeadState::H2OBudget(H2oBudgetState {
-                    kv: KvCache::with_precision(dim, KvPrecision::F16),
-                    cumulative: Vec::new(),
-                    alive: Vec::new(),
-                    budget: *budget,
-                    recent: *recent,
-                })
-            }
-            other => panic!("HeadState::with_kv_precision: no fp16 read path for {other:?}"),
         }
     }
 
     /// Current KV length (for evicting backends this counts live positions).
     pub fn live_len(&self) -> usize {
         match self {
-            HeadState::Exact { kv }
-            | HeadState::ExactF16 { kv }
-            | HeadState::Qserve { kv }
-            | HeadState::TopK { kv, .. } => kv.len(),
+            HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. } => {
+                kv.len()
+            }
             HeadState::Lad(head) => head.kv().len(),
-            HeadState::H2o(state) => state.alive.iter().filter(|&&a| a).count(),
-            HeadState::Streaming { alive, .. } => alive.iter().filter(|&&a| a).count(),
-            HeadState::H2OBudget(state) => state.alive.iter().filter(|&&a| a).count(),
+            HeadState::H2O(state) => state.alive.iter().filter(|&&a| a).count(),
         }
     }
 
-    /// Whether arena position `pos` is still live: `false` once an evicting
-    /// backend (H2O, streaming) has discarded it, or if it was never decoded.
-    /// Non-evicting backends report every decoded position live.
+    /// Whether arena position `pos` is still live: `false` once the H2O
+    /// backend has evicted it, or if it was never decoded. Non-evicting
+    /// backends report every decoded position live.
     pub fn is_alive(&self, pos: usize) -> bool {
         match self {
-            HeadState::Exact { kv }
-            | HeadState::ExactF16 { kv }
-            | HeadState::Qserve { kv }
-            | HeadState::TopK { kv, .. } => pos < kv.len(),
+            HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. } => {
+                pos < kv.len()
+            }
             HeadState::Lad(head) => pos < head.kv().len(),
-            HeadState::H2o(state) => state.alive.get(pos).copied().unwrap_or(false),
-            HeadState::Streaming { alive, .. } => alive.get(pos).copied().unwrap_or(false),
-            HeadState::H2OBudget(state) => state.alive.get(pos).copied().unwrap_or(false),
+            HeadState::H2O(state) => state.alive.get(pos).copied().unwrap_or(false),
         }
     }
 
@@ -386,14 +285,11 @@ impl HeadState {
     /// accelerator format is 4-bit.
     pub fn kv_bytes(&self) -> usize {
         match self {
-            HeadState::Exact { kv }
-            | HeadState::ExactF16 { kv }
-            | HeadState::Qserve { kv }
-            | HeadState::Streaming { kv, .. }
-            | HeadState::TopK { kv, .. } => kv.stored_bytes(),
+            HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. } => {
+                kv.stored_bytes()
+            }
             HeadState::Lad(head) => head.kv().stored_bytes(),
-            HeadState::H2o(state) => state.kv.stored_bytes(),
-            HeadState::H2OBudget(state) => state.kv.stored_bytes(),
+            HeadState::H2O(state) => state.kv.stored_bytes(),
         }
     }
 
@@ -404,21 +300,11 @@ impl HeadState {
         #[cfg(test)]
         CHECKPOINTS_TAKEN.with(|n| n.set(n.get() + 1));
         match self {
-            HeadState::Exact { kv }
-            | HeadState::ExactF16 { kv }
-            | HeadState::Qserve { kv }
-            | HeadState::TopK { kv, .. } => HeadCheckpoint::KvLen(kv.len()),
+            HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. } => {
+                HeadCheckpoint::KvLen(kv.len())
+            }
             HeadState::Lad(head) => HeadCheckpoint::Lad(Box::new(head.checkpoint())),
-            HeadState::H2o(state) => HeadCheckpoint::H2o {
-                kv_len: state.kv.len(),
-                cumulative: state.cumulative.clone(),
-                alive: state.alive.clone(),
-            },
-            HeadState::Streaming { kv, alive, .. } => HeadCheckpoint::Streaming {
-                kv_len: kv.len(),
-                alive: alive.clone(),
-            },
-            HeadState::H2OBudget(state) => HeadCheckpoint::H2OBudget {
+            HeadState::H2O(state) => HeadCheckpoint::H2O {
                 kv_len: state.kv.len(),
                 cumulative: state.cumulative.clone(),
                 alive: state.alive.clone(),
@@ -437,40 +323,15 @@ impl HeadState {
     pub fn restore(&mut self, ck: &HeadCheckpoint) {
         match (self, ck) {
             (
-                HeadState::Exact { kv }
-                | HeadState::ExactF16 { kv }
-                | HeadState::Qserve { kv }
-                | HeadState::TopK { kv, .. },
+                HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. },
                 HeadCheckpoint::KvLen(len),
             ) => {
                 kv.truncate(*len);
             }
             (HeadState::Lad(head), HeadCheckpoint::Lad(lck)) => head.restore(lck),
             (
-                HeadState::H2o(state),
-                HeadCheckpoint::H2o {
-                    kv_len,
-                    cumulative,
-                    alive,
-                },
-            ) => {
-                state.kv.truncate(*kv_len);
-                state.cumulative.clone_from(cumulative);
-                state.alive.clone_from(alive);
-            }
-            (
-                HeadState::Streaming { kv, alive, .. },
-                HeadCheckpoint::Streaming {
-                    kv_len,
-                    alive: ck_alive,
-                },
-            ) => {
-                kv.truncate(*kv_len);
-                alive.clone_from(ck_alive);
-            }
-            (
-                HeadState::H2OBudget(state),
-                HeadCheckpoint::H2OBudget {
+                HeadState::H2O(state),
+                HeadCheckpoint::H2O {
                     kv_len,
                     cumulative,
                     alive,
@@ -487,7 +348,7 @@ impl HeadState {
     /// Executes one decoding step.
     pub fn step(&mut self, q: &[f32], k: &[f32], v: &[f32], record_scores: bool) -> HeadStepOutput {
         match self {
-            HeadState::Exact { kv } | HeadState::ExactF16 { kv } => {
+            HeadState::Exact { kv } => {
                 let _kv_span = lad_obs::span(match kv.precision() {
                     KvPrecision::F32 => "kernel.kv_read_f32",
                     KvPrecision::F16 => "kernel.kv_read_f16",
@@ -516,53 +377,6 @@ impl HeadState {
                 HeadStepOutput {
                     output: reference::exact_attention(q, kv),
                     stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * 4, 0)),
-                    shifted_scores: None,
-                }
-            }
-            HeadState::H2o(state) => {
-                let (output, stats) = state.step(q, k, v);
-                HeadStepOutput {
-                    output,
-                    stats: Some(stats),
-                    shifted_scores: None,
-                }
-            }
-            HeadState::Streaming {
-                kv,
-                alive,
-                sinks,
-                window,
-            } => {
-                kv.push(k, v);
-                alive.push(true);
-                let n = kv.len();
-                let mut evictions = 0usize;
-                // Evict the position leaving the window (sinks survive).
-                if n > *sinks + *window {
-                    let leaving = n - *window - 1;
-                    if leaving >= *sinks && alive[leaving] {
-                        alive[leaving] = false;
-                        evictions = 1;
-                    }
-                }
-                let qs = reference::scale_query(q);
-                let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-                let scores: Vec<f32> = live.iter().map(|&i| vector::dot(&qs, kv.key(i))).collect();
-                let probs = softmax(&scores);
-                let mut output = vec![0.0f32; kv.dim()];
-                for (&i, &p) in live.iter().zip(&probs) {
-                    vector::axpy(&mut output, p, kv.value(i));
-                }
-                let d = kv.dim();
-                HeadStepOutput {
-                    output,
-                    stats: Some(traffic_stats(
-                        n,
-                        live.len(),
-                        live.len(),
-                        2 * live.len() * d * 4,
-                        evictions,
-                    )),
                     shifted_scores: None,
                 }
             }
@@ -613,7 +427,7 @@ impl HeadState {
                     shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
                 }
             }
-            HeadState::H2OBudget(state) => state.step(q, k, v, record_scores),
+            HeadState::H2O(state) => state.step(q, k, v, record_scores),
         }
     }
 }
@@ -666,52 +480,6 @@ fn traffic_stats(
 }
 
 impl H2oState {
-    fn step(&mut self, q: &[f32], k: &[f32], v: &[f32]) -> (Vec<f32>, StepStats) {
-        self.kv.push(k, v);
-        self.cumulative.push(0.0);
-        self.alive.push(true);
-        let n = self.kv.len();
-        let d = self.kv.dim();
-        let qs = reference::scale_query(q);
-
-        // Scores over live positions only.
-        let live: Vec<usize> = (0..n).filter(|&i| self.alive[i]).collect();
-        let scores: Vec<f32> = live
-            .iter()
-            .map(|&i| vector::dot(&qs, self.kv.key(i)))
-            .collect();
-        let probs = softmax(&scores);
-
-        let mut output = vec![0.0f32; d];
-        for (&i, &p) in live.iter().zip(&probs) {
-            self.cumulative[i] += f64::from(p);
-            vector::axpy(&mut output, p, self.kv.value(i));
-        }
-
-        // Eviction: keep the most recent `recent_k` live positions plus the
-        // `heavy_k` highest cumulative-mass among the rest.
-        let mut evictions = 0usize;
-        let recent_k = ((self.recent_ratio * n as f64).ceil() as usize).max(1);
-        let heavy_k = ((self.heavy_ratio * n as f64).ceil() as usize).max(1);
-        if live.len() > recent_k + heavy_k {
-            let recent_cut = live.len() - recent_k;
-            let mut older: Vec<usize> = live[..recent_cut].to_vec();
-            older.sort_by(|&a, &b| {
-                self.cumulative[b]
-                    .partial_cmp(&self.cumulative[a])
-                    .expect("cumulative mass is finite")
-            });
-            for &evict in &older[heavy_k..] {
-                self.alive[evict] = false;
-                evictions += 1;
-            }
-        }
-        let stats = traffic_stats(n, live.len(), live.len(), 2 * live.len() * d * 4, evictions);
-        (output, stats)
-    }
-}
-
-impl H2oBudgetState {
     fn step(&mut self, q: &[f32], k: &[f32], v: &[f32], record_scores: bool) -> HeadStepOutput {
         self.kv.push(k, v);
         self.cumulative.push(0.0);
@@ -749,13 +517,14 @@ impl H2oBudgetState {
             self.cumulative[i] += w / den;
         }
 
-        // Evict down to `budget + recent`: the newest `recent` live
-        // positions always survive; among the older ones the `budget`
+        // Evict down to `heavy + recent`: the newest `recent` live
+        // positions always survive; among the older ones the `heavy`
         // highest accumulated-mass positions are kept (ties: lowest index).
+        let (heavy, recent) = self.keep.at(n);
         let mut evictions = 0usize;
-        if live.len() > self.budget + self.recent {
+        if live.len() > heavy + recent {
             let _span = lad_obs::span("attn.h2o_evict");
-            let recent_cut = live.len() - self.recent;
+            let recent_cut = live.len() - recent;
             let mut older: Vec<usize> = live[..recent_cut].to_vec();
             older.sort_by(|&a, &b| {
                 self.cumulative[b]
@@ -763,7 +532,7 @@ impl H2oBudgetState {
                     .expect("cumulative mass is finite")
                     .then_with(|| a.cmp(&b))
             });
-            for &evict in &older[self.budget..] {
+            for &evict in &older[heavy..] {
                 self.alive[evict] = false;
                 evictions += 1;
             }
@@ -892,13 +661,7 @@ mod tests {
         // element budget after softmax normalisation.
         assert!(worst > 1e-7, "fp16 should actually quantise");
         assert!(worst < 5e-3, "fp16 error unreasonably large: {worst}");
-        let HeadState::ExactF16 { kv } = &half else {
-            unreachable!()
-        };
-        let HeadState::Exact { kv: kv32 } = &exact else {
-            unreachable!()
-        };
-        assert_eq!(kv.stored_bytes() * 2, kv32.stored_bytes());
+        assert_eq!(half.kv_bytes() * 2, exact.kv_bytes());
     }
 
     #[test]
@@ -953,61 +716,9 @@ mod tests {
                 false,
             );
         }
-        let HeadState::H2o(state) = &head else {
-            unreachable!()
-        };
         // The very latest positions must always be alive.
         for i in 45..50 {
-            assert!(state.alive[i], "recent position {i} evicted");
-        }
-    }
-
-    #[test]
-    fn streaming_window_keeps_sinks_and_recent() {
-        let mut rng = Rng::new(48);
-        let d = 4;
-        let kind = AttentionKind::StreamingWindow {
-            sinks: 2,
-            window: 8,
-        };
-        let mut head = HeadState::new(d, &kind);
-        for _ in 0..40 {
-            head.step(
-                &rng.normal_vec(d, 1.0),
-                &rng.normal_vec(d, 1.0),
-                &rng.normal_vec(d, 1.0),
-                false,
-            );
-        }
-        // 2 sinks + 8 recent survive.
-        assert_eq!(head.live_len(), 10);
-        let HeadState::Streaming { alive, .. } = &head else {
-            unreachable!()
-        };
-        assert!(alive[0] && alive[1], "sinks evicted");
-        assert!(alive[39] && alive[32], "recent window evicted");
-        assert!(!alive[10], "middle position survived");
-    }
-
-    #[test]
-    fn streaming_matches_exact_while_window_covers_everything() {
-        let mut rng = Rng::new(49);
-        let d = 4;
-        let kind = AttentionKind::StreamingWindow {
-            sinks: 4,
-            window: 64,
-        };
-        let mut streaming = HeadState::new(d, &kind);
-        let mut exact = HeadState::new(d, &AttentionKind::Exact);
-        for _ in 0..30 {
-            let (q, k, v) = (
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-            );
-            let a = streaming.step(&q, &k, &v, false);
-            let b = exact.step(&q, &k, &v, false);
-            assert!(vector::relative_l2(&a.output, &b.output) < 1e-5);
+            assert!(head.is_alive(i), "recent position {i} evicted");
         }
     }
 
@@ -1020,10 +731,6 @@ mod tests {
             AttentionKind::Lad(LadConfig::default()),
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
-            AttentionKind::StreamingWindow {
-                sinks: 2,
-                window: 8,
-            },
             AttentionKind::topk(4),
             AttentionKind::h2o_budget(12, 4),
         ];
@@ -1141,35 +848,47 @@ mod tests {
         }
         assert_eq!(head.live_len(), 12, "live set must sit at budget + recent");
         assert_eq!(total_evictions, 88, "every dead position is one eviction");
-        let HeadState::H2OBudget(state) = &head else {
-            unreachable!()
-        };
         for i in 96..100 {
-            assert!(state.alive[i], "recent position {i} evicted");
+            assert!(head.is_alive(i), "recent position {i} evicted");
         }
         let dead = (0..100).filter(|&i| !head.is_alive(i)).count();
         assert_eq!(dead, 88);
-        assert!(head.is_alive(99));
     }
 
     #[test]
     fn h2o_budget_matches_exact_bitwise_until_eviction() {
-        let mut rng = Rng::new(57);
-        let d = 8;
-        let mut exact = HeadState::new(d, &AttentionKind::Exact);
-        let mut h2o = HeadState::new(d, &AttentionKind::h2o_budget(40, 8));
-        // 30 steps never exceed the 48-position live cap: no eviction yet,
-        // so the decode must be bit-identical to exact attention.
-        for _ in 0..30 {
-            let (q, k, v) = (
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-            );
-            let e = exact.step(&q, &k, &v, true);
-            let h = h2o.step(&q, &k, &v, true);
-            assert_eq!(h.output, e.output, "pre-eviction H2O must match exact");
-            assert_eq!(h.shifted_scores, e.shifted_scores);
+        // Counts: 30 steps never exceed the 48-position live cap. Ratios:
+        // 2·ceil(n/2) >= n, so a 0.5 + 0.5 budget never evicts at all.
+        // Without an eviction the decode must be bit-identical to exact
+        // attention.
+        let kinds = [
+            AttentionKind::h2o_budget(40, 8),
+            AttentionKind::H2O {
+                keep: H2oKeep::Ratios {
+                    heavy: 0.5,
+                    recent: 0.5,
+                },
+            },
+        ];
+        for kind in &kinds {
+            let mut rng = Rng::new(57);
+            let d = 8;
+            let mut exact = HeadState::new(d, &AttentionKind::Exact);
+            let mut h2o = HeadState::new(d, kind);
+            for _ in 0..30 {
+                let (q, k, v) = (
+                    rng.normal_vec(d, 1.0),
+                    rng.normal_vec(d, 1.0),
+                    rng.normal_vec(d, 1.0),
+                );
+                let e = exact.step(&q, &k, &v, true);
+                let h = h2o.step(&q, &k, &v, true);
+                assert_eq!(
+                    h.output, e.output,
+                    "{kind:?}: pre-eviction H2O must match exact"
+                );
+                assert_eq!(h.shifted_scores, e.shifted_scores, "{kind:?}");
+            }
         }
     }
 
@@ -1188,7 +907,6 @@ mod tests {
             AttentionKind::Lad(LadConfig::default()),
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
-            AttentionKind::streaming_default(),
             AttentionKind::topk(4),
             AttentionKind::h2o_budget(8, 4),
         ];
@@ -1220,7 +938,6 @@ mod tests {
             AttentionKind::ExactF16,
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
-            AttentionKind::streaming_default(),
             AttentionKind::topk(4),
             AttentionKind::h2o_budget(8, 4),
         ];
@@ -1243,49 +960,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sparse_backends_support_f16_arenas() {
-        for kind in [AttentionKind::topk(6), AttentionKind::h2o_budget(12, 4)] {
-            let mut rng = Rng::new(60);
-            let d = 8;
-            let mut full = HeadState::new(d, &kind);
-            let mut half = HeadState::with_kv_precision(d, &kind, KvPrecision::F16);
-            let mut worst = 0.0f32;
-            for _ in 0..40 {
-                let (q, k, v) = (
-                    rng.normal_vec(d, 1.0),
-                    rng.normal_vec(d, 1.0),
-                    rng.normal_vec(d, 1.0),
-                );
-                let a = full.step(&q, &k, &v, false);
-                let b = half.step(&q, &k, &v, false);
-                worst = worst.max(vector::relative_l2(&b.output, &a.output));
-                let (sa, sb) = (a.stats.unwrap(), b.stats.unwrap());
-                assert_eq!(
-                    sa.bytes_moved,
-                    2 * sb.bytes_moved,
-                    "{kind:?}: fp16 halves traffic"
-                );
-            }
-            assert!(worst > 1e-7, "{kind:?}: fp16 should actually quantise");
-            assert!(
-                worst < 5e-3,
-                "{kind:?}: fp16 error unreasonably large: {worst}"
-            );
-            assert_eq!(half.kv_bytes() * 2, full.kv_bytes());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no fp16 read path")]
-    fn with_kv_precision_rejects_lad() {
-        HeadState::with_kv_precision(
-            4,
-            &AttentionKind::Lad(LadConfig::default()),
-            KvPrecision::F16,
-        );
     }
 
     #[test]

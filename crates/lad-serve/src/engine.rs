@@ -87,10 +87,8 @@ fn traffic_counter(kind: &AttentionKind) -> Counter {
         AttentionKind::ExactF16 => "serve.bytes_moved.exact_f16",
         AttentionKind::Lad(_) => "serve.bytes_moved.lad",
         AttentionKind::QserveKv4 => "serve.bytes_moved.qserve_kv4",
-        AttentionKind::H2o { .. } => "serve.bytes_moved.h2o",
-        AttentionKind::StreamingWindow { .. } => "serve.bytes_moved.streaming_window",
         AttentionKind::TopK { .. } => "serve.bytes_moved.topk",
-        AttentionKind::H2O { .. } => "serve.bytes_moved.h2o_budget",
+        AttentionKind::H2O { .. } => "serve.bytes_moved.h2o",
     })
 }
 
@@ -306,13 +304,13 @@ impl<'m> Engine<'m> {
     }
 
     /// Folds attention evictions into the paged accounting: a position that
-    /// every (layer, head) state of a sample has evicted (H2O budget /
-    /// streaming-window backends) is marked dead in the pool, and a block
-    /// whose tokens are all dead returns to the free list. Runs after the
-    /// tick's step — past any speculative rollback — so only decisions
-    /// that survived verification are committed ([`BlockPool::mark_dead`] is
-    /// irreversible). Exact, top-k and LAD heads never evict, so for those
-    /// requests this is a no-op.
+    /// every (layer, head) state of a sample has evicted (the H2O backend)
+    /// is marked dead in the pool, and a block whose tokens are all dead
+    /// returns to the free list. Runs after the tick's step — past any
+    /// speculative rollback — so only decisions that survived verification
+    /// are committed ([`BlockPool::mark_dead`] is irreversible). Exact,
+    /// Qserve, top-k and LAD heads never evict, so for those requests this
+    /// is a no-op.
     fn reclaim_evicted(&mut self) {
         let _span = lad_obs::span("serve.reclaim");
         let step = self.step as u64;
@@ -1155,16 +1153,14 @@ mod tests {
             parallelism: 1,
             ..ServeConfig::default()
         };
-        // Streaming-window requests keep only 4 sinks + the 8 newest
-        // positions alive, so interior blocks go fully dead as decode rolls
-        // past them. Each request spans 88 tokens = 6 blocks; two of them
-        // need 12 blocks at peak without eviction feedback, which would
-        // force a preemption in this 9-block pool. Reclaimed dead blocks
-        // keep each request's footprint at ~3 blocks, so both fit.
-        let kind = AttentionKind::StreamingWindow {
-            sinks: 4,
-            window: 8,
-        };
+        // A zero heavy budget makes H2O a rolling window: every head keeps
+        // exactly the 8 newest positions alive, so older blocks go fully
+        // dead as decode rolls past them. Each request spans 88 tokens = 6
+        // blocks; two of them need 12 blocks at peak without eviction
+        // feedback, which would force a preemption in this 9-block pool.
+        // Reclaimed dead blocks keep each request's footprint at ~2 blocks,
+        // so both fit.
+        let kind = AttentionKind::h2o_budget(0, 8);
         let pool = BlockPool::new(&ModelConfig::tiny("serve", 2, 32, 2), budget(9));
         let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, cfg);
         let specs = [(0u64, 8usize, 80usize), (1, 8, 80)];

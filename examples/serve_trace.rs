@@ -58,8 +58,9 @@ fn main() {
 
     let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, cfg);
     // A mixed workload: plain, generous-deadline, speculative, an evicting
-    // streaming-window backend, and one request whose zero deadline cannot
-    // be met — the guaranteed flight-recorder incident.
+    // rolling-window backend (H2O with no heavy hitters), and one request
+    // whose zero deadline cannot be met — the guaranteed flight-recorder
+    // incident.
     engine.submit(Request::new(0, prompt(0, 9), 12));
     engine.submit(Request::new(1, prompt(1, 6), 10).with_deadline(Duration::from_secs(60)));
     engine.submit(
@@ -68,10 +69,7 @@ fn main() {
     );
     engine.submit(
         Request::new(3, prompt(3, 8), 40)
-            .with_backend(AttentionKind::StreamingWindow {
-                sinks: 4,
-                window: 8,
-            })
+            .with_backend(AttentionKind::h2o_budget(0, 8))
             .arriving_at(2),
     );
     engine.submit(
@@ -190,7 +188,7 @@ fn main() {
         "serve_retired",
         "serve_tokens",
         "serve_bytes_moved_exact",
-        "serve_bytes_moved_streaming_window",
+        "serve_bytes_moved_h2o",
         "kv_blocks_total",
         "kv_blocks_used",
         "pool_park_nanos",

@@ -74,20 +74,15 @@ fn tile_engine_on_real_transformer_streams() {
 
 #[test]
 fn streaming_window_baseline_degrades_on_long_contexts() {
-    // Sanity for the extra baseline: window attention loses information the
-    // window has scrolled past, unlike LAD.
+    // Sanity for the window baseline: an H2O budget with no heavy hitters is
+    // a rolling window, which loses information it has scrolled past,
+    // unlike LAD.
     let model = Model::random(ModelConfig::tiny("window", 2, 48, 4), 77);
     let prompt: Vec<u32> = (0..64).map(|i| (i * 13 + 7) % 256).collect();
     let mut exact = Session::new(&model, &AttentionKind::Exact);
     let reference_tokens = exact.generate_greedy(&prompt, 48);
 
-    let mut tight = Session::new(
-        &model,
-        &AttentionKind::StreamingWindow {
-            sinks: 2,
-            window: 16,
-        },
-    );
+    let mut tight = Session::new(&model, &AttentionKind::h2o_budget(0, 16));
     let tight_tokens = tight.generate_greedy(&prompt, 48);
     let tight_agree = reference_tokens
         .iter()

@@ -185,14 +185,11 @@ fn one_tick_is_one_step_and_prefill_chunks_cover_each_prompt() {
 }
 
 #[test]
-fn eviction_reclaim_events_cover_the_streaming_leg() {
+fn eviction_reclaim_events_cover_the_rolling_window_leg() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Streaming-window requests roll a live window over 80+ tokens, so
-    // interior blocks go fully dead and are reclaimed mid-flight.
-    let kind = AttentionKind::StreamingWindow {
-        sinks: 4,
-        window: 8,
-    };
+    // A zero-heavy H2O budget rolls an 8-position live window over 80+
+    // tokens, so older blocks go fully dead and are reclaimed mid-flight.
+    let kind = AttentionKind::h2o_budget(0, 8);
     let cfg = ServeConfig {
         max_active: 2,
         prefill_chunk: 4,
@@ -213,7 +210,7 @@ fn eviction_reclaim_events_cover_the_streaming_leg() {
         .collect();
     assert!(
         !reclaim_events.is_empty(),
-        "streaming eviction produced no reclaim events"
+        "rolling-window eviction produced no reclaim events"
     );
     assert!(reclaim_events.iter().all(|e| e.value > 0));
     // The timeline's reclaimed-block total matches the pool's counter.
@@ -342,7 +339,7 @@ fn prometheus_exposition_covers_every_subsystem() {
         "kv_fragmentation_bytes",
         "serve_bytes_moved_exact",
         "serve_bytes_moved_topk",
-        "serve_bytes_moved_h2o_budget",
+        "serve_bytes_moved_h2o",
         "obs_dropped_events",
         "timeline_dropped_events",
     ] {
