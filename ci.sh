@@ -30,7 +30,7 @@ cargo bench --workspace --no-run
 
 echo "== benchmark package (own workspace, path-depends on the crates' public"
 echo "   API; tier-1 never compiles it, so an API deletion would break it silently)"
-cargo test --offline -q --manifest-path benchmark/Cargo.toml
+cargo test --locked --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== observability smoke (trace_decode example; validates trace + JSONL)"
 cargo run --release --example trace_decode

@@ -16,23 +16,31 @@
 //! random bench models settle into cycles, which the training-free recency
 //! drafter learns from the generated stream itself — no draft model.
 //!
+//! Every row serves the prompt as the only request of a serving `Engine`
+//! (`Request::with_speculation`): the first tick prefills the whole prompt
+//! and samples the first token, every later tick is one verify round, so
+//! `rounds` and `forward_steps` both count the engine's ticks and the mean
+//! accepted length is over the verify rounds.
+//!
 //! The gated quantity is the **speedup ratio vs the K = 0 run of the same
-//! machinery** (bit-identical tokens, same `BatchSession` path), measured
-//! in the same process so machine noise cancels. Floor: 1.0x at the best
-//! K, with measured mean accepted length > 1.0.
+//! engine** (bit-identical tokens, same tick loop), measured in the same
+//! process so machine noise cancels. Floor: 1.0x at the best K, with
+//! measured mean accepted length > 1.0.
 //!
 //! The run is written to `BENCH_spec.json` at the repo root as the
 //! committed baseline (validated and re-measured by `bench_check`).
 //!
 //! ```sh
-//! cargo bench --bench spec_decode
+//! cargo bench -p lad-bench --bench spec_decode
 //! ```
 
+use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_bench::{print_table, section};
 use lad_model::backend::AttentionKind;
 use lad_model::config::ModelConfig;
-use lad_model::spec::{decode_speculative, SpecConfig, SpecReport};
+use lad_model::spec::SpecConfig;
 use lad_model::transformer::Model;
+use lad_serve::{Engine, Request, ServeConfig, ServeReport};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -64,17 +72,34 @@ fn spec_cfg(k: usize, ngram: bool) -> SpecConfig {
     }
 }
 
+/// Serves the bench prompt alone under `cfg`: one tick prefills the whole
+/// prompt, and the pool holds prompt + steps, so nothing is preempted.
+fn serve(model: &Model, cfg: &SpecConfig) -> ServeReport {
+    let p = prompt();
+    let model_cfg = model.config();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let pool = BlockPool::new(
+        model_cfg,
+        BlockPool::blocks_for(p.len() + STEPS) * block_bytes,
+    );
+    let serve_cfg = ServeConfig {
+        prefill_chunk: p.len(),
+        ..ServeConfig::default()
+    };
+    let mut engine = Engine::new(model, &AttentionKind::Exact, pool, serve_cfg);
+    engine.submit(Request::new(0, p, STEPS).with_speculation(cfg.clone()));
+    engine.run()
+}
+
 /// Best-of-3 wall seconds per generated token, plus the (deterministic)
 /// report of the final run.
-fn best_of_3(model: &Model, cfg: &SpecConfig) -> (SpecReport, f64) {
-    let kind = AttentionKind::Exact;
-    let p = prompt();
+fn best_of_3(model: &Model, cfg: &SpecConfig) -> (ServeReport, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let report = decode_speculative(model, &kind, &p, STEPS, cfg);
-        best = best.min(start.elapsed().as_secs_f64() / report.tokens.len() as f64);
+        let report = serve(model, cfg);
+        best = best.min(start.elapsed().as_secs_f64() / report.total_tokens() as f64);
         out = Some(report);
     }
     (out.expect("at least one run"), best)
@@ -82,7 +107,7 @@ fn best_of_3(model: &Model, cfg: &SpecConfig) -> (SpecReport, f64) {
 
 struct Row {
     kind: &'static str,
-    report: SpecReport,
+    report: ServeReport,
     ms_per_token: f64,
     speedup: f64,
 }
@@ -113,12 +138,12 @@ fn write_baseline(rows: &[Row]) {
             row.kind,
             row.ms_per_token * 1e3,
             row.speedup,
-            r.acceptance_rate(),
+            r.spec_acceptance_rate(),
             r.mean_accepted_len(),
-            r.rounds,
-            r.forward_steps,
-            r.drafted,
-            r.accepted,
+            r.steps,
+            r.steps,
+            r.spec_drafted,
+            r.spec_accepted,
         );
     }
     let _ = writeln!(json, "  ]");
@@ -132,7 +157,7 @@ fn write_baseline(rows: &[Row]) {
 fn main() {
     let model = Model::random(model_cfg(), 7);
 
-    section("spec_decode: draft/verify vs plain (same BatchSession machinery)");
+    section("spec_decode: draft/verify vs plain (one-request serving engine)");
     let mut rows: Vec<Row> = Vec::new();
     let mut plain_tokens: Option<Vec<u32>> = None;
     let mut plain_t = f64::NAN;
@@ -141,10 +166,10 @@ fn main() {
         match &plain_tokens {
             None => {
                 plain_t = t;
-                plain_tokens = Some(report.tokens.clone());
+                plain_tokens = Some(report.outcomes[0].tokens.clone());
             }
             Some(reference) => assert_eq!(
-                &report.tokens, reference,
+                &report.outcomes[0].tokens, reference,
                 "{kind}: speculative decode diverged from the plain stream"
             ),
         }
@@ -165,9 +190,9 @@ fn main() {
                 row.kind.to_string(),
                 format!("{:.3}", row.ms_per_token * 1e3),
                 format!("{:.2}", row.speedup),
-                format!("{:.0}%", r.acceptance_rate() * 100.0),
+                format!("{:.0}%", r.spec_acceptance_rate() * 100.0),
                 format!("{:.2}", r.mean_accepted_len()),
-                format!("{}", r.forward_steps),
+                format!("{}", r.steps),
             ]
         })
         .collect();

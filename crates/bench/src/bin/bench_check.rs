@@ -50,7 +50,7 @@ use lad_math::{with_kernel, Kernel, Rng};
 use lad_model::backend::AttentionKind;
 use lad_model::batch::decode_batch_gemm;
 use lad_model::config::ModelConfig;
-use lad_model::spec::{decode_speculative, SpecConfig};
+use lad_model::spec::SpecConfig;
 use lad_model::transformer::Model;
 use lad_obs::json::{self, Value};
 use lad_serve::baseline::serve_fixed_batches;
@@ -518,18 +518,30 @@ fn measure_goodput_ratio(model: &Model) -> (f64, usize, usize) {
 }
 
 /// Quick spec re-measurement: the same model/prompt recipe as the
-/// committed `spec_decode` bench at half the decode length. Returns the
-/// best speculative speedup over plain decoding (recency and ngram-pool
-/// drafters at K = 4) and that run's mean accepted length; token streams
-/// are asserted identical to the plain run.
+/// committed `spec_decode` bench at half the decode length, each run served
+/// as the only request of an engine that prefills the prompt in one tick.
+/// Returns the best speculative speedup over plain decoding (recency and
+/// ngram-pool drafters at K = 4) and that run's mean accepted length; token
+/// streams are asserted identical to the plain run.
 fn measure_spec_speedup() -> (f64, f64) {
     const SPEC_STEPS: usize = 128;
-    let model = Model::random(ModelConfig::tiny("spec-bench", 2, 256, 4), 7);
+    let model_cfg = ModelConfig::tiny("spec-bench", 2, 256, 4);
+    let model = Model::random(model_cfg.clone(), 7);
     let kind = AttentionKind::Exact;
     let prompt: Vec<u32> = (0..16u32).map(|i| (i * 31 + 5) % 256).collect();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let serve_cfg = ServeConfig {
+        prefill_chunk: prompt.len(),
+        ..ServeConfig::default()
+    };
     let run = |cfg: &SpecConfig| {
         time_per_token(SPEC_STEPS as f64, || {
-            decode_speculative(&model, &kind, &prompt, SPEC_STEPS, cfg)
+            let blocks = BlockPool::blocks_for(prompt.len() + SPEC_STEPS);
+            let pool = BlockPool::new(&model_cfg, blocks * block_bytes);
+            let mut engine = Engine::new(&model, &kind, pool, serve_cfg.clone());
+            engine
+                .submit(Request::new(0, prompt.clone(), SPEC_STEPS).with_speculation(cfg.clone()));
+            engine.run()
         })
     };
     let (plain, plain_t) = run(&SpecConfig::recency(0));
@@ -537,7 +549,7 @@ fn measure_spec_speedup() -> (f64, f64) {
         .iter()
         .map(|cfg| {
             let (report, t) = run(cfg);
-            if report.tokens != plain.tokens {
+            if report.outcomes[0].tokens != plain.outcomes[0].tokens {
                 fail("speculative decode diverged from the plain stream");
             }
             (plain_t / t, report.mean_accepted_len())

@@ -9,7 +9,8 @@
 //! attention heads, which own per-sample state, are the only part that fans
 //! out: one task per chunk of samples per layer on the shared
 //! [`WorkerPool`]. This is the only parallel decode path; the serving
-//! engine, speculative decoding and [`decode_batch_gemm`] all drive it.
+//! engine (speculative verify rounds included) and [`decode_batch_gemm`]
+//! drive it.
 //!
 //! Neither batching nor scheduling changes results: the GEMM's ascending-`k`
 //! accumulation contract makes every row bit-identical to the per-sample

@@ -41,5 +41,5 @@ pub use backend::{AttentionKind, HeadState, HeadStepOutput};
 pub use batch::{decode_batch_gemm, BatchResult, BatchSession, Run, StepOutcome};
 pub use config::{MlpKind, ModelConfig, NormKind, PositionKind};
 pub use sampling::{generate, Sampler};
-pub use spec::{decode_speculative, DraftPolicy, Drafter, SpecConfig, SpecReport};
+pub use spec::{DraftPolicy, Drafter, SpecConfig};
 pub use transformer::{argmax, log_prob, Model, Session};

@@ -141,6 +141,9 @@ struct Part {
 #[derive(Debug)]
 pub struct Engine<'m> {
     cfg: ServeConfig,
+    /// The served model, whose vocabulary and `max_seq` bound what
+    /// [`Engine::submit`] accepts.
+    model: &'m Model,
     session: BatchSession<'m>,
     pool: BlockPool,
     /// Default attention backend for requests without an explicit one.
@@ -185,6 +188,7 @@ impl<'m> Engine<'m> {
         let session = BatchSession::dynamic(model, kind, cfg.parallelism);
         Engine {
             cfg,
+            model,
             session,
             pool,
             kind: kind.clone(),
@@ -208,13 +212,37 @@ impl<'m> Engine<'m> {
 
     /// Enqueues a request. Requests must be submitted in arrival order.
     ///
+    /// Everything that could fail mid-[`Engine::run`] — and take every
+    /// co-batched request down with it — is rejected here instead.
+    ///
     /// # Panics
     ///
     /// Panics on an empty prompt, `max_tokens == 0`, out-of-order arrival
-    /// steps, or a request that could never fit the pool even alone
+    /// steps, a prompt token outside the model's vocabulary, a request that
+    /// needs more positions than the model's `max_seq` (the engine feeds
+    /// `prompt + max_tokens - 1` of them, speculation included), or a
+    /// request that could never fit the pool even alone
     /// (`blocks_for(prompt + max_tokens) > total_blocks` — such a request
     /// would preempt itself forever).
     pub fn submit(&mut self, req: Request) {
+        let model = self.model.config();
+        if let Some(&t) = req.prompt.iter().find(|&&t| t as usize >= model.vocab) {
+            panic!(
+                "serve: request {} has prompt token {t} outside the vocabulary ({})",
+                req.id, model.vocab
+            );
+        }
+        let positions = req
+            .prompt
+            .len()
+            .saturating_add(req.max_tokens)
+            .saturating_sub(1);
+        assert!(
+            positions <= model.max_seq,
+            "serve: request {} needs {positions} positions, above max_seq {}",
+            req.id,
+            model.max_seq
+        );
         assert!(
             BlockPool::blocks_for(req.prompt.len() + req.max_tokens) <= self.pool.total_blocks(),
             "serve: request {} can never fit the pool",
@@ -720,6 +748,7 @@ mod tests {
     use super::*;
     use crate::baseline::serve_fixed_batches;
     use lad_model::config::ModelConfig;
+    use lad_model::spec::SpecConfig;
     use lad_model::transformer::Session;
     use std::time::Duration;
 
@@ -756,9 +785,50 @@ mod tests {
         }
     }
 
+    /// Asserts that each `(id, prompt_len, max_tokens)` request retired with
+    /// its solo greedy stream under `kind`.
+    fn assert_solo_streams(
+        report: &ServeReport,
+        model: &Model,
+        kind: &AttentionKind,
+        requests: &[(u64, usize, usize)],
+    ) {
+        for &(id, plen, max) in requests {
+            let got = &report
+                .outcomes
+                .iter()
+                .find(|o| o.id == id)
+                .expect("request retired")
+                .tokens;
+            let want = solo_kind(model, kind, &prompt(id, plen), max, None);
+            assert_eq!(got, &want, "request {id}");
+        }
+    }
+
     /// Exact-attention solo reference.
     fn solo(model: &Model, prompt: &[u32], max_tokens: usize, eos: Option<u32>) -> Vec<u32> {
         solo_kind(model, &AttentionKind::Exact, prompt, max_tokens, eos)
+    }
+
+    /// Serves `prompt` as the only request of an engine whose one tick
+    /// prefills the whole prompt and whose pool holds the whole request,
+    /// decoding `steps` tokens speculatively under `spec`.
+    fn serve_alone(
+        model: &Model,
+        kind: &AttentionKind,
+        prompt: &[u32],
+        steps: usize,
+        spec: &SpecConfig,
+    ) -> ServeReport {
+        let cfg = ServeConfig {
+            prefill_chunk: prompt.len(),
+            ..ServeConfig::default()
+        };
+        let blocks = BlockPool::blocks_for(prompt.len() + steps);
+        let pool = BlockPool::new(model.config(), budget(blocks));
+        let mut engine = Engine::new(model, kind, pool, cfg);
+        engine.submit(Request::new(0, prompt.to_vec(), steps).with_speculation(spec.clone()));
+        engine.run()
     }
 
     #[test]
@@ -782,19 +852,12 @@ mod tests {
         assert_eq!(report.outcomes.len(), specs.len());
         assert_eq!(report.admissions, specs.len());
         assert_eq!(report.preemptions, 0);
-        for &(id, plen, max, _) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo(&model, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(
+            &report,
+            &model,
+            &AttentionKind::Exact,
+            &specs.map(|(id, plen, max, _)| (id, plen, max)),
+        );
         let total: usize = specs.iter().map(|&(_, _, max, _)| max).sum();
         assert_eq!(report.total_tokens(), total);
         assert_eq!(report.ttft.count(), specs.len() as u64);
@@ -827,19 +890,7 @@ mod tests {
         );
         let preempted: usize = report.outcomes.iter().map(|o| o.preemptions).sum();
         assert_eq!(preempted, report.preemptions);
-        for &(id, plen, max) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo(&model, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(&report, &model, &AttentionKind::Exact, &specs);
     }
 
     #[test]
@@ -879,17 +930,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "serve: request 0 can never fit the pool")]
     fn oversized_request_is_rejected_at_submit() {
         let model = tiny_model();
         let pool = BlockPool::new(&ModelConfig::tiny("serve", 2, 32, 2), budget(2));
         let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, ServeConfig::default());
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.submit(Request::new(0, prompt(0, 8), 64));
-        }));
-        assert!(
-            res.is_err(),
-            "a request that can never fit must panic at submit"
-        );
+        engine.submit(Request::new(0, prompt(0, 8), 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "serve: request 3 has prompt token 256 outside the vocabulary (256)")]
+    fn out_of_vocabulary_prompt_is_rejected_at_submit() {
+        let model = tiny_model();
+        let pool = BlockPool::new(model.config(), budget(64));
+        let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, ServeConfig::default());
+        engine.submit(Request::new(3, vec![1, 256, 2], 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "serve: request 1 needs 25 positions, above max_seq 24")]
+    fn max_seq_bounds_what_submit_accepts() {
+        // The engine feeds `prompt + max_tokens - 1` positions (the last
+        // generated token is never fed back), speculative verify rows
+        // included, so with `max_seq` 24 and a 4-token prompt 21 tokens is
+        // the largest request that fits.
+        let mut cfg = ModelConfig::tiny("serve", 2, 32, 2);
+        cfg.max_seq = 24;
+        let model = Model::random(cfg, 71);
+        let p = prompt(5, 4);
+        let pool = BlockPool::new(model.config(), budget(64));
+        let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, ServeConfig::default());
+        engine.submit(Request::new(0, p.clone(), 21).with_speculation(SpecConfig::recency(4)));
+        let report = engine.run();
+        // `Session::generate_greedy` also feeds its last token, so the
+        // reference runs on the same weights at the default `max_seq`
+        // (rotary positions: `max_seq` draws no weights).
+        assert_eq!(report.outcomes[0].tokens, solo(&tiny_model(), &p, 21, None));
+        engine.submit(Request::new(1, p, 22));
     }
 
     #[test]
@@ -911,19 +988,12 @@ mod tests {
 
         assert_eq!(report.outcomes.len(), specs.len());
         assert_eq!(report.preemptions, 0);
-        for &(id, plen, max, _) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo(&model, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(
+            &report,
+            &model,
+            &AttentionKind::Exact,
+            &specs.map(|(id, plen, max, _)| (id, plen, max)),
+        );
     }
 
     #[test]
@@ -953,19 +1023,12 @@ mod tests {
         let report = engine.run();
 
         assert_eq!(report.outcomes.len(), 3);
-        for &(id, plen, max) in &[(0u64, 9usize, 24usize), (1, 6, 15), (2, 11, 20)] {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo(&model, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(
+            &report,
+            &model,
+            &AttentionKind::Exact,
+            &[(0u64, 9usize, 24usize), (1, 6, 15), (2, 11, 20)],
+        );
         // Speculation actually ran: rounds were recorded and every round
         // committed at least the bonus token.
         assert!(report.accepted_len.count() > 0, "no verify rounds recorded");
@@ -1005,19 +1068,7 @@ mod tests {
             report.preemptions >= 1,
             "pool pressure must force a preemption"
         );
-        for &(id, plen, max) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo(&model, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(&report, &model, &AttentionKind::Exact, &specs);
     }
 
     #[test]
@@ -1043,6 +1094,84 @@ mod tests {
         let out = &report.outcomes[0];
         assert_eq!(out.finish, FinishReason::Eos);
         assert_eq!(out.tokens, expect, "tokens past EOS must be discarded");
+    }
+
+    #[test]
+    fn speculation_matches_greedy_for_both_policies() {
+        let model = tiny_model();
+        let p = [3u32, 1, 4, 1, 5];
+        let want = solo(&model, &p, 24, None);
+        for spec in [SpecConfig::recency(4), SpecConfig::ngram(4)] {
+            let report = serve_alone(&model, &AttentionKind::Exact, &p, 24, &spec);
+            assert_eq!(
+                report.outcomes[0].tokens, want,
+                "{:?} diverged from greedy",
+                spec.policy
+            );
+            assert!(report.spec_accepted <= report.spec_drafted);
+        }
+    }
+
+    #[test]
+    fn k_zero_speculation_is_one_tick_per_token() {
+        let model = tiny_model();
+        let p = [7u32, 8, 9];
+        let report = serve_alone(
+            &model,
+            &AttentionKind::Exact,
+            &p,
+            12,
+            &SpecConfig::recency(0),
+        );
+        assert_eq!(report.outcomes[0].tokens, solo(&model, &p, 12, None));
+        // One prefill tick yields the first token, then one tick per token.
+        assert_eq!(report.steps, 12);
+        assert_eq!(report.spec_drafted, 0);
+        assert_eq!(report.acceptance_pct.count(), 0);
+        assert!((report.mean_accepted_len() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn speculation_matches_greedy_for_sparse_backends() {
+        // Speculation with rollback (K = 4) and the degenerate one-token
+        // rounds (K = 0) must both reproduce plain greedy decoding, with
+        // budgets tight enough that top-k selection and H2O eviction are
+        // exercised mid-speculation.
+        let model = tiny_model();
+        let p = [3u32, 1, 4, 1, 5];
+        for kind in [AttentionKind::topk(4), AttentionKind::h2o_budget(8, 4)] {
+            let want = solo_kind(&model, &kind, &p, 24, None);
+            for k in [0usize, 4] {
+                let report = serve_alone(&model, &kind, &p, 24, &SpecConfig::recency(k));
+                assert_eq!(
+                    report.outcomes[0].tokens, want,
+                    "{kind:?} K={k} diverged from greedy"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_stream_reaches_high_acceptance() {
+        // Greedy decoding of a tiny random model settles into a short cycle;
+        // once the cycle has been seen the recency drafter predicts it
+        // perfectly, so speculation must commit > 1 token per forward pass.
+        let model = tiny_model();
+        let p = [3u32, 1, 4, 1, 5];
+        let report = serve_alone(
+            &model,
+            &AttentionKind::Exact,
+            &p,
+            48,
+            &SpecConfig::recency(4),
+        );
+        assert!(
+            report.mean_accepted_len() > 1.0,
+            "mean accepted length {} never beat plain decoding",
+            report.mean_accepted_len()
+        );
+        // Every tick after the prefill tick is one verify round.
+        assert_eq!(report.accepted_len.count() as usize, report.steps - 1);
     }
 
     #[test]
@@ -1128,23 +1257,20 @@ mod tests {
             report.preemptions >= 1,
             "pool pressure must force a preemption"
         );
-        for &(id, plen, max) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo_kind(&model, &kind, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(&report, &model, &kind, &specs);
     }
 
-    #[test]
-    fn eviction_returns_blocks_to_the_pool() {
+    /// Two rolling-window H2O requests (`spec` opts both into speculation)
+    /// in a 9-block pool. A zero heavy budget keeps exactly the 8 newest
+    /// positions alive per head, so older blocks go fully dead as decode
+    /// rolls past them. Each request spans 88 tokens = 6 blocks; two of them
+    /// need 12 blocks at peak without eviction feedback, which would force a
+    /// preemption. Reclaimed dead blocks keep each request's footprint at
+    /// ~2 blocks, so both fit. After every tick, each position the pool
+    /// holds dead must be evicted by every head of its sample (`mark_dead`
+    /// is irreversible). Returns the report after checking that no request
+    /// was preempted and both streams equal their solo decodes.
+    fn serve_rolling_window_pair(spec: Option<SpecConfig>) -> ServeReport {
         let model = tiny_model();
         let cfg = ServeConfig {
             max_active: 2,
@@ -1153,39 +1279,50 @@ mod tests {
             parallelism: 1,
             ..ServeConfig::default()
         };
-        // A zero heavy budget makes H2O a rolling window: every head keeps
-        // exactly the 8 newest positions alive, so older blocks go fully
-        // dead as decode rolls past them. Each request spans 88 tokens = 6
-        // blocks; two of them need 12 blocks at peak without eviction
-        // feedback, which would force a preemption in this 9-block pool.
-        // Reclaimed dead blocks keep each request's footprint at ~2 blocks,
-        // so both fit.
         let kind = AttentionKind::h2o_budget(0, 8);
         let pool = BlockPool::new(&ModelConfig::tiny("serve", 2, 32, 2), budget(9));
         let mut engine = Engine::new(&model, &AttentionKind::Exact, pool, cfg);
         let specs = [(0u64, 8usize, 80usize), (1, 8, 80)];
         for &(id, plen, max) in &specs {
-            engine.submit(Request::new(id, prompt(id, plen), max).with_backend(kind.clone()));
+            let mut req = Request::new(id, prompt(id, plen), max).with_backend(kind.clone());
+            req.spec = spec.clone();
+            engine.submit(req);
+        }
+        while engine.queued() + engine.active() > 0 {
+            engine.tick();
+            for a in &engine.active {
+                let dead = engine.session.dead_positions(a.slot);
+                for pos in 0..engine.session.position(a.slot) {
+                    assert!(
+                        !engine.pool.is_dead(a.pool_id, pos) || dead.contains(&pos),
+                        "tick {}: request {} position {pos} reclaimed while alive",
+                        engine.step,
+                        a.state.id
+                    );
+                }
+            }
         }
         let report = engine.run();
-
         assert_eq!(
             report.preemptions, 0,
             "reclaimed blocks must absorb the concurrent overhang"
         );
-        for &(id, plen, max) in &specs {
-            let got = &report
-                .outcomes
-                .iter()
-                .find(|o| o.id == id)
-                .expect("request retired")
-                .tokens;
-            assert_eq!(
-                got,
-                &solo_kind(&model, &kind, &prompt(id, plen), max, None),
-                "request {id}"
-            );
-        }
+        assert_solo_streams(&report, &model, &kind, &specs);
+        report
+    }
+
+    #[test]
+    fn eviction_returns_blocks_to_the_pool() {
+        serve_rolling_window_pair(None);
+    }
+
+    #[test]
+    fn speculative_eviction_reclaims_only_committed_rows() {
+        // Reclaim runs after the tick's rollback: a rejected draft row's
+        // evictions are undone before the pool sees them, so no position a
+        // head revives on rollback is ever marked dead.
+        let report = serve_rolling_window_pair(Some(SpecConfig::recency(4)));
+        assert_eq!((report.spec_drafted, report.spec_accepted), (185, 79));
     }
 
     #[test]

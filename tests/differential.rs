@@ -20,14 +20,16 @@
 //!
 //! Interpreting a mismatch: see `tests/README.md`.
 
+use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
 use lad::core::stats::StepStats;
 use lad::math::pwl::PwlExp;
 use lad::model::backend::AttentionKind;
 use lad::model::batch::{decode_batch_gemm, BatchSession, StepOutcome};
 use lad::model::config::ModelConfig;
-use lad::model::spec::{decode_speculative, SpecConfig};
+use lad::model::spec::SpecConfig;
 use lad::model::transformer::{argmax, Model, Session};
+use lad::serve::{Engine, Request, ServeConfig, ServeReport};
 
 /// One grid point of the differential sweep.
 struct DiffConfig {
@@ -391,6 +393,38 @@ fn backend_zoo_differential_grid() {
     }
 }
 
+/// Greedy-decodes `steps` tokens from `prompt` as the only request of a
+/// serving engine: the first tick prefills the whole prompt and samples the
+/// first token, every later tick is one speculative verify round under
+/// `spec`, and the pool holds the whole request, so nothing is preempted.
+fn serve_speculative(
+    model: &Model,
+    kind: &AttentionKind,
+    prompt: &[u32],
+    steps: usize,
+    spec: &SpecConfig,
+) -> ServeReport {
+    let model_cfg = model.config();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let pool = BlockPool::new(
+        model_cfg,
+        BlockPool::blocks_for(prompt.len() + steps) * block_bytes,
+    );
+    let cfg = ServeConfig {
+        prefill_chunk: prompt.len(),
+        parallelism: 1,
+        ..ServeConfig::default()
+    };
+    let mut engine = Engine::new(model, kind, pool, cfg);
+    engine.submit(Request::new(0, prompt.to_vec(), steps).with_speculation(spec.clone()));
+    let report = engine.run();
+    assert_eq!(
+        report.preemptions, 0,
+        "a pool sized for the request preempted"
+    );
+    report
+}
+
 /// Speculative leg — acceptance equivalence: draft/verify decoding with a
 /// training-free drafter must produce *exactly* the greedy sequential
 /// stream, whatever the draft depth K or drafter policy, on every grid
@@ -421,37 +455,36 @@ fn speculative_decode_matches_greedy_grid() {
                 } else {
                     SpecConfig::ngram(k)
                 };
-                let report = decode_speculative(&model, kind, &prompt, cfg.steps, &spec);
+                let report = serve_speculative(&model, kind, &prompt, cfg.steps, &spec);
                 assert_eq!(
-                    report.tokens, expected,
+                    report.outcomes[0].tokens, expected,
                     "{}/{kind_name}/k{k}: speculative decode diverged from greedy",
                     cfg.label
                 );
                 assert!(
-                    report.accepted <= report.drafted,
+                    report.spec_accepted <= report.spec_drafted,
                     "{}/{kind_name}/k{k}: accepted more than was drafted",
                     cfg.label
                 );
                 if k == 0 {
-                    // Degenerate case: no drafts, one round and one forward
-                    // step per generated token — the plain decode loop.
-                    assert_eq!(report.drafted, 0, "{}/{kind_name}: k=0 drafted", cfg.label);
+                    // Degenerate case: no drafts, one tick (one forward
+                    // step) per generated token — the plain decode loop.
                     assert_eq!(
-                        report.rounds, cfg.steps,
-                        "{}/{kind_name}: k=0 must run one round per token",
+                        report.spec_drafted, 0,
+                        "{}/{kind_name}: k=0 drafted",
                         cfg.label
                     );
                     assert_eq!(
-                        report.forward_steps, cfg.steps,
+                        report.steps, cfg.steps,
                         "{}/{kind_name}: k=0 must run one forward per token",
                         cfg.label
                     );
                 } else {
-                    // Every verify round commits at least the bonus token,
-                    // so rounds never exceed generated tokens.
+                    // Every tick commits at least one token, so ticks never
+                    // exceed generated tokens.
                     assert!(
-                        report.rounds <= report.tokens.len(),
-                        "{}/{kind_name}/k{k}: more rounds than tokens",
+                        report.steps <= cfg.steps,
+                        "{}/{kind_name}/k{k}: more ticks than tokens",
                         cfg.label
                     );
                 }
@@ -530,10 +563,10 @@ fn speculative_decode_is_token_identical_under_simd_kernel() {
             for k in [0usize, 4] {
                 for spec in [SpecConfig::recency(k), SpecConfig::ngram(k)] {
                     let report = with_kernel(Kernel::Simd, || {
-                        decode_speculative(&model, kind, &prompt, cfg.steps, &spec)
+                        serve_speculative(&model, kind, &prompt, cfg.steps, &spec)
                     });
                     assert_eq!(
-                        report.tokens, expected,
+                        report.outcomes[0].tokens, expected,
                         "{}/{kind_name}/k{k}: speculative decode under the SIMD \
                          kernel diverged from the scalar greedy stream",
                         cfg.label
