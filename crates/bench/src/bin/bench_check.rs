@@ -14,9 +14,12 @@
 //!   accepted length > 1.0 (the verifier must accept real draft tokens,
 //!   not just the bonus token);
 //! * the `gemm_kernels` microkernel ratios: SIMD f32 GEMM at least 1.5x the
-//!   scalar microkernel on the MLP shape (and bit-identical to it), and the
-//!   fp16 KV score read at least 1.2x the f32 read. Skipped (with a notice)
-//!   on hosts without AVX2+F16C, where only the committed numbers are
+//!   scalar microkernel on the MLP shape (and bit-identical to it), the
+//!   fp16 KV score read at least 1.2x the f32 read, and the SIMD GEMM's row
+//!   staircase time(m = 16) ÷ time(m = 8) at most 1.6 (the 16-row AVX-512F
+//!   panel). The section names the GEMM panel widths this host runs.
+//!   Skipped (with a notice) on hosts without AVX2+F16C, and the staircase
+//!   alone on hosts without AVX-512F, where only the committed numbers are
 //!   checked;
 //! * the `obs_overhead` enabled-recorder cost: serving steps/s with spans,
 //!   metrics and the request timeline all recording may run at most 5%
@@ -73,6 +76,10 @@ const SIMD_GEMM_FLOOR: f64 = 1.5;
 
 /// Acceptance floor of the `gemm_kernels` fp16 KV score read row (vs f32).
 const F16_READ_FLOOR: f64 = 1.2;
+
+/// Ceiling of the `gemm_kernels` row staircase row: SIMD f32 GEMM
+/// time(m = 16) ÷ time(m = 8) at n 512 × k 512, on AVX-512F hosts.
+const ROWS16_CEILING: f64 = 1.6;
 
 /// Ceiling on the enabled-recorder serving overhead (percent) committed
 /// by the `obs_overhead` bench.
@@ -222,43 +229,64 @@ fn recorded_spec_best(results: &[Value]) -> (String, f64, f64) {
 }
 
 /// Validates the `BENCH_kernels.json` rows: every row meets its own
-/// recorded floor, and the two hard-gated kinds are present with floors no
-/// weaker than this binary's constants (a committed baseline cannot quietly
-/// lower the bar). Returns the recorded (simd-gemm, f16-read) speedups.
-fn check_kernel_rows(results: &[Value]) -> (f64, f64) {
-    let field = |row: &Value, name: &str| -> f64 {
-        row.get(name)
-            .and_then(Value::as_f64)
-            .expect("validated above")
-    };
-    for row in results {
-        let kind = row
-            .get("kind")
+/// recorded gate (`speedup ≥ floor`, or `ratio ≤ ceiling`), and the three
+/// hard-gated kinds are present with gates no weaker than this binary's
+/// constants (a committed baseline cannot quietly lower the bar). Returns
+/// the recorded (simd-gemm, f16-read, rows16) ratios.
+fn check_kernel_rows(results: &[Value]) -> (f64, f64, f64) {
+    let field = |row: &Value, name: &str| -> Option<f64> { row.get(name).and_then(Value::as_f64) };
+    fn kind(row: &Value) -> &str {
+        row.get("kind")
             .and_then(Value::as_str)
-            .expect("validated above");
-        let (speedup, floor) = (field(row, "speedup"), field(row, "floor"));
-        if speedup < floor {
-            fail(&format!(
+            .expect("validated above")
+    }
+    for row in results {
+        let kind = kind(row);
+        match (
+            field(row, "speedup"),
+            field(row, "floor"),
+            field(row, "ratio"),
+            field(row, "ceiling"),
+        ) {
+            (Some(speedup), Some(floor), None, None) if speedup < floor => fail(&format!(
                 "BENCH_kernels.json: {kind} records {speedup:.2}x, below its own \
                  {floor:.2}x floor — the baseline itself regressed"
-            ));
+            )),
+            (None, None, Some(ratio), Some(ceiling)) if ratio > ceiling => fail(&format!(
+                "BENCH_kernels.json: {kind} records {ratio:.2}x, above its own \
+                 {ceiling:.2}x ceiling — the baseline itself regressed"
+            )),
+            (Some(_), Some(_), None, None) | (None, None, Some(_), Some(_)) => {}
+            _ => fail(&format!(
+                "BENCH_kernels.json: {kind} needs either speedup + floor or ratio + ceiling"
+            )),
         }
     }
-    let find = |kind: &str, min_floor: f64| -> f64 {
-        let row = results
+    let find = |name: &str| -> &Value {
+        results
             .iter()
-            .find(|r| r.get("kind").and_then(Value::as_str) == Some(kind))
-            .unwrap_or_else(|| fail(&format!("BENCH_kernels.json: no {kind} row")));
-        if field(row, "floor") < min_floor {
+            .find(|r| kind(r) == name)
+            .unwrap_or_else(|| fail(&format!("BENCH_kernels.json: no {name} row")))
+    };
+    let floored = |name: &str, min_floor: f64| -> f64 {
+        let row = find(name);
+        if field(row, "floor").unwrap_or(f64::NEG_INFINITY) < min_floor {
             fail(&format!(
-                "BENCH_kernels.json: {kind} floor weakened below {min_floor:.2}x"
+                "BENCH_kernels.json: {name} floor weakened below {min_floor:.2}x"
             ));
         }
-        field(row, "speedup")
+        field(row, "speedup").expect("validated above")
     };
-    let gemm = find("gemm_f32", SIMD_GEMM_FLOOR);
-    let f16 = find("kv_read_f16", F16_READ_FLOOR);
-    (gemm, f16)
+    let gemm = floored("gemm_f32", SIMD_GEMM_FLOOR);
+    let f16 = floored("kv_read_f16", F16_READ_FLOOR);
+    let rows16_row = find("gemm_f32_rows16");
+    if field(rows16_row, "ceiling").unwrap_or(f64::INFINITY) > ROWS16_CEILING {
+        fail(&format!(
+            "BENCH_kernels.json: gemm_f32_rows16 ceiling loosened above {ROWS16_CEILING:.2}x"
+        ));
+    }
+    let rows16 = field(rows16_row, "ratio").expect("validated above");
+    (gemm, f16, rows16)
 }
 
 /// Validates the committed `BENCH_backends.json` rows: agreements are
@@ -444,6 +472,41 @@ fn measure_kernel_ratios() -> (f64, f64) {
         kv16.score_keys_into(&q, &mut scores);
     });
     (scalar_us / simd_us, f32_us / f16_us)
+}
+
+/// Quick re-measurement of the row staircase, same shape as the committed
+/// `gemm_kernels` row at half its iterations: SIMD f32 GEMM time(m = 16) ÷
+/// time(m = 8), with the 16-row result required bit-identical to scalar.
+/// `None` on hosts without AVX-512F, where the 16-row panel does not exist.
+fn measure_rows16() -> Option<f64> {
+    const N: usize = 512;
+    const K: usize = 512;
+    if !lad_math::simd::avx512_supported() {
+        return None;
+    }
+    let mut rng = Rng::new(0x16);
+    let b_t = rng.normal_vec(N * K, 1.0);
+    let a = rng.normal_vec(16 * K, 1.0);
+    let mut c8 = vec![0.0f32; 8 * N];
+    let mut c16 = vec![0.0f32; 16 * N];
+    let mut c16_scalar = vec![0.0f32; 16 * N];
+    let mut scratch = GemmScratch::default();
+    let (t8, t16) = with_kernel(Kernel::Simd, || {
+        let t8 = time_us(50, || {
+            gemm_bt_into(8, N, K, &a[..8 * K], &b_t, &mut c8, &mut scratch)
+        });
+        let t16 = time_us(50, || {
+            gemm_bt_into(16, N, K, &a, &b_t, &mut c16, &mut scratch)
+        });
+        (t8, t16)
+    });
+    with_kernel(Kernel::Scalar, || {
+        gemm_bt_into(16, N, K, &a, &b_t, &mut c16_scalar, &mut scratch)
+    });
+    if c16 != c16_scalar {
+        fail("16-row SIMD f32 GEMM diverged from the scalar microkernel (must be bit-identical)");
+    }
+    Some(t16 / t8)
 }
 
 /// Quick serving workload: two waves of four ragged requests against a
@@ -663,7 +726,7 @@ fn main() {
     let kernel_results = check_schema(
         "BENCH_kernels.json",
         &kernels_doc,
-        &["baseline_us", "variant_us", "speedup", "floor", "bit_exact"],
+        &["baseline_us", "variant_us", "bit_exact"],
     );
     let obs_doc = load("BENCH_obs.json");
     let obs_results = check_schema(
@@ -697,11 +760,13 @@ fn main() {
          (per-cell floor {BACKEND_QPB_FLOOR:.2}x, sweep floor {BACKEND_HERO_FLOOR:.2}x)"
     );
 
-    let (recorded_simd_gemm, recorded_f16_read) = check_kernel_rows(kernel_results);
+    let (recorded_simd_gemm, recorded_f16_read, recorded_rows16) =
+        check_kernel_rows(kernel_results);
     println!(
-        "recorded microkernel speedups: gemm_f32 {recorded_simd_gemm:.2}x \
+        "recorded microkernel ratios: gemm_f32 {recorded_simd_gemm:.2}x \
          (floor {SIMD_GEMM_FLOOR:.2}x), kv_read_f16 {recorded_f16_read:.2}x \
-         (floor {F16_READ_FLOOR:.2}x)"
+         (floor {F16_READ_FLOOR:.2}x), gemm_f32_rows16 {recorded_rows16:.2}x \
+         (ceiling {ROWS16_CEILING:.2}x)"
     );
 
     let recorded_goodput = recorded_goodput_ratio(serve_results);
@@ -863,6 +928,7 @@ fn main() {
     }
 
     section("bench_check: quick re-measurement (gemm_kernels, scalar vs SIMD)");
+    println!("gemm panels: {}", lad_math::simd::gemm_panels());
     if Kernel::Simd.available() {
         let (simd_gemm, f16_read) = measure_kernel_ratios();
         println!(
@@ -881,6 +947,25 @@ fn main() {
                 "measured fp16 KV read speedup {f16_read:.2}x regressed below the \
                  {F16_READ_FLOOR:.2}x floor (baseline recorded {recorded_f16_read:.2}x)"
             ));
+        }
+        match measure_rows16() {
+            Some(rows16) => {
+                println!(
+                    "gemm_f32_rows16 {rows16:.2}x (recorded {recorded_rows16:.2}x, ceiling \
+                     {ROWS16_CEILING:.2}x)"
+                );
+                if rows16 > ROWS16_CEILING {
+                    fail(&format!(
+                        "measured 16-row GEMM staircase {rows16:.2}x rose above the \
+                         {ROWS16_CEILING:.2}x ceiling (baseline recorded {recorded_rows16:.2}x)"
+                    ));
+                }
+            }
+            None => println!(
+                "gemm_f32_rows16: AVX-512F not available on this host; SKIPPED the \
+                 staircase re-measurement (the 16-row panel went unexercised; the \
+                 committed row was still checked above)"
+            ),
         }
     } else {
         println!(

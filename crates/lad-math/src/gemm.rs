@@ -20,24 +20,39 @@
 //! to `batch` separate per-sample `matvec` calls, and the blocked kernel is
 //! bit-identical to a naive triple loop. Blocking therefore only reorders
 //! *which elements* are computed when (i/j tiling plus a transposed,
-//! `MR`-interleaved A panel that makes the micro-kernel's inner loop a
-//! contiguous `chunks_exact` walk) — never the adds within one element.
+//! row-interleaved A panel of `MR` or `MR_WIDE` rows that makes the
+//! micro-kernel's inner loop a contiguous `chunks_exact` walk) — never the
+//! adds within one element.
 //! The differential harness (`tests/differential.rs`) and the lad-math
 //! proptests pin this contract down.
 //!
 //! **Kernel dispatch.** The inner block microkernel is selected per call via
-//! [`crate::simd::active_kernel`]: the scalar reference, or an explicit AVX2
-//! `f32x8` path ([`crate::simd`]) whose lanes run across the `MR` packed rows
-//! so each output element still accumulates sequentially in ascending `k` —
-//! the two are bit-identical, and tests below plus the differential grid pin
-//! that.
+//! [`crate::simd::active_kernel`]: the scalar reference, or the explicit
+//! SIMD paths in [`crate::simd`] — an AVX2 `f32x8` kernel over `MR`-row
+//! panels and, on AVX-512F hosts, an `f32x16` kernel over `MR_WIDE`-row
+//! panels. Either way the lanes run across the packed rows, so each output
+//! element still accumulates sequentially in ascending `k`: all of them are
+//! bit-identical, and tests below plus the differential grid pin that.
+//!
+//! **Panel widths.** A block of more than `MR` rows runs on one `MR_WIDE`
+//! panel when the CPU has AVX-512F, so a step of 9–16 rows costs one 16-lane
+//! pass over `B` instead of two 8-lane ones. Blocks of `MR` rows or fewer
+//! (every step of ≤ 8 rows, and the tail of a larger one: m = 20 runs as
+//! 16 + 4) keep the 8-lane panel, because a half-empty 16-lane panel is
+//! slower than a full 8-lane one.
 
 use crate::simd::{self, Kernel};
 
-/// Register-block width over the `m` (batch/row) dimension: the micro-kernel
-/// keeps `MR` accumulators live and re-reads each `B` row once per `MR` rows
-/// of `A`, so a batch of ≤ `MR` samples streams the weights exactly once.
+/// Rows per packed panel of the 8-lane kernels (scalar, AVX2, int8): the
+/// micro-kernel keeps `MR` accumulators live and re-reads each `B` row once
+/// per panel, so a batch of ≤ `MR` samples streams the weights exactly once.
 pub const MR: usize = 8;
+
+/// Rows per packed panel of the AVX-512F `f32x16` kernel, which takes every
+/// block of more than `MR` rows on hosts that have it: ≤ `MR_WIDE` rows
+/// stream the weights once, and a larger batch once per `MR_WIDE` rows plus
+/// once for the remainder.
+pub const MR_WIDE: usize = 16;
 
 /// `C = A · Bᵀ` where `a` is `m × k` row-major, `b_t` is `n × k` row-major
 /// (each of its rows is one *output* row of weights — the natural layout of a
@@ -54,7 +69,7 @@ pub fn gemm_bt(m: usize, n: usize, k: usize, a: &[f32], b_t: &[f32], c: &mut [f3
 }
 
 /// Reusable packing buffer for [`gemm_bt_into`]: holds the transposed,
-/// `MR`-interleaved A panel so steady-state GEMM calls never allocate.
+/// row-interleaved A panel so steady-state GEMM calls never allocate.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     panel: Vec<f32>,
@@ -68,10 +83,11 @@ pub struct GemmScratch {
 const SHRINK_FACTOR: usize = 4;
 
 impl GemmScratch {
-    /// Clears and sizes the panel for a `k`-deep block, shrinking the backing
-    /// allocation when a smaller `k` follows a much larger one.
-    pub(crate) fn prepare(&mut self, k: usize) -> &mut [f32] {
-        let need = MR * k;
+    /// Clears and sizes the panel for a `width`-row, `k`-deep block,
+    /// shrinking the backing allocation when a smaller shape follows a much
+    /// larger one.
+    pub(crate) fn prepare(&mut self, width: usize, k: usize) -> &mut [f32] {
+        let need = width * k;
         self.panel.clear();
         if self.panel.capacity() > SHRINK_FACTOR * need {
             self.panel.shrink_to(need);
@@ -88,10 +104,19 @@ impl GemmScratch {
 }
 
 /// Packs the `mr`-row block of `a` starting at row `i0` transposed and
-/// `MR`-interleaved: `panel[l·MR + ii] = a[i0+ii][l]`. The microkernels then
-/// walk it one contiguous `MR`-vector per `k` index.
-pub(crate) fn pack_panel(panel: &mut [f32], a: &[f32], i0: usize, mr: usize, k: usize) {
-    for (l, chunk) in panel.chunks_exact_mut(MR).enumerate().take(k) {
+/// `width`-interleaved: `panel[l·width + ii] = a[i0+ii][l]`. The microkernels
+/// then walk it one contiguous `width`-vector per `k` index. Lanes
+/// `mr..width` keep whatever an earlier block left there; no kernel ever
+/// stores them.
+pub(crate) fn pack_panel(
+    panel: &mut [f32],
+    a: &[f32],
+    i0: usize,
+    mr: usize,
+    k: usize,
+    width: usize,
+) {
+    for (l, chunk) in panel.chunks_exact_mut(width).enumerate().take(k) {
         for (ii, slot) in chunk[..mr].iter_mut().enumerate() {
             *slot = a[(i0 + ii) * k + l];
         }
@@ -121,15 +146,21 @@ pub fn gemm_bt_into(
         return;
     }
     let kernel = simd::active_kernel();
-    let panel = scratch.prepare(k);
+    let wide = kernel == Kernel::Simd && m > MR && simd::avx512_supported();
+    let panel = scratch.prepare(if wide { MR_WIDE } else { MR }, k);
 
     let mut i0 = 0;
     while i0 < m {
-        let mr = MR.min(m - i0);
-        pack_panel(panel, a, i0, mr, k);
+        let width = if wide && m - i0 > MR { MR_WIDE } else { MR };
+        let mr = width.min(m - i0);
+        let panel = &mut panel[..width * k];
+        pack_panel(panel, a, i0, mr, k, width);
         match kernel {
+            Kernel::Simd if width == MR_WIDE => {
+                simd::gemm_block_f32_avx512(i0, mr, n, k, panel, b_t, c)
+            }
             Kernel::Simd => simd::gemm_block_f32_simd(i0, mr, n, k, panel, b_t, c),
-            Kernel::Scalar => simd::gemm_block_f32_scalar(i0, mr, n, k, panel, b_t, c),
+            Kernel::Scalar => simd::gemm_block_f32_scalar::<MR>(i0, mr, n, k, panel, b_t, c),
         }
         i0 += mr;
     }
@@ -202,8 +233,9 @@ mod tests {
     #[test]
     fn simd_and_scalar_kernels_are_bit_identical() {
         use crate::simd::{with_kernel, Kernel};
-        // Shapes chosen to exercise every microkernel edge: partial MR
-        // blocks, NR tails, k = 1, and the MLP-dominant bench shape.
+        // Shapes chosen to exercise every microkernel edge: partial MR and
+        // MR_WIDE blocks, 16 + 1 / 16 + 8 / 16 + 16 + 1 / 16 + 16 + 8 row
+        // splits, NR tails, k = 1, and the MLP-dominant bench shape.
         for (m, n, k, seed) in [
             (1, 1, 1, 1u64),
             (3, 5, 7, 2),
@@ -213,6 +245,10 @@ mod tests {
             (2, 256, 128, 6),
             (7, 3, 1, 7),
             (8, 512, 256, 8),
+            (17, 9, 40, 9),
+            (24, 6, 17, 10),
+            (33, 13, 5, 11),
+            (40, 64, 96, 12),
         ] {
             let a = random(m * k, seed);
             let b_t = random(n * k, seed + 200);
@@ -224,6 +260,69 @@ mod tests {
             gemm_bt_naive(m, n, k, &a, &b_t, &mut naive);
             assert_eq!(scalar, naive, "scalar vs naive m={m} n={n} k={k}");
             assert_eq!(simd, naive, "simd vs naive m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn non_finite_row_stays_in_its_lane_and_stale_lanes_never_leak() {
+        use crate::simd::{with_kernel, Kernel};
+        // m = 16 is one 16-row panel (on AVX-512F hosts), m = 8 one 8-row
+        // panel, m = 20 a 16-row panel plus a 4-row one packed over the same
+        // buffer: a bad row 13 leaves its value in unused lane 5 of the tail.
+        let (n, k) = (9, 23);
+        let b_t = random(n * k, 300);
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            for (m, bad_row) in [(16, 5), (16, 15), (8, 3), (20, 13), (20, 17)] {
+                for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let clean = random(m * k, 301 + m as u64);
+                    let mut a = clean.clone();
+                    a[bad_row * k + k / 2] = poison;
+                    let mut expect = vec![0.0; m * n];
+                    let mut got = vec![0.0; m * n];
+                    gemm_bt_naive(m, n, k, &clean, &b_t, &mut expect);
+                    with_kernel(kernel, || gemm_bt(m, n, k, &a, &b_t, &mut got));
+                    for i in (0..m).filter(|&i| i != bad_row) {
+                        assert_eq!(
+                            got[i * n..(i + 1) * n],
+                            expect[i * n..(i + 1) * n],
+                            "{} m={m}: row {i} changed by a {poison} in row {bad_row}",
+                            kernel.name()
+                        );
+                    }
+                    assert!(
+                        got[bad_row * n..(bad_row + 1) * n]
+                            .iter()
+                            .all(|v| !v.is_finite()),
+                        "{} m={m}: row {bad_row} lost its {poison}",
+                        kernel.name()
+                    );
+                }
+            }
+
+            // A poisoned 16-row call leaves non-finite values in every
+            // packed lane; smaller calls on the same scratch must not see
+            // them.
+            let mut scratch = GemmScratch::default();
+            let poisoned = vec![f32::NAN; 16 * k];
+            let mut c16 = vec![0.0; 16 * n];
+            with_kernel(kernel, || {
+                gemm_bt_into(16, n, k, &poisoned, &b_t, &mut c16, &mut scratch)
+            });
+            for m in [12, 9, 8, 3, 1] {
+                let a = random(m * k, 400 + m as u64);
+                let mut expect = vec![0.0; m * n];
+                let mut got = vec![0.0; m * n];
+                gemm_bt_naive(m, n, k, &a, &b_t, &mut expect);
+                with_kernel(kernel, || {
+                    gemm_bt_into(m, n, k, &a, &b_t, &mut got, &mut scratch)
+                });
+                assert_eq!(
+                    got,
+                    expect,
+                    "{} m={m} after a poisoned 16-row call",
+                    kernel.name()
+                );
+            }
         }
     }
 

@@ -134,11 +134,11 @@ pub fn gemm_bt_q8_into(
         return;
     }
     let kernel = active_kernel();
-    let panel = scratch.prepare(k);
+    let panel = scratch.prepare(MR, k);
     let mut i0 = 0;
     while i0 < m {
         let mr = MR.min(m - i0);
-        pack_panel(panel, a, i0, mr, k);
+        pack_panel(panel, a, i0, mr, k, MR);
         match kernel {
             Kernel::Simd => gemm_block_q8_simd(i0, mr, n, k, panel, &w.data, &w.scales, c),
             Kernel::Scalar => gemm_block_q8_scalar(i0, mr, n, k, panel, &w.data, &w.scales, c),

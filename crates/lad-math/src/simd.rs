@@ -5,33 +5,37 @@
 //! `k` index at a time. That shape is already a vector computation: the eight
 //! accumulators are one `f32x8` register, the packed panel chunk at index `l`
 //! is one aligned-width load, and the `B` weight is a broadcast. The AVX2
-//! kernel here exploits exactly that layout, with two invariants that make it
-//! **bit-identical** to the scalar reference:
+//! kernel here exploits exactly that layout, and the AVX-512F kernel runs the
+//! same loop over a `MR_WIDE = 16`-row panel in one `f32x16` register. Both
+//! keep two invariants that make them **bit-identical** to the scalar
+//! reference:
 //!
 //! * **Lanes are rows, not `k`.** Each SIMD lane accumulates one output
 //!   element sequentially over ascending `l`, so the ascending-`k`
 //!   accumulation contract (see [`crate::gemm`]) is preserved per element —
 //!   vectorisation reorders *which elements* advance together, never the adds
-//!   within one element.
+//!   within one element. Lanes past the block's `mr` rows are never stored.
 //! * **Separate multiply and add, never FMA.** Rust scalar `acc += x * w`
 //!   rounds the product before the add (no floating-point contraction), so the
-//!   SIMD kernel uses `_mm256_mul_ps` + `_mm256_add_ps`; a fused
-//!   multiply-add would skip the intermediate rounding and drift off the
-//!   scalar path by an ULP at a time.
+//!   SIMD kernels use `_mm256_mul_ps` + `_mm256_add_ps` (`_mm512_*` for the
+//!   wide panel); a fused multiply-add would skip the intermediate rounding
+//!   and drift off the scalar path by an ULP at a time.
 //!
 //! Dispatch is three-tiered: a process-wide default from `LAD_GEMM_KERNEL`
-//! (`scalar` forces the reference path, `simd`/`auto` use AVX2 when the CPU
-//! has it), a thread-local scoped override ([`with_kernel`]) for tests and
-//! benches, and a runtime CPUID check that degrades to scalar on machines
-//! without AVX2/F16C. The f16 dot kernel ([`dot_f16`]) reorders its
-//! accumulation for throughput and is therefore *bounded-error*, not
-//! bit-exact — its reference semantics are [`dot_f16_scalar`].
+//! (`scalar` forces the reference path, `simd`/`auto` use the widest
+//! bit-exact kernel the CPU has), a thread-local scoped override
+//! ([`with_kernel`]) for tests and benches, and runtime CPUID checks, cached
+//! once per process: [`simd_supported`] (AVX2 + F16C, else scalar) and
+//! [`avx512_supported`] (AVX-512F, which adds the 16-row panel). The f16 dot
+//! kernel ([`dot_f16`]) reorders its accumulation for throughput and is
+//! therefore *bounded-error*, not bit-exact — its reference semantics are
+//! [`dot_f16_scalar`].
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::f16::F16;
-use crate::gemm::MR;
+use crate::gemm::{MR, MR_WIDE};
 
 /// Column-block width of the SIMD microkernel: four `B` rows share each packed
 /// panel load, quartering panel traffic without touching per-element
@@ -44,8 +48,10 @@ pub enum Kernel {
     /// The portable reference microkernel — always available, and the
     /// bit-exactness oracle for the SIMD f32 path.
     Scalar,
-    /// Explicit AVX2 `f32x8` microkernel (plus F16C for fp16 KV reads).
-    /// Requests degrade to [`Kernel::Scalar`] when the CPU lacks support.
+    /// The widest bit-exact SIMD kernel this CPU has: the AVX2 `f32x8`
+    /// microkernel (plus F16C for fp16 KV reads), and on AVX-512F hosts the
+    /// `f32x16` one for GEMM blocks of more than `MR` rows. Requests degrade
+    /// to [`Kernel::Scalar`] when the CPU lacks AVX2 + F16C.
     Simd,
 }
 
@@ -79,6 +85,31 @@ pub fn simd_supported() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 pub fn simd_supported() -> bool {
     false
+}
+
+/// Runtime CPU check for the 16-row GEMM panel (AVX-512F on top of the
+/// [`simd_supported`] set), cached after the first query.
+#[cfg(target_arch = "x86_64")]
+pub fn avx512_supported() -> bool {
+    static SUPPORTED: OnceLock<bool> = OnceLock::new();
+    *SUPPORTED.get_or_init(|| simd_supported() && is_x86_feature_detected!("avx512f"))
+}
+
+/// Runtime CPU check for the 16-row GEMM panel — always `false` off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+pub fn avx512_supported() -> bool {
+    false
+}
+
+/// The f32 GEMM panels the next call on this thread runs, for bench headers
+/// and CI logs: a host without AVX-512F says here that the 16-row path went
+/// unexercised.
+pub fn gemm_panels() -> &'static str {
+    match active_kernel() {
+        Kernel::Simd if avx512_supported() => "16-row avx512 + 8-row avx2",
+        Kernel::Simd => "8-row avx2",
+        Kernel::Scalar => "8-row scalar",
+    }
 }
 
 /// Process-wide default kernel, read once from `LAD_GEMM_KERNEL`
@@ -153,11 +184,36 @@ pub(crate) fn gemm_block_f32_simd(
         unsafe { gemm_block_f32_avx2(i0, mr, n, k, panel, b_t, c) };
         return;
     }
-    gemm_block_f32_scalar(i0, mr, n, k, panel, b_t, c);
+    gemm_block_f32_scalar::<MR>(i0, mr, n, k, panel, b_t, c);
 }
 
-/// The scalar reference block — the exact loop the pre-SIMD kernel ran.
-pub(crate) fn gemm_block_f32_scalar(
+/// [`gemm_block_f32_simd`] for one packed `MR_WIDE`-row block (`panel` is
+/// `MR_WIDE * k` long), on the AVX-512F `f32x16` microkernel. Falls back to
+/// the scalar block when AVX-512F is unsupported (callers check
+/// [`avx512_supported`], so this is a safety net, not a hot branch).
+pub(crate) fn gemm_block_f32_avx512(
+    i0: usize,
+    mr: usize,
+    n: usize,
+    k: usize,
+    panel: &[f32],
+    b_t: &[f32],
+    c: &mut [f32],
+) {
+    debug_assert_eq!(panel.len(), MR_WIDE * k);
+    #[cfg(target_arch = "x86_64")]
+    if avx512_supported() {
+        // SAFETY: AVX-512F presence just checked; slice lengths are asserted
+        // by the caller (`gemm_bt_into`) and re-checked by debug_assert above.
+        unsafe { gemm_block_f32_avx512f(i0, mr, n, k, panel, b_t, c) };
+        return;
+    }
+    gemm_block_f32_scalar::<MR_WIDE>(i0, mr, n, k, panel, b_t, c);
+}
+
+/// The scalar reference block over a `W`-row panel — the exact loop the
+/// pre-SIMD kernel ran.
+pub(crate) fn gemm_block_f32_scalar<const W: usize>(
     i0: usize,
     mr: usize,
     n: usize,
@@ -167,10 +223,10 @@ pub(crate) fn gemm_block_f32_scalar(
     c: &mut [f32],
 ) {
     for (j, b_row) in b_t.chunks_exact(k).enumerate().take(n) {
-        // MR dot products in lockstep: acc[ii] accumulates c[i0+ii][j]
+        // W dot products in lockstep: acc[ii] accumulates c[i0+ii][j]
         // sequentially over ascending l — the bit-exactness contract.
-        let mut acc = [0.0f32; MR];
-        for (chunk, &w) in panel.chunks_exact(MR).zip(b_row) {
+        let mut acc = [0.0f32; W];
+        for (chunk, &w) in panel.chunks_exact(W).zip(b_row) {
             for (slot, &x) in acc.iter_mut().zip(chunk) {
                 *slot += x * w;
             }
@@ -248,7 +304,83 @@ unsafe fn store_block(
 ) {
     let mut buf = [0.0f32; MR];
     std::arch::x86_64::_mm256_storeu_ps(buf.as_mut_ptr(), acc);
-    for (ii, &v) in buf[..mr].iter().enumerate() {
+    scatter_column(&buf[..mr], i0, n, j, c);
+}
+
+/// The AVX2 kernel's loop over an `MR_WIDE`-row panel: one `f32x16` register
+/// per column, lane = row, mul-then-add over ascending `l`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_block_f32_avx512f(
+    i0: usize,
+    mr: usize,
+    n: usize,
+    k: usize,
+    panel: &[f32],
+    b_t: &[f32],
+    c: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+
+    let p = panel.as_ptr();
+    let b = b_t.as_ptr();
+    let mut j = 0;
+    while j + NR <= n {
+        let b0 = b.add(j * k);
+        let b1 = b.add((j + 1) * k);
+        let b2 = b.add((j + 2) * k);
+        let b3 = b.add((j + 3) * k);
+        let mut acc0 = _mm512_setzero_ps();
+        let mut acc1 = _mm512_setzero_ps();
+        let mut acc2 = _mm512_setzero_ps();
+        let mut acc3 = _mm512_setzero_ps();
+        for l in 0..k {
+            let a = _mm512_loadu_ps(p.add(l * MR_WIDE));
+            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(a, _mm512_set1_ps(*b0.add(l))));
+            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(a, _mm512_set1_ps(*b1.add(l))));
+            acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(a, _mm512_set1_ps(*b2.add(l))));
+            acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(a, _mm512_set1_ps(*b3.add(l))));
+        }
+        store_block_wide(acc0, i0, mr, n, j, c);
+        store_block_wide(acc1, i0, mr, n, j + 1, c);
+        store_block_wide(acc2, i0, mr, n, j + 2, c);
+        store_block_wide(acc3, i0, mr, n, j + 3, c);
+        j += NR;
+    }
+    while j < n {
+        let b0 = b.add(j * k);
+        let mut acc = _mm512_setzero_ps();
+        for l in 0..k {
+            let a = _mm512_loadu_ps(p.add(l * MR_WIDE));
+            acc = _mm512_add_ps(acc, _mm512_mul_ps(a, _mm512_set1_ps(*b0.add(l))));
+        }
+        store_block_wide(acc, i0, mr, n, j, c);
+        j += 1;
+    }
+}
+
+/// Scatters one `f32x16` accumulator (lane `ii` = row `i0 + ii`) into
+/// column `j` of `c`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn store_block_wide(
+    acc: std::arch::x86_64::__m512,
+    i0: usize,
+    mr: usize,
+    n: usize,
+    j: usize,
+    c: &mut [f32],
+) {
+    let mut buf = [0.0f32; MR_WIDE];
+    std::arch::x86_64::_mm512_storeu_ps(buf.as_mut_ptr(), acc);
+    scatter_column(&buf[..mr], i0, n, j, c);
+}
+
+/// Writes `lanes[ii]` to `c[(i0 + ii) * n + j]`: only the block's real rows,
+/// so stale lanes past `mr` never reach `c`.
+#[cfg(target_arch = "x86_64")]
+fn scatter_column(lanes: &[f32], i0: usize, n: usize, j: usize, c: &mut [f32]) {
+    for (ii, &v) in lanes.iter().enumerate() {
         c[(i0 + ii) * n + j] = v;
     }
 }

@@ -96,10 +96,11 @@ proptest! {
     }
 
     /// The blocked GEMM kernel equals the naive triple loop bit-for-bit on
-    /// arbitrary shapes, including ragged tails around the MR register block.
+    /// arbitrary shapes, including ragged tails around the 8- and 16-row
+    /// panels (16 + 16 + 8 rows at m = 40).
     #[test]
     fn blocked_gemm_equals_naive_exactly(
-        m in 1usize..20,
+        m in 1usize..=40,
         n in 1usize..20,
         k in 1usize..48,
         seed in 0u64..1000,
@@ -112,6 +113,28 @@ proptest! {
         lad_math::gemm::gemm_bt(m, n, k, &a, &b_t, &mut blocked);
         lad_math::gemm::gemm_bt_naive(m, n, k, &a, &b_t, &mut naive);
         prop_assert_eq!(blocked, naive);
+    }
+
+    /// The scalar and SIMD kernels agree bit for bit on the same inputs,
+    /// whichever panel widths this host's SIMD path runs.
+    #[test]
+    fn scalar_and_simd_gemm_are_bit_identical(
+        m in 1usize..=40,
+        n in 1usize..20,
+        k in 1usize..48,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::{with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let a = rng.normal_vec(m * k, 1.0);
+        let b_t = rng.normal_vec(n * k, 1.0);
+        let mut scalar = vec![0.0f32; m * n];
+        let mut simd = vec![0.0f32; m * n];
+        with_kernel(Kernel::Scalar, || lad_math::gemm::gemm_bt(m, n, k, &a, &b_t, &mut scalar));
+        with_kernel(Kernel::Simd, || lad_math::gemm::gemm_bt(m, n, k, &a, &b_t, &mut simd));
+        let scalar_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+        let simd_bits: Vec<u32> = simd.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(scalar_bits, simd_bits);
     }
 
     /// Matrix::matmul (through the blocked kernel) equals a locally computed

@@ -211,8 +211,8 @@ impl Linear {
     /// Cross-sample batched projection: treats `x` as a row-major
     /// `batch × in_dim` activation matrix and writes the row-major
     /// `batch × out_dim` result into `out` with **one** blocked GEMM, so the
-    /// weight matrix is streamed once per `lad_math::gemm::MR`-row block
-    /// instead of once per sample. Row `s` of the result is bit-identical to
+    /// weight matrix is streamed once per packed row panel (8 rows, or 16
+    /// on AVX-512F hosts; see [`lad_math::gemm`]) instead of once per sample. Row `s` of the result is bit-identical to
     /// `forward(row s)` (the [`lad_math::gemm`] accumulation contract).
     ///
     /// # Panics
