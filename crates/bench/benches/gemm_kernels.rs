@@ -1,6 +1,6 @@
 //! Scalar vs SIMD microkernel sweep over the hot decode kernels.
 //!
-//! Four ratios, each measured back to back in one process:
+//! Five ratios, each measured back to back in one process:
 //!
 //! * `gemm_f32`: the packed-panel f32 GEMM on the dominant MLP shape of the
 //!   tiny bench preset (batch 8 x intermediate 512 over k = 256), scalar
@@ -8,14 +8,22 @@
 //!   identical** (the SIMD kernel vectorises across packed rows, never
 //!   across `k`), and the SIMD side commits to a 1.5x floor.
 //! * `kv_read_f16`: the attention score read `q . k_i` over a 4096-position
-//!   head-dim-64 cache, f32 arenas (sequential exact dot) vs fp16 arenas
-//!   (F16C convert + mul). Half the key bytes; 1.2x floor, bounded error.
+//!   head-dim-64 cache, f32 arenas (sequential exact dot, the scalar
+//!   kernel) vs fp16 arenas (F16C convert + mul). Half the key bytes; 1.2x
+//!   floor, bounded error. The SIMD f32 read (`kv_read_f32`'s score half)
+//!   is compute-bound at about the fp16 read's speed, so fp16 storage buys
+//!   no read speed over it at this cache-resident size.
 //! * `gemm_i8`: the same MLP shape through the int8-weight kernel vs the f32
 //!   SIMD kernel. Int8 quarters weight *bytes* (the win at memory-bound
 //!   sizes); at this cache-resident shape with a single 8-row panel the
 //!   widen-to-f32 pass cannot amortise, so the gate only guards against a
 //!   pathological slowdown (0.7x floor — the first kernel cut measured
 //!   0.42x from `vcvtsi2ss` dependency stalls, which this catches).
+//! * `kv_read_f32`: the whole exact head read (`reference::exact_attention`:
+//!   scores, max, `exp`, weighted value sum) over a 1024-position
+//!   head-dim-64 f32 cache, scalar kernels vs SIMD ones (keys in the score
+//!   lanes, value columns in the weighted-sum lanes). The two are required
+//!   to be **bit identical**; 1.3x floor.
 //! * `gemm_f32_rows16`: the row staircase — time(m = 16) ÷ time(m = 8) for
 //!   the SIMD f32 GEMM at n 512 x k 512, with the m = 16 result asserted
 //!   bit-identical to scalar. Sixteen rows run as one AVX-512F `f32x16`
@@ -38,6 +46,7 @@
 
 use lad_bench::{print_table, section};
 use lad_core::kv::{KvCache, KvPrecision};
+use lad_core::reference;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
 use lad_math::quant::gemm_bt_q8_into;
 use lad_math::{with_kernel, Kernel, Matrix, Q8Matrix, Rng};
@@ -58,8 +67,13 @@ const ROWS_K: usize = 512;
 const KV_DIM: usize = 64;
 const KV_POSITIONS: usize = 4096;
 
+/// Exact head read shape: head dim 64, 1024 cached positions (the
+/// `long_context` prompt length).
+const READ_POSITIONS: usize = 1024;
+
 /// Committed acceptance floors and ceiling (also enforced by `bench_check`).
 const SIMD_GEMM_FLOOR: f64 = 1.5;
+const KV_READ_F32_FLOOR: f64 = 1.3;
 const F16_READ_FLOOR: f64 = 1.2;
 const I8_GEMM_FLOOR: f64 = 0.7;
 const ROWS16_CEILING: f64 = 1.6;
@@ -154,13 +168,19 @@ fn bench_kv_read_f16(rng: &mut Rng) -> KernelPoint {
     let q = rng.normal_vec(KV_DIM, 1.0);
     let mut s32 = Vec::with_capacity(KV_POSITIONS);
     let mut s16 = Vec::with_capacity(KV_POSITIONS);
-    let baseline_us = time_us(200, || {
-        s32.clear();
-        kv32.score_keys_into(&q, &mut s32);
+    // The f32 side is the sequential dot this row was defined against, so
+    // it runs on the scalar kernel; the SIMD f32 read is `kv_read_f32`.
+    let baseline_us = with_kernel(Kernel::Scalar, || {
+        time_us(200, || {
+            s32.clear();
+            kv32.score_keys_into(&q, &mut s32);
+        })
     });
-    let variant_us = time_us(200, || {
-        s16.clear();
-        kv16.score_keys_into(&q, &mut s16);
+    let variant_us = with_kernel(Kernel::Simd, || {
+        time_us(200, || {
+            s16.clear();
+            kv16.score_keys_into(&q, &mut s16);
+        })
     });
     // Bounded error, not bit-exact: fp16 keys carry 11 significant bits.
     let worst = s32
@@ -177,6 +197,36 @@ fn bench_kv_read_f16(rng: &mut Rng) -> KernelPoint {
         variant_us,
         gate: Gate::Floor(F16_READ_FLOOR),
         bit_exact: false,
+    }
+}
+
+fn bench_kv_read_f32(rng: &mut Rng) -> KernelPoint {
+    let mut kv = KvCache::new(KV_DIM);
+    for _ in 0..READ_POSITIONS {
+        let k = rng.normal_vec(KV_DIM, 1.0);
+        let v = rng.normal_vec(KV_DIM, 1.0);
+        kv.push(&k, &v);
+    }
+    let q = rng.normal_vec(KV_DIM, 1.0);
+    let mut scalar = Vec::new();
+    let mut simd = Vec::new();
+    let baseline_us = with_kernel(Kernel::Scalar, || {
+        time_us(200, || scalar = reference::exact_attention(&q, &kv))
+    });
+    let variant_us = with_kernel(Kernel::Simd, || {
+        time_us(200, || simd = reference::exact_attention(&q, &kv))
+    });
+    assert_eq!(
+        scalar, simd,
+        "SIMD exact attention read must be bit-identical to the scalar one"
+    );
+    KernelPoint {
+        kind: "kv_read_f32",
+        shape: format!("dim={KV_DIM} positions={READ_POSITIONS}"),
+        baseline_us,
+        variant_us,
+        gate: Gate::Floor(KV_READ_F32_FLOOR),
+        bit_exact: true,
     }
 }
 
@@ -271,7 +321,7 @@ fn write_baseline(points: &[KernelPoint]) {
     let _ = writeln!(
         json,
         "  \"model\": \"microkernel shapes (MLP GEMM m={M} n={N} k={K}; KV read d={KV_DIM} n={KV_POSITIONS}; \
-         row staircase n={ROWS_N} k={ROWS_K})\","
+         exact head read d={KV_DIM} n={READ_POSITIONS}; row staircase n={ROWS_N} k={ROWS_K})\","
     );
     let _ = writeln!(json, "  \"host_cores\": {cores},");
     let _ = writeln!(json, "  \"results\": [");
@@ -317,6 +367,7 @@ fn main() {
         bench_gemm_f32(&mut rng),
         bench_kv_read_f16(&mut rng),
         bench_gemm_i8(&mut rng),
+        bench_kv_read_f32(&mut rng),
     ];
     let rows16 = bench_gemm_rows16(&mut rng);
     let complete = rows16.is_some();

@@ -15,12 +15,14 @@
 //!   not just the bonus token);
 //! * the `gemm_kernels` microkernel ratios: SIMD f32 GEMM at least 1.5x the
 //!   scalar microkernel on the MLP shape (and bit-identical to it), the
-//!   fp16 KV score read at least 1.2x the f32 read, and the SIMD GEMM's row
-//!   staircase time(m = 16) ÷ time(m = 8) at most 1.6 (the 16-row AVX-512F
-//!   panel). The section names the GEMM panel widths this host runs.
-//!   Skipped (with a notice) on hosts without AVX2+F16C, and the staircase
-//!   alone on hosts without AVX-512F, where only the committed numbers are
-//!   checked;
+//!   fp16 KV score read at least 1.2x the sequential f32 read, the whole
+//!   exact head read (`reference::exact_attention`, d 64 × n 1024) at least
+//!   1.3x faster on the SIMD kernels than on scalar (and bit-identical to
+//!   it), and the SIMD GEMM's row staircase time(m = 16) ÷ time(m = 8) at
+//!   most 1.6 (the 16-row AVX-512F panel). The section names the GEMM panel
+//!   widths this host runs. Skipped (with a notice) on hosts without
+//!   AVX2+F16C, and the staircase alone on hosts without AVX-512F, where
+//!   only the committed numbers are checked;
 //! * the `obs_overhead` enabled-recorder cost: serving steps/s with spans,
 //!   metrics and the request timeline all recording may run at most 5%
 //!   behind the recorders-off run of the identical workload;
@@ -46,6 +48,7 @@ use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_bench::{decode_per_sample, section};
 use lad_core::decoder::LadConfig;
 use lad_core::kv::{KvCache, KvPrecision};
+use lad_core::reference;
 use lad_eval::backends::backend_quality_report;
 use lad_eval::datasets::alpaca_shaped;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
@@ -76,6 +79,10 @@ const SIMD_GEMM_FLOOR: f64 = 1.5;
 
 /// Acceptance floor of the `gemm_kernels` fp16 KV score read row (vs f32).
 const F16_READ_FLOOR: f64 = 1.2;
+
+/// Acceptance floor of the `gemm_kernels` exact f32 head read row (SIMD vs
+/// scalar kernels).
+const KV_READ_F32_FLOOR: f64 = 1.3;
 
 /// Ceiling of the `gemm_kernels` row staircase row: SIMD f32 GEMM
 /// time(m = 16) ÷ time(m = 8) at n 512 × k 512, on AVX-512F hosts.
@@ -229,11 +236,11 @@ fn recorded_spec_best(results: &[Value]) -> (String, f64, f64) {
 }
 
 /// Validates the `BENCH_kernels.json` rows: every row meets its own
-/// recorded gate (`speedup ≥ floor`, or `ratio ≤ ceiling`), and the three
+/// recorded gate (`speedup ≥ floor`, or `ratio ≤ ceiling`), and the four
 /// hard-gated kinds are present with gates no weaker than this binary's
 /// constants (a committed baseline cannot quietly lower the bar). Returns
-/// the recorded (simd-gemm, f16-read, rows16) ratios.
-fn check_kernel_rows(results: &[Value]) -> (f64, f64, f64) {
+/// the recorded (simd-gemm, f16-read, f32-read, rows16) ratios.
+fn check_kernel_rows(results: &[Value]) -> (f64, f64, f64, f64) {
     let field = |row: &Value, name: &str| -> Option<f64> { row.get(name).and_then(Value::as_f64) };
     fn kind(row: &Value) -> &str {
         row.get("kind")
@@ -279,6 +286,10 @@ fn check_kernel_rows(results: &[Value]) -> (f64, f64, f64) {
     };
     let gemm = floored("gemm_f32", SIMD_GEMM_FLOOR);
     let f16 = floored("kv_read_f16", F16_READ_FLOOR);
+    let f32_read = floored("kv_read_f32", KV_READ_F32_FLOOR);
+    if field(find("kv_read_f32"), "bit_exact") != Some(1.0) {
+        fail("BENCH_kernels.json: kv_read_f32 must record bit_exact: 1");
+    }
     let rows16_row = find("gemm_f32_rows16");
     if field(rows16_row, "ceiling").unwrap_or(f64::INFINITY) > ROWS16_CEILING {
         fail(&format!(
@@ -286,7 +297,7 @@ fn check_kernel_rows(results: &[Value]) -> (f64, f64, f64) {
         ));
     }
     let rows16 = field(rows16_row, "ratio").expect("validated above");
-    (gemm, f16, rows16)
+    (gemm, f16, f32_read, rows16)
 }
 
 /// Validates the committed `BENCH_backends.json` rows: agreements are
@@ -463,15 +474,48 @@ fn measure_kernel_ratios() -> (f64, f64) {
     }
     let q = rng.normal_vec(KV_DIM, 1.0);
     let mut scores = Vec::with_capacity(KV_POSITIONS);
-    let f32_us = time_us(50, || {
-        scores.clear();
-        kv32.score_keys_into(&q, &mut scores);
+    // The committed row's f32 side is the sequential (scalar-kernel) dot.
+    let f32_us = with_kernel(Kernel::Scalar, || {
+        time_us(50, || {
+            scores.clear();
+            kv32.score_keys_into(&q, &mut scores);
+        })
     });
-    let f16_us = time_us(50, || {
-        scores.clear();
-        kv16.score_keys_into(&q, &mut scores);
+    let f16_us = with_kernel(Kernel::Simd, || {
+        time_us(50, || {
+            scores.clear();
+            kv16.score_keys_into(&q, &mut scores);
+        })
     });
     (scalar_us / simd_us, f32_us / f16_us)
+}
+
+/// Quick re-measurement of the exact f32 head read, same shape as the
+/// committed `gemm_kernels` row at a quarter of its iterations: scalar
+/// kernels ÷ SIMD kernels, with the outputs required bit-identical.
+fn measure_kv_read_f32() -> f64 {
+    const KV_DIM: usize = 64;
+    const POSITIONS: usize = 1024;
+    let mut rng = Rng::new(0x32);
+    let mut kv = KvCache::new(KV_DIM);
+    for _ in 0..POSITIONS {
+        let key = rng.normal_vec(KV_DIM, 1.0);
+        let value = rng.normal_vec(KV_DIM, 1.0);
+        kv.push(&key, &value);
+    }
+    let q = rng.normal_vec(KV_DIM, 1.0);
+    let mut scalar = Vec::new();
+    let mut simd = Vec::new();
+    let scalar_us = with_kernel(Kernel::Scalar, || {
+        time_us(50, || scalar = reference::exact_attention(&q, &kv))
+    });
+    let simd_us = with_kernel(Kernel::Simd, || {
+        time_us(50, || simd = reference::exact_attention(&q, &kv))
+    });
+    if scalar != simd {
+        fail("SIMD exact attention read diverged from the scalar kernels (must be bit-identical)");
+    }
+    scalar_us / simd_us
 }
 
 /// Quick re-measurement of the row staircase, same shape as the committed
@@ -760,12 +804,13 @@ fn main() {
          (per-cell floor {BACKEND_QPB_FLOOR:.2}x, sweep floor {BACKEND_HERO_FLOOR:.2}x)"
     );
 
-    let (recorded_simd_gemm, recorded_f16_read, recorded_rows16) =
+    let (recorded_simd_gemm, recorded_f16_read, recorded_f32_read, recorded_rows16) =
         check_kernel_rows(kernel_results);
     println!(
         "recorded microkernel ratios: gemm_f32 {recorded_simd_gemm:.2}x \
          (floor {SIMD_GEMM_FLOOR:.2}x), kv_read_f16 {recorded_f16_read:.2}x \
-         (floor {F16_READ_FLOOR:.2}x), gemm_f32_rows16 {recorded_rows16:.2}x \
+         (floor {F16_READ_FLOOR:.2}x), kv_read_f32 {recorded_f32_read:.2}x \
+         (floor {KV_READ_F32_FLOOR:.2}x), gemm_f32_rows16 {recorded_rows16:.2}x \
          (ceiling {ROWS16_CEILING:.2}x)"
     );
 
@@ -948,6 +993,17 @@ fn main() {
                  {F16_READ_FLOOR:.2}x floor (baseline recorded {recorded_f16_read:.2}x)"
             ));
         }
+        let f32_read = measure_kv_read_f32();
+        println!(
+            "kv_read_f32 {f32_read:.2}x (recorded {recorded_f32_read:.2}x, floor \
+             {KV_READ_F32_FLOOR:.2}x)"
+        );
+        if f32_read < KV_READ_F32_FLOOR {
+            fail(&format!(
+                "measured SIMD exact head read speedup {f32_read:.2}x regressed below the \
+                 {KV_READ_F32_FLOOR:.2}x floor (baseline recorded {recorded_f32_read:.2}x)"
+            ));
+        }
         match measure_rows16() {
             Some(rows16) => {
                 println!(
@@ -970,7 +1026,8 @@ fn main() {
     } else {
         println!(
             "AVX2+F16C not available on this host; skipping the microkernel \
-             re-measurement (committed floors were still enforced above)"
+             re-measurement, kv_read_f32 included (committed floors were still \
+             enforced above)"
         );
     }
     println!("\nbench_check: OK");

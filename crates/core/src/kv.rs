@@ -14,10 +14,18 @@
 //! raw IEEE binary16 bits in `u16` arenas) that halves KV memory traffic —
 //! the quantity the paper's memory-access analysis is about. An fp16 cache is
 //! read through the precision-aware kernels ([`KvCache::score_keys_into`],
-//! [`KvCache::value_axpy`], [`KvCache::key_into`]); the raw `f32` slice
-//! accessors panic on it rather than silently decoding per call.
+//! [`KvCache::values_weighted_into`], [`KvCache::value_axpy`],
+//! [`KvCache::key_into`]); the raw `f32` slice accessors panic on it rather
+//! than silently decoding per call.
+//!
+//! The dense `f32` reads — every score, and the weighted sum over every
+//! value — run on the dispatched [`lad_math::simd`] kernels, whose lanes are
+//! keys and value columns respectively. Each score and each output column
+//! still accumulates in the scalar loop's order, so both reads are
+//! bit-identical to a per-key [`lad_math::vector::dot`] and a per-position
+//! [`KvCache::value_axpy`] under either kernel.
 
-use lad_math::{f16, simd, vector, F16};
+use lad_math::{f16, simd, F16};
 use std::cell::Cell;
 
 thread_local! {
@@ -262,25 +270,26 @@ impl KvCache {
     /// for every cached position, oldest first. `qs` is the already-scaled
     /// query.
     ///
-    /// In `f32` mode this is exactly the sequential [`vector::dot`] the
-    /// reference attention always used — bit-identical to the pre-precision
-    /// path. In fp16 mode keys stream at half the bytes through the
-    /// dispatched fp16 dot kernel ([`simd::dot_f16`]); its SIMD variant
-    /// reorders the in-dot summation and is bounded-error.
+    /// In `f32` mode every score is bit-identical to a sequential
+    /// [`lad_math::vector::dot`] of the query and the key: the dispatched
+    /// [`simd::dot_rows_f32`] scores eight keys per register (lanes are
+    /// keys), each accumulated in the same element order as the scalar dot.
+    /// In fp16 mode keys stream at half the bytes through the dispatched
+    /// fp16 dot kernel ([`simd::dot_f16`]); its SIMD variant reorders the
+    /// in-dot summation and is bounded-error.
     ///
     /// # Panics
     ///
     /// Panics if `qs.len() != dim`.
     pub fn score_keys_into(&self, qs: &[f32], out: &mut Vec<f64>) {
         assert_eq!(qs.len(), self.dim, "KvCache::score_keys_into: dim mismatch");
-        meter(self.len() * self.dim * self.precision.bytes_per_element());
+        let n = self.len();
+        meter(n * self.dim * self.precision.bytes_per_element());
         match self.precision {
             KvPrecision::F32 => {
-                out.extend(
-                    self.keys
-                        .chunks_exact(self.dim)
-                        .map(|k| f64::from(vector::dot(qs, k))),
-                );
+                let start = out.len();
+                out.resize(start + n, 0.0);
+                simd::dot_rows_f32(qs, &self.keys, &mut out[start..]);
             }
             KvPrecision::F16 => {
                 out.extend(
@@ -292,9 +301,10 @@ impl KvCache {
         }
     }
 
-    /// The hot attention value read: `acc[j] += w · v_position[j]`, decoding
-    /// fp16 values exactly on the fly. In `f32` mode this is bit-identical to
-    /// the loop the reference attention always ran.
+    /// One sparse value read: `acc[j] += w · v_position[j]`, decoding fp16
+    /// values exactly on the fly — the per-position form of
+    /// [`KvCache::values_weighted_into`] for callers that weight a subset of
+    /// positions (top-k, H2O, LAD).
     ///
     /// # Panics
     ///
@@ -312,6 +322,44 @@ impl KvCache {
             KvPrecision::F16 => {
                 for (slot, &b) in acc.iter_mut().zip(&self.values16[range]) {
                     *slot += w * f64::from(F16::from_bits(b).to_f32());
+                }
+            }
+        }
+    }
+
+    /// The dense attention value read: `acc[j] += ws[i] · v_i[j]` over every
+    /// cached position `i`, oldest first — exactly [`KvCache::value_axpy`]
+    /// called once per position in ascending order, and metered the same
+    /// (`n · d` elements).
+    ///
+    /// In `f32` mode this runs the dispatched [`simd::weighted_rows_f64`],
+    /// whose lanes are value columns held in registers across all positions;
+    /// each column still adds its products in ascending position order, so
+    /// the sum is bit-identical to the per-position loop. fp16 values are
+    /// decoded exactly, position by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws.len() != len()` or `acc.len() != dim`.
+    pub fn values_weighted_into(&self, ws: &[f64], acc: &mut [f64]) {
+        assert_eq!(
+            acc.len(),
+            self.dim,
+            "KvCache::values_weighted_into: dim mismatch"
+        );
+        assert_eq!(
+            ws.len(),
+            self.len(),
+            "KvCache::values_weighted_into: one weight per cached position"
+        );
+        meter(ws.len() * self.dim * self.precision.bytes_per_element());
+        match self.precision {
+            KvPrecision::F32 => simd::weighted_rows_f64(ws, &self.values, acc),
+            KvPrecision::F16 => {
+                for (&w, row) in ws.iter().zip(self.values16.chunks_exact(self.dim)) {
+                    for (slot, &b) in acc.iter_mut().zip(row) {
+                        *slot += w * f64::from(F16::from_bits(b).to_f32());
+                    }
                 }
             }
         }
@@ -550,6 +598,12 @@ mod tests {
             }
         }
         assert_eq!(via_axpy, dense);
+        let ws: Vec<f64> = (0..kv.len()).map(|i| 0.5 + i as f64).collect();
+        for kernel in [lad_math::Kernel::Scalar, lad_math::Kernel::Simd] {
+            let mut via_rows = vec![0.0f64; 3];
+            lad_math::with_kernel(kernel, || kv.values_weighted_into(&ws, &mut via_rows));
+            assert_eq!(via_rows, dense, "{}", kernel.name());
+        }
         let mut key_buf = vec![0.0f32; 3];
         kv.key_into(2, &mut key_buf);
         assert_eq!(&key_buf[..], kv.key(2));
@@ -571,7 +625,8 @@ mod tests {
         kv.value_axpy(2, 1.0, &mut acc); // 16 B
         let mut buf = vec![0.0f32; 4];
         kv.key_into(0, &mut buf); // 16 B
-        assert_eq!(traffic_bytes(), 16 + 16 + 48 + 16 + 16);
+        kv.values_weighted_into(&[1.0; 3], &mut acc); // 3 values = 48 B
+        assert_eq!(traffic_bytes(), 16 + 16 + 48 + 16 + 16 + 48);
 
         // fp16 arenas meter at two bytes per element.
         let mut kv16 = KvCache::with_precision(4, KvPrecision::F16);
@@ -580,7 +635,8 @@ mod tests {
         kv16.key_into(0, &mut buf); // 8 B
         kv16.value_axpy(0, 1.0, &mut acc); // 8 B
         let _ = kv16.key_bits(0); // 8 B
-        assert_eq!(traffic_bytes(), 24);
+        kv16.values_weighted_into(&[1.0], &mut acc); // 8 B
+        assert_eq!(traffic_bytes(), 32);
         reset_traffic_bytes();
     }
 
@@ -609,6 +665,9 @@ mod tests {
         kv.value_axpy(0, 2.0, &mut acc);
         assert_eq!(acc[0], 2.0 * f64::from(F16::from_f32(0.1).to_f32()));
         assert_eq!(acc[1], 8.0);
+        let mut dense = vec![0.0f64; 2];
+        kv.values_weighted_into(&[2.0], &mut dense);
+        assert_eq!(dense, acc);
     }
 
     #[test]

@@ -287,11 +287,18 @@ pub struct PoolScope<'pool, 'env> {
 impl<'pool, 'env> PoolScope<'pool, 'env> {
     /// Queues `task`. The task may borrow from the environment; the owning
     /// [`WorkerPool::scope`] call completes it before returning.
+    ///
+    /// The task runs under the kernel the spawning thread has active
+    /// ([`lad_math::simd::active_kernel`]), whichever thread executes it, so
+    /// a [`lad_math::with_kernel`] override around a fanned-out step reaches
+    /// the attention its tasks compute.
     pub fn spawn<F>(&self, task: F)
     where
         F: FnOnce() + Send + 'env,
     {
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
+        let kernel = lad_math::simd::active_kernel();
+        let boxed: Box<dyn FnOnce() + Send + 'env> =
+            Box::new(move || lad_math::with_kernel(kernel, task));
         // SAFETY: the erased borrows live for 'env, and `scope` does not
         // return (completing 'env's borrow region) until `pending` hits zero,
         // i.e. until this task has run to completion or panicked — exactly
@@ -558,6 +565,32 @@ mod tests {
         lad_obs::metrics::set_metrics_enabled(false);
         // Other tests may run concurrently and add more, never less.
         assert!(c.value() - before >= 8);
+    }
+
+    #[test]
+    fn tasks_run_under_the_spawning_threads_kernel() {
+        use lad_math::{simd::active_kernel, with_kernel, Kernel};
+        // Three tasks meet at one barrier, so at most one of them can run on
+        // the helping caller: at least two run on the two workers.
+        let pool = WorkerPool::new(2);
+        let barrier = std::sync::Barrier::new(3);
+        let seen = Mutex::new(Vec::new());
+        with_kernel(Kernel::Scalar, || {
+            pool.scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        barrier.wait();
+                        seen.lock()
+                            .unwrap()
+                            .push((thread::current().id(), active_kernel()));
+                    });
+                }
+            });
+        });
+        let seen = seen.into_inner().unwrap();
+        let me = thread::current().id();
+        assert!(seen.iter().filter(|(id, _)| *id != me).count() >= 2);
+        assert!(seen.iter().all(|&(_, k)| k == Kernel::Scalar), "{seen:?}");
     }
 
     #[test]

@@ -33,18 +33,36 @@ pub fn scores(q: &[f32], kv: &KvCache) -> Vec<f64> {
 ///
 /// Panics if the cache is empty or `q.len() != kv.dim()`.
 pub fn exact_attention(q: &[f32], kv: &KvCache) -> Vec<f32> {
+    exact_attention_scored(q, kv, false).0
+}
+
+/// [`exact_attention`], also returning the shifted scores `sᵢ − m` when
+/// `record_scores` is set: one metered sweep over the keys, one over the
+/// values. The weights `exp(sᵢ − m)` overwrite the score buffer, and the
+/// denominator and every output column sum them in ascending position
+/// order, so the output is the same under either kernel.
+///
+/// # Panics
+///
+/// Panics if the cache is empty or `q.len() != kv.dim()`.
+pub fn exact_attention_scored(
+    q: &[f32],
+    kv: &KvCache,
+    record_scores: bool,
+) -> (Vec<f32>, Option<Vec<f64>>) {
     assert!(!kv.is_empty(), "exact_attention: empty KV cache");
     assert_eq!(q.len(), kv.dim(), "exact_attention: query dim mismatch");
-    let s = scores(q, kv);
-    let m = s.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut num = vec![0.0f64; kv.dim()];
+    let mut weights = scores(q, kv);
+    let m = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let shifted = record_scores.then(|| weights.iter().map(|s| s - m).collect());
     let mut den = 0.0f64;
-    for (i, &si) in s.iter().enumerate() {
-        let w = (si - m).exp();
-        den += w;
-        kv.value_axpy(i, w, &mut num);
+    for w in &mut weights {
+        *w = (*w - m).exp();
+        den += *w;
     }
-    num.into_iter().map(|x| (x / den) as f32).collect()
+    let mut num = vec![0.0f64; kv.dim()];
+    kv.values_weighted_into(&weights, &mut num);
+    (num.into_iter().map(|x| (x / den) as f32).collect(), shifted)
 }
 
 /// Direct piecewise-linear attention (paper Eq. 3): every position weighted

@@ -21,6 +21,19 @@
 //!   wide panel); a fused multiply-add would skip the intermediate rounding
 //!   and drift off the scalar path by an ULP at a time.
 //!
+//! The exact f32 KV read runs two more kernels on the same two rules, with
+//! other things in the lanes:
+//!
+//! * **Lanes are keys** ([`dot_rows_f32`]). An in-register 8×8 transpose
+//!   puts element `e` of eight keys in one `f32x8`, so each lane computes
+//!   one key's whole `q · k` in ascending `e`, starting from `-0.0` as
+//!   `Iterator::<f32>::sum` (and so [`crate::vector::dot`]) does. The dot is
+//!   never split across lanes.
+//! * **Lanes are value columns** ([`weighted_rows_f64`]). 32 output columns
+//!   stay in `f64` registers across every position, and each column adds
+//!   `w · v` in ascending position order, as the position-major scalar loop
+//!   does.
+//!
 //! Dispatch is three-tiered: a process-wide default from `LAD_GEMM_KERNEL`
 //! (`scalar` forces the reference path, `simd`/`auto` use the widest
 //! bit-exact kernel the CPU has), a thread-local scoped override
@@ -129,10 +142,11 @@ thread_local! {
 /// Runs `f` with `kernel` forced for every GEMM/KV-read issued *on this
 /// thread*, restoring the previous selection afterwards (panic-safe).
 ///
-/// The batch engine issues all its GEMMs on the stepping thread (pool workers
-/// only fan out per-head attention dots), so scoping the override to the
-/// calling thread is enough to pin a whole decode to one kernel. Forcing
-/// [`Kernel::Simd`] on a CPU without AVX2 silently degrades to scalar.
+/// The batch engine issues all its GEMMs on the stepping thread, and the
+/// decode worker pool runs each task under the kernel its spawning thread
+/// had active, so the per-head attention it fans out follows the override
+/// too: one call pins a whole decode to one kernel. Forcing [`Kernel::Simd`]
+/// on a CPU without AVX2 silently degrades to scalar.
 pub fn with_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Kernel>);
     impl Drop for Restore {
@@ -382,6 +396,309 @@ unsafe fn store_block_wide(
 fn scatter_column(lanes: &[f32], i0: usize, n: usize, j: usize, c: &mut [f32]) {
     for (ii, &v) in lanes.iter().enumerate() {
         c[(i0 + ii) * n + j] = v;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 KV read kernels: scores and the weighted value sum
+// ---------------------------------------------------------------------------
+
+/// Scores every key against one query: `out[i] = qs · keys[i·d..(i+1)·d]`
+/// widened exactly to `f64`, with `d = qs.len()` and `n = out.len()` keys.
+/// Dispatched through [`active_kernel`].
+///
+/// Bit-identical to [`dot_rows_f32_scalar`] (one [`crate::vector::dot`] per
+/// key). The AVX2 kernel's lanes are **keys**: an in-register 8×8 transpose
+/// puts element `e` of eight keys in one `f32x8`, and each lane accumulates
+/// its own key in ascending `e` with mul-then-add from `-0.0`, the start
+/// value of `Iterator::<f32>::sum`. A `d % 8` tail finishes per lane in
+/// scalar order, and the last `n % 8` keys run [`crate::vector::dot`].
+///
+/// # Panics
+///
+/// Panics if `keys.len() != out.len() * qs.len()`.
+pub fn dot_rows_f32(qs: &[f32], keys: &[f32], out: &mut [f64]) {
+    assert_eq!(
+        keys.len(),
+        out.len() * qs.len(),
+        "dot_rows_f32: keys must hold out.len() rows of qs.len()"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; the
+        // lengths were asserted above.
+        unsafe { dot_rows_f32_avx2(qs, keys, out) };
+        return;
+    }
+    dot_rows_f32_scalar(qs, keys, out);
+}
+
+/// Reference key scoring: one sequential [`crate::vector::dot`] per key.
+///
+/// # Panics
+///
+/// Panics if `keys.len() != out.len() * qs.len()`.
+pub fn dot_rows_f32_scalar(qs: &[f32], keys: &[f32], out: &mut [f64]) {
+    assert_eq!(
+        keys.len(),
+        out.len() * qs.len(),
+        "dot_rows_f32: keys must hold out.len() rows of qs.len()"
+    );
+    for (i, slot) in out.iter_mut().enumerate() {
+        let key = &keys[i * qs.len()..(i + 1) * qs.len()];
+        *slot = f64::from(crate::vector::dot(qs, key));
+    }
+}
+
+/// The weighted value sum: `acc[j] += ws[i] · f64(values[i·d + j])` for every
+/// position `i` in ascending order, with `d = acc.len()` and `n = ws.len()`.
+/// Dispatched through [`active_kernel`].
+///
+/// Bit-identical to [`weighted_rows_f64_scalar`]. The AVX2 kernel's lanes
+/// are **value columns**: 32 columns of `acc`, in eight `f64x4` registers,
+/// stay in registers across all `n` positions, and each lane adds `w · v`
+/// (multiply, then add) in ascending position order. Leftover columns run
+/// one register per pass, and a `d % 4` column tail runs the scalar loop.
+///
+/// # Panics
+///
+/// Panics if `values.len() != ws.len() * acc.len()`.
+pub fn weighted_rows_f64(ws: &[f64], values: &[f32], acc: &mut [f64]) {
+    assert_eq!(
+        values.len(),
+        ws.len() * acc.len(),
+        "weighted_rows_f64: values must hold ws.len() rows of acc.len()"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; the
+        // lengths were asserted above.
+        let done = unsafe { weighted_rows_f64_avx2(ws, values, acc) };
+        weighted_columns_scalar(ws, values, acc, done);
+        return;
+    }
+    weighted_rows_f64_scalar(ws, values, acc);
+}
+
+/// Reference weighted value sum: the position-major loop the exact attention
+/// read always ran.
+///
+/// # Panics
+///
+/// Panics if `values.len() != ws.len() * acc.len()`.
+pub fn weighted_rows_f64_scalar(ws: &[f64], values: &[f32], acc: &mut [f64]) {
+    assert_eq!(
+        values.len(),
+        ws.len() * acc.len(),
+        "weighted_rows_f64: values must hold ws.len() rows of acc.len()"
+    );
+    if acc.is_empty() {
+        return;
+    }
+    for (&w, row) in ws.iter().zip(values.chunks_exact(acc.len())) {
+        for (slot, &v) in acc.iter_mut().zip(row) {
+            *slot += w * f64::from(v);
+        }
+    }
+}
+
+/// Columns `from..d` of [`weighted_rows_f64_scalar`], column by column: each
+/// column is independent, so this is the same sum in the same order.
+#[cfg(target_arch = "x86_64")]
+fn weighted_columns_scalar(ws: &[f64], values: &[f32], acc: &mut [f64], from: usize) {
+    let d = acc.len();
+    for (j, slot) in acc.iter_mut().enumerate().skip(from) {
+        for (i, &w) in ws.iter().enumerate() {
+            *slot += w * f64::from(values[i * d + j]);
+        }
+    }
+}
+
+/// Transposes an 8-key × 8-element tile: `p[r·d + c]` for rows `r < 8`,
+/// columns `c < 8` comes back as `out[c]`, lane `r`.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `p[r·d + c]` readable for every such `r, c`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose_keys8(p: *const f32, d: usize) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+
+    let mut out = [_mm256_setzero_ps(); 8];
+    for (half, off) in [0usize, 4].into_iter().enumerate() {
+        let t0 = key_pair(p, d, 0, off);
+        let t1 = key_pair(p, d, 1, off);
+        let t2 = key_pair(p, d, 2, off);
+        let t3 = key_pair(p, d, 3, off);
+        let u0 = _mm256_unpacklo_ps(t0, t1);
+        let u1 = _mm256_unpackhi_ps(t0, t1);
+        let u2 = _mm256_unpacklo_ps(t2, t3);
+        let u3 = _mm256_unpackhi_ps(t2, t3);
+        out[4 * half] = _mm256_shuffle_ps::<0x44>(u0, u2);
+        out[4 * half + 1] = _mm256_shuffle_ps::<0xEE>(u0, u2);
+        out[4 * half + 2] = _mm256_shuffle_ps::<0x44>(u1, u3);
+        out[4 * half + 3] = _mm256_shuffle_ps::<0xEE>(u1, u3);
+    }
+    out
+}
+
+/// Elements `off..off + 4` of key `r` in 128-bit lane 0 and of key `r + 4`
+/// in lane 1, so the in-lane 4×4 transposes of [`transpose_keys8`] leave key
+/// `r` in lane `r`.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `p[r·d + off ..][..4]` and
+/// `p[(r + 4)·d + off ..][..4]` readable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn key_pair(p: *const f32, d: usize, r: usize, off: usize) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    _mm256_insertf128_ps::<1>(
+        _mm256_castps128_ps256(_mm_loadu_ps(p.add(r * d + off))),
+        _mm_loadu_ps(p.add((r + 4) * d + off)),
+    )
+}
+
+/// Adds tile `tile` (lane = key, `tile[c]` = element `e0 + c`) into `acc` in
+/// ascending element order, one rounded product and one rounded add each.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `q[..8]` readable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn accumulate_tile(
+    mut acc: std::arch::x86_64::__m256,
+    tile: &[std::arch::x86_64::__m256; 8],
+    q: *const f32,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    for (c, &t) in tile.iter().enumerate() {
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(*q.add(c)), t));
+    }
+    acc
+}
+
+/// Finishes eight keys' accumulators over the `d % 8` element tail in scalar
+/// order and writes them, widened, to `out`.
+///
+/// # Safety
+///
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn finish_keys8(
+    acc: std::arch::x86_64::__m256,
+    qs: &[f32],
+    keys: &[f32],
+    body: usize,
+    out: &mut [f64],
+) {
+    let d = qs.len();
+    let mut lanes = [0.0f32; 8];
+    std::arch::x86_64::_mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+    for (r, (slot, mut sum)) in out.iter_mut().zip(lanes).enumerate() {
+        for e in body..d {
+            sum += qs[e] * keys[r * d + e];
+        }
+        *slot = f64::from(sum);
+    }
+}
+
+/// [`dot_rows_f32`] on AVX2.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `keys.len() == out.len() * qs.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_rows_f32_avx2(qs: &[f32], keys: &[f32], out: &mut [f64]) {
+    use std::arch::x86_64::*;
+
+    let d = qs.len();
+    let n = out.len();
+    let body = d - d % 8;
+    let q = qs.as_ptr();
+    let mut i = 0;
+    // Every tile read below covers keys i..i + 8 ≤ n and elements
+    // e..e + 8 ≤ body ≤ d, inside `keys` by the caller's length contract.
+    while i + 8 <= n {
+        let p = keys.as_ptr().add(i * d);
+        let mut acc = _mm256_set1_ps(-0.0);
+        let mut e = 0;
+        while e < body {
+            acc = accumulate_tile(acc, &transpose_keys8(p.add(e), d), q.add(e));
+            e += 8;
+        }
+        finish_keys8(acc, qs, &keys[i * d..], body, &mut out[i..i + 8]);
+        i += 8;
+    }
+    dot_rows_f32_scalar(qs, &keys[i * d..], &mut out[i..]);
+}
+
+/// The AVX2 weighted value sum over columns `0..d - d % 4`: blocks of 32
+/// columns held in eight `f64x4` registers, then one register per pass.
+/// Returns the first column it did not cover.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `values.len() == ws.len() * acc.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weighted_rows_f64_avx2(ws: &[f64], values: &[f32], acc: &mut [f64]) -> usize {
+    let d = acc.len();
+    let mut c0 = 0;
+    while c0 + 32 <= d {
+        weighted_block_avx2::<8>(ws, values, acc, c0);
+        c0 += 32;
+    }
+    while c0 + 4 <= d {
+        weighted_block_avx2::<1>(ws, values, acc, c0);
+        c0 += 4;
+    }
+    c0
+}
+
+/// Columns `c0..c0 + 4·R` of the weighted sum on `R` `f64x4` accumulators.
+///
+/// # Safety
+///
+/// AVX2 must be available, `values.len() == ws.len() * acc.len()`, and
+/// `c0 + 4·R <= acc.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn weighted_block_avx2<const R: usize>(
+    ws: &[f64],
+    values: &[f32],
+    acc: &mut [f64],
+    c0: usize,
+) {
+    use std::arch::x86_64::*;
+
+    let d = acc.len();
+    let a = acc.as_mut_ptr().add(c0);
+    let mut regs = [_mm256_setzero_pd(); R];
+    for (r, reg) in regs.iter_mut().enumerate() {
+        *reg = _mm256_loadu_pd(a.add(4 * r));
+    }
+    let mut v = values.as_ptr().add(c0);
+    for &w in ws {
+        let wv = _mm256_set1_pd(w);
+        for (r, reg) in regs.iter_mut().enumerate() {
+            let x = _mm256_cvtps_pd(_mm_loadu_ps(v.add(4 * r)));
+            *reg = _mm256_add_pd(*reg, _mm256_mul_pd(wv, x));
+        }
+        v = v.add(d);
+    }
+    for (r, reg) in regs.iter().enumerate() {
+        _mm256_storeu_pd(a.add(4 * r), *reg);
     }
 }
 

@@ -137,6 +137,64 @@ proptest! {
         prop_assert_eq!(scalar_bits, simd_bits);
     }
 
+    /// The key-scoring kernel's SIMD path (lanes = keys, 8×8 transpose)
+    /// equals one sequential `vector::dot` per key bit for bit, over every
+    /// `d % 8` element tail and `n % 8` key tail, on inputs with ±0.0,
+    /// subnormals and magnitudes whose products overflow.
+    #[test]
+    fn scalar_and_simd_key_scores_are_bit_identical(
+        d in 1usize..=130,
+        n in 0usize..=40,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::simd::{dot_rows_f32, dot_rows_f32_scalar};
+        use lad_math::{vector, with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let qs: Vec<f32> = (0..d).map(|_| awkward_f32(&mut rng)).collect();
+        let keys: Vec<f32> = (0..n * d).map(|_| awkward_f32(&mut rng)).collect();
+        let mut scalar = vec![0.0f64; n];
+        let mut simd = vec![0.0f64; n];
+        dot_rows_f32_scalar(&qs, &keys, &mut scalar);
+        with_kernel(Kernel::Simd, || dot_rows_f32(&qs, &keys, &mut simd));
+        let reference: Vec<u64> = keys
+            .chunks_exact(d)
+            .map(|key| f64::from(vector::dot(&qs, key)).to_bits())
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&scalar), reference);
+        prop_assert_eq!(bits(&simd), reference);
+    }
+
+    /// The weighted value sum's SIMD path (lanes = value columns held in
+    /// registers across all positions) equals the position-major scalar
+    /// loop bit for bit, starting from a non-zero accumulator.
+    #[test]
+    fn scalar_and_simd_weighted_values_are_bit_identical(
+        d in 1usize..=130,
+        n in 0usize..=40,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::simd::{weighted_rows_f64, weighted_rows_f64_scalar};
+        use lad_math::{with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let ws: Vec<f64> = (0..n).map(|_| awkward_f64(&mut rng)).collect();
+        let values: Vec<f32> = (0..n * d).map(|_| awkward_f32(&mut rng)).collect();
+        let start: Vec<f64> = (0..d).map(|_| awkward_f64(&mut rng)).collect();
+        let mut scalar = start.clone();
+        let mut simd = start.clone();
+        let mut reference = start;
+        weighted_rows_f64_scalar(&ws, &values, &mut scalar);
+        with_kernel(Kernel::Simd, || weighted_rows_f64(&ws, &values, &mut simd));
+        for (i, &w) in ws.iter().enumerate() {
+            for (j, slot) in reference.iter_mut().enumerate() {
+                *slot += w * f64::from(values[i * d + j]);
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&scalar), bits(&reference));
+        prop_assert_eq!(bits(&simd), bits(&reference));
+    }
+
     /// Matrix::matmul (through the blocked kernel) equals a locally computed
     /// naive ascending-k product bit-for-bit.
     #[test]
@@ -191,6 +249,54 @@ proptest! {
         for (i, &ai) in a.iter().enumerate() {
             for (j, &bj) in b.iter().enumerate() {
                 prop_assert!((m.get(i, j) - scale * ai * bj).abs() < 1e-5);
+            }
+        }
+    }
+}
+
+/// A mostly-normal `f32` that is, one draw in eight each, ±0.0, a subnormal,
+/// or large enough that products overflow to ±inf.
+fn awkward_f32(rng: &mut lad_math::Rng) -> f32 {
+    let sign = if rng.chance(0.5) { -1.0f32 } else { 1.0 };
+    match rng.next_below(8) {
+        0 => sign * 0.0,
+        1 => sign * f32::from_bits(1 + rng.next_below(0x007f_ffff) as u32),
+        2 => sign * 1e30 * (1.0 + rng.next_f32()),
+        _ => rng.normal() as f32,
+    }
+}
+
+/// [`awkward_f32`]'s `f64` counterpart, for weights and accumulators.
+fn awkward_f64(rng: &mut lad_math::Rng) -> f64 {
+    let sign = if rng.chance(0.5) { -1.0f64 } else { 1.0 };
+    match rng.next_below(8) {
+        0 => sign * 0.0,
+        1 => sign * f64::from_bits(1 + rng.next_below(0x000f_ffff_ffff_ffff)),
+        2 => sign * 1e300 * (1.0 + rng.next_f64()),
+        _ => rng.normal(),
+    }
+}
+
+/// A key whose products are all `-0.0` scores `-0.0`, exactly like
+/// `vector::dot` (whose `sum` starts from `-0.0`), under both kernels.
+#[test]
+fn all_negative_zero_products_score_negative_zero() {
+    use lad_math::simd::dot_rows_f32;
+    use lad_math::{vector, with_kernel, Kernel};
+    for d in [1usize, 7, 8, 9, 64] {
+        let qs = vec![0.0f32; d];
+        let keys = vec![-1.0f32; 17 * d];
+        let reference = vector::dot(&qs, &keys[..d]);
+        assert!(reference == 0.0 && reference.is_sign_negative());
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            let mut out = vec![1.0f64; 17];
+            with_kernel(kernel, || dot_rows_f32(&qs, &keys, &mut out));
+            for s in out {
+                assert!(
+                    s == 0.0 && s.is_sign_negative(),
+                    "{} d {d}: {s}",
+                    kernel.name()
+                );
             }
         }
     }

@@ -356,11 +356,12 @@ impl HeadState {
                 kv.push(k, v);
                 let n = kv.len();
                 let bpe = kv.precision().bytes_per_element();
-                let (output, scores, m) = exact_single_pass(q, kv);
+                let (output, shifted_scores) =
+                    reference::exact_attention_scored(q, kv, record_scores);
                 HeadStepOutput {
                     output,
                     stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * bpe, 0)),
-                    shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
+                    shifted_scores,
                 }
             }
             HeadState::Lad(head) => {
@@ -430,24 +431,6 @@ impl HeadState {
             HeadState::H2O(state) => state.step(q, k, v, record_scores),
         }
     }
-}
-
-/// Single-pass exact softmax over the whole cache: one metered score sweep,
-/// one value read per position, accumulated in [`reference::exact_attention`]'s
-/// exact order (bit-identical output) while exposing the dense scores and
-/// their max for recording.
-fn exact_single_pass(q: &[f32], kv: &KvCache) -> (Vec<f32>, Vec<f64>, f64) {
-    let scores = reference::scores(q, kv);
-    let m = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut num = vec![0.0f64; kv.dim()];
-    let mut den = 0.0f64;
-    for (i, &si) in scores.iter().enumerate() {
-        let w = (si - m).exp();
-        den += w;
-        kv.value_axpy(i, w, &mut num);
-    }
-    let output = num.into_iter().map(|x| (x / den) as f32).collect();
-    (output, scores, m)
 }
 
 /// Builds a [`StepStats`] carrying only the shared traffic counters — the

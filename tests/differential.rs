@@ -494,15 +494,22 @@ fn speculative_decode_matches_greedy_grid() {
 }
 
 /// SIMD microkernel leg — the tentpole invariant of the kernel dispatch
-/// layer: the AVX2 f32 microkernel vectorises across packed *rows* and
-/// accumulates each output element in the same ascending-`k` order as the
-/// scalar reference, so forcing either kernel must produce bit-identical
-/// tokens and stats on every grid point, exact and LAD backends alike.
+/// layer. Forcing either kernel must produce bit-identical tokens and stats
+/// on every grid point, for every backend. Three SIMD kernels run here:
+///
+/// * the f32 GEMM, whose lanes are packed *rows*, each output element
+///   accumulated in the scalar reference's ascending-`k` order;
+/// * the exact read's key scores (`Exact`, `TopK`), whose lanes are keys,
+///   each dot accumulated in ascending element order;
+/// * the exact read's weighted value sum (`Exact`), whose lanes are value
+///   columns, each accumulated in ascending position order.
+///
 /// On hosts without AVX2+F16C `Kernel::Simd` degrades to scalar and the leg
 /// passes vacuously (the bit-exactness claim is about the SIMD box CI runs
-/// on). Kernel overrides are thread-local and the batched-GEMM engine runs
-/// its GEMMs on the stepping thread, so `parallelism = 1` pins the whole
-/// decode to the forced kernel.
+/// on). Kernel overrides are thread-local: the engine runs its GEMMs on the
+/// stepping thread, and pool tasks run under their spawner's kernel, so the
+/// SIMD side runs entirely on SIMD kernels both inline (`parallelism` 1) and
+/// with attention fanned out over the pool (`parallelism` 2).
 #[test]
 fn simd_kernel_matches_scalar_on_grid() {
     use lad::math::{with_kernel, Kernel};
@@ -524,15 +531,17 @@ fn simd_kernel_matches_scalar_on_grid() {
             let scalar = with_kernel(Kernel::Scalar, || {
                 decode_batch_gemm(&model, kind, &prompts, cfg.steps, 1)
             });
-            let simd = with_kernel(Kernel::Simd, || {
-                decode_batch_gemm(&model, kind, &prompts, cfg.steps, 1)
-            });
-            assert_eq!(
-                scalar.sequences, simd.sequences,
-                "{}/{kind_name}: SIMD kernel changed decoded tokens",
-                cfg.label
-            );
-            assert_stats_match(cfg.label, kind_name, &scalar.final_stats, &simd.final_stats);
+            for parallelism in [1, 2] {
+                let simd = with_kernel(Kernel::Simd, || {
+                    decode_batch_gemm(&model, kind, &prompts, cfg.steps, parallelism)
+                });
+                assert_eq!(
+                    scalar.sequences, simd.sequences,
+                    "{}/{kind_name}/p{parallelism}: SIMD kernel changed decoded tokens",
+                    cfg.label
+                );
+                assert_stats_match(cfg.label, kind_name, &scalar.final_stats, &simd.final_stats);
+            }
         }
     }
 }
