@@ -39,7 +39,7 @@ echo "== serving observability smoke (serve_trace example; span coverage,"
 echo "   request timelines, metrics exposition, flight-recorder incident)"
 cargo run --release --example serve_trace
 
-echo "== bench regression gate (gemm/serve/spec/kernel/backend-zoo/obs ratios vs"
+echo "== bench regression gate (gemm/spec/kernel/backend-zoo/obs ratios vs"
 echo "   committed BENCH_*.json floors, incl. the backend_quality quality-per-byte"
 echo "   smoke and the enabled-recorder overhead ceiling;"
 echo "   also fails on any committed BENCH_*.json bench_check has no gate for)"

@@ -2,13 +2,11 @@
 //!
 //! Reads the committed `BENCH_*.json` baselines at the repo root, validates
 //! their schemas, then re-runs the gated measurements in quick mode and
-//! fails — nonzero exit — if either measured ratio falls below its
-//! acceptance floor:
+//! fails — nonzero exit — if any measured ratio crosses its acceptance
+//! floor or ceiling:
 //!
 //! * the `gemm_batch` batch-8 per-sample vs batched-GEMM per-token speedup
 //!   (floor 1.3x);
-//! * the `serve_goodput` continuous vs fixed-batch goodput ratio at an
-//!   equal batch budget (floor 1.0x — continuous batching must never lose);
 //! * the `spec_decode` draft/verify vs plain-decode speedup at the best
 //!   draft depth (floor 1.0x — speculation must never lose), with mean
 //!   accepted length > 1.0 (the verifier must accept real draft tokens,
@@ -59,16 +57,11 @@ use lad_model::config::ModelConfig;
 use lad_model::spec::SpecConfig;
 use lad_model::transformer::Model;
 use lad_obs::json::{self, Value};
-use lad_serve::baseline::serve_fixed_batches;
-use lad_serve::{Engine, Request, ServeConfig, ServeReport};
+use lad_serve::{Engine, Request, ServeConfig};
 use std::time::Instant;
 
 /// Acceptance floor the `gemm_batch` bench commits to (batch-8 exact).
 const SPEEDUP_FLOOR: f64 = 1.3;
-
-/// Acceptance floor the `serve_goodput` bench commits to: continuous
-/// batching must deliver at least the fixed-batch baseline's goodput.
-const GOODPUT_FLOOR: f64 = 1.0;
 
 /// Acceptance floor the `spec_decode` bench commits to: at its best draft
 /// depth, speculative decoding must at least match plain decoding.
@@ -103,9 +96,8 @@ const BACKEND_HERO_FLOOR: f64 = 1.2;
 
 /// Every committed baseline this binary gates. Any other `BENCH_*.json` at
 /// the repo root is a baseline without a floor, and fails the run.
-const KNOWN_BASELINES: [&str; 6] = [
+const KNOWN_BASELINES: [&str; 5] = [
     "BENCH_gemm.json",
-    "BENCH_serve.json",
     "BENCH_spec.json",
     "BENCH_kernels.json",
     "BENCH_backends.json",
@@ -178,17 +170,6 @@ fn recorded_speedup(results: &[Value]) -> f64 {
         })
         .unwrap_or_else(|| fail("BENCH_gemm.json: no exact batch-8 row"));
     row.get("speedup")
-        .and_then(Value::as_f64)
-        .expect("validated above")
-}
-
-/// The committed continuous-vs-fixed goodput ratio from `BENCH_serve.json`.
-fn recorded_goodput_ratio(results: &[Value]) -> f64 {
-    let row = results
-        .iter()
-        .find(|r| r.get("kind").and_then(Value::as_str) == Some("continuous"))
-        .unwrap_or_else(|| fail("BENCH_serve.json: no continuous row"));
-    row.get("goodput_ratio_vs_fixed")
         .and_then(Value::as_f64)
         .expect("validated above")
 }
@@ -553,10 +534,11 @@ fn measure_rows16() -> Option<f64> {
     Some(t16 / t8)
 }
 
-/// Quick serving workload: two waves of four ragged requests against a
-/// batch budget of 4 — enough for the fixed baseline to pay one
-/// batch-forming wait and one straggler tail, which is the effect the
-/// ratio gate pins. (id, prompt_len, max_tokens, arrival_step.)
+/// Quick serving workload for the recorder-overhead re-measurement: two
+/// waves of four ragged requests against a batch budget of 4, so the
+/// engine admits mid-flight, retires raggedly and back-fills freed slots
+/// while every recorder is on. (id, prompt_len, max_tokens,
+/// arrival_step.)
 const SERVE_WORKLOAD: [(u64, usize, usize, usize); 8] = [
     (0, 12, 24, 0),
     (1, 8, 8, 0),
@@ -578,50 +560,6 @@ fn serve_requests() -> Vec<Request> {
             Request::new(id, prompt, max).arriving_at(at)
         })
         .collect()
-}
-
-/// Best-of-3 goodput ratio of the continuous engine over the fixed-batch
-/// baseline, same process, same workload, equal batch budget. Requests
-/// carry no deadline, so goodput degenerates to throughput and the gate is
-/// purely structural (step-packing density), immune to wall-clock noise in
-/// deadline accounting.
-fn measure_goodput_ratio(model: &Model) -> (f64, usize, usize) {
-    let model_cfg = ModelConfig::tiny("gemm", 2, 256, 4);
-    let cfg = ServeConfig {
-        max_active: 4,
-        prefill_chunk: 1,
-        eos: None,
-        parallelism: 1,
-        ..ServeConfig::default()
-    };
-    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
-    let best = |mut run: Box<dyn FnMut() -> ServeReport + '_>| -> ServeReport {
-        let mut best: Option<ServeReport> = None;
-        for _ in 0..3 {
-            let r = run();
-            if best.as_ref().is_none_or(|b| r.goodput() > b.goodput()) {
-                best = Some(r);
-            }
-        }
-        best.expect("at least one run")
-    };
-    let kind = AttentionKind::Exact;
-    let continuous = best(Box::new(|| {
-        let pool = BlockPool::new(&model_cfg, 256 * block_bytes);
-        let mut engine = Engine::new(model, &kind, pool, cfg.clone());
-        for req in serve_requests() {
-            engine.submit(req);
-        }
-        engine.run()
-    }));
-    let fixed = best(Box::new(|| {
-        serve_fixed_batches(model, &kind, &cfg, serve_requests())
-    }));
-    if continuous.total_tokens() != fixed.total_tokens() {
-        fail("continuous and fixed engines generated different token counts");
-    }
-    let ratio = continuous.goodput() / fixed.goodput().max(1e-12);
-    (ratio, continuous.steps, fixed.steps)
 }
 
 /// Quick spec re-measurement: the same model/prompt recipe as the
@@ -732,25 +670,6 @@ fn main() {
             "sync_barriers",
         ],
     );
-    let serve_doc = load("BENCH_serve.json");
-    let serve_results = check_schema(
-        "BENCH_serve.json",
-        &serve_doc,
-        &[
-            "goodput_tok_per_s",
-            "throughput_tok_per_s",
-            "goodput_ratio_vs_fixed",
-            "steps",
-            "idle_steps",
-            "deadline_hits",
-            "ttft_p50_us",
-            "ttft_p95_us",
-            "ttft_p99_us",
-            "itl_p50_us",
-            "itl_p95_us",
-            "itl_p99_us",
-        ],
-    );
     let spec_doc = load("BENCH_spec.json");
     let spec_results = check_schema(
         "BENCH_spec.json",
@@ -792,8 +711,8 @@ fn main() {
         ],
     );
     println!(
-        "BENCH_gemm.json / BENCH_serve.json / BENCH_spec.json / BENCH_kernels.json / \
-         BENCH_backends.json / BENCH_obs.json: schemas ok"
+        "BENCH_gemm.json / BENCH_spec.json / BENCH_kernels.json / BENCH_backends.json / \
+         BENCH_obs.json: schemas ok"
     );
     check_no_ungated_baselines();
     println!("no ungated BENCH_*.json at the repo root");
@@ -813,18 +732,6 @@ fn main() {
          (floor {KV_READ_F32_FLOOR:.2}x), gemm_f32_rows16 {recorded_rows16:.2}x \
          (ceiling {ROWS16_CEILING:.2}x)"
     );
-
-    let recorded_goodput = recorded_goodput_ratio(serve_results);
-    println!(
-        "recorded continuous/fixed goodput ratio: {recorded_goodput:.2}x \
-         (floor {GOODPUT_FLOOR:.2}x)"
-    );
-    if recorded_goodput < GOODPUT_FLOOR {
-        fail(&format!(
-            "committed serving baseline records {recorded_goodput:.2}x, below the \
-             {GOODPUT_FLOOR:.2}x floor — the baseline itself regressed"
-        ));
-    }
 
     let (recorded_obs, recorded_obs_ceiling) = recorded_obs_overhead(obs_results);
     println!(
@@ -906,18 +813,6 @@ fn main() {
         ));
     }
 
-    section("bench_check: quick re-measurement (serve_goodput, continuous vs fixed)");
-    let (goodput_ratio, cont_steps, fixed_steps) = measure_goodput_ratio(&model);
-    println!(
-        "continuous {cont_steps} steps, fixed {fixed_steps} steps -> goodput ratio \
-         {goodput_ratio:.2}x (recorded {recorded_goodput:.2}x, floor {GOODPUT_FLOOR:.2}x)"
-    );
-    if goodput_ratio < GOODPUT_FLOOR {
-        fail(&format!(
-            "measured goodput ratio {goodput_ratio:.2}x regressed below the \
-             {GOODPUT_FLOOR:.2}x floor (baseline recorded {recorded_goodput:.2}x)"
-        ));
-    }
     section("bench_check: quick re-measurement (obs_overhead, recorders on vs off)");
     let obs_overhead = measure_obs_overhead_pct(&model);
     println!(

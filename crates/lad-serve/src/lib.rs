@@ -34,12 +34,11 @@
 //! staggered joins, mid-flight retirement and forced preemption — is
 //! bit-identical to its solo [`lad_model::Session`] decode.
 //!
-//! The deliverable metric is **goodput**: generated tokens per second from
-//! requests that met their deadline ([`ServeReport::goodput`]), compared
-//! against the naive fixed-batch baseline ([`baseline::serve_fixed_batches`])
-//! at an equal batch budget (`BENCH_serve.json`, gated by `bench_check`).
+//! [`Engine`] is the crate's one serving loop. Its end-to-end measurement
+//! is the serving ledger under `benchmark/`: the `chat_short` (request
+//! churn) and `mixed_pressure` (pool pressure, speculation, eviction)
+//! workloads report tokens/s, TTFT and TPOT percentiles.
 
-pub mod baseline;
 pub mod engine;
 
 pub use engine::Engine;
@@ -63,8 +62,9 @@ pub struct Request {
     /// deterministic global steps so schedules are reproducible; latency
     /// metrics are wall-clock from the moment the arrival step begins.
     pub arrival_step: usize,
-    /// End-to-end latency deadline for goodput accounting (`None` = no
-    /// deadline; the request's tokens always count as good).
+    /// End-to-end latency deadline (`None` = no deadline; the request
+    /// always meets it). Sets [`RequestOutcome::met_deadline`], and a miss
+    /// trips the SLO flight recorder.
     pub deadline: Option<Duration>,
     /// Opt-in speculative decoding for this request (`None` = plain
     /// one-token-per-tick decode). Speculative and plain requests coexist
@@ -127,8 +127,8 @@ pub struct ServeConfig {
     pub max_active: usize,
     /// Prompt tokens a prefilling request may consume per engine tick, fed
     /// as one multi-row run in the tick's single step alongside every
-    /// decode row. `1` disables chunking — prefill advances in lockstep
-    /// with decode, exactly like the fixed-batch engine.
+    /// decode row. `1` disables chunking — prefill advances one prompt
+    /// token per tick, in lockstep with decode.
     pub prefill_chunk: usize,
     /// Token that terminates generation early (`None` = decode to
     /// `max_tokens` always). The EOS token is included in the output.
@@ -298,8 +298,7 @@ pub struct ServeReport {
     /// Draft tokens accepted across all speculative rounds.
     pub spec_accepted: usize,
     /// SLO flight-recorder captures (deadline misses and preemption
-    /// storms), in capture order. Always empty from the fixed-batch
-    /// baseline, which has no recorder.
+    /// storms), in capture order.
     pub incidents: Vec<Incident>,
 }
 
@@ -307,23 +306,6 @@ impl ServeReport {
     /// Total generated tokens.
     pub fn total_tokens(&self) -> usize {
         self.outcomes.iter().map(|o| o.tokens.len()).sum()
-    }
-
-    /// Raw tokens per second over the whole run.
-    pub fn throughput(&self) -> f64 {
-        self.total_tokens() as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
-
-    /// **Goodput**: tokens per second counting only requests that met
-    /// their deadline — the paper-style "tokens/s within a latency SLO".
-    pub fn goodput(&self) -> f64 {
-        let good: usize = self
-            .outcomes
-            .iter()
-            .filter(|o| o.met_deadline)
-            .map(|o| o.tokens.len())
-            .sum();
-        good as f64 / self.wall.as_secs_f64().max(1e-12)
     }
 
     /// Fraction of proposed draft tokens the verifier accepted (0.0 when
@@ -345,8 +327,8 @@ impl ServeReport {
     }
 }
 
-/// Mutable per-request serving state, shared by the continuous engine and
-/// the fixed-batch baseline. Lives in the queue between incarnations.
+/// Mutable per-request serving state of the [`Engine`]. Lives in the queue
+/// between incarnations.
 #[derive(Debug, Clone)]
 pub(crate) struct ReqState {
     pub id: u64,
@@ -377,8 +359,6 @@ pub(crate) struct ReqState {
 
 impl ReqState {
     pub(crate) fn from_request(req: Request) -> ReqState {
-        assert!(!req.prompt.is_empty(), "serve: empty prompt");
-        assert!(req.max_tokens > 0, "serve: max_tokens must be positive");
         ReqState {
             id: req.id,
             prompt: req.prompt,

@@ -12,7 +12,7 @@
 //! * [`obs`] — zero-cost-when-off tracing spans, latency histograms and
 //!   Chrome-trace / JSONL exporters.
 //! * [`serve`] — continuous-batching serving engine (FIFO admission,
-//!   chunked prefill, recompute preemption, TTFT/ITL/goodput metrics).
+//!   chunked prefill, recompute preemption, TTFT/ITL/deadline metrics).
 
 pub use lad_accel as accel;
 pub use lad_core as core;

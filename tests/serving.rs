@@ -6,8 +6,7 @@
 //! recompute preemption under pool pressure, EOS truncation — every
 //! request's generated token stream must be **bit-identical** to decoding
 //! that request alone in a solo [`lad::model::transformer::Session`] with
-//! the same attention backend. The fixed-batch baseline must agree too
-//! (it is the goodput comparison's control, so it has to be correct).
+//! the same attention backend.
 //!
 //! The grid sweeps {attention kind × batch budget × prefill chunk × pool
 //! size × arrival pattern}; at least one grid point uses a pool small
@@ -21,7 +20,6 @@ use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::spec::{Drafter, SpecConfig};
 use lad::model::transformer::{Model, Session};
-use lad::serve::baseline::serve_fixed_batches;
 use lad::serve::{Engine, Request, ServeConfig, ServeReport};
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 
@@ -111,11 +109,11 @@ fn solo(
     }
 }
 
-fn assert_streams_match(g: &ServeGrid, which: &str, model: &Model, report: &ServeReport) {
+fn assert_streams_match(g: &ServeGrid, model: &Model, report: &ServeReport) {
     assert_eq!(
         report.outcomes.len(),
         g.specs.len(),
-        "{}/{which}: not every request retired",
+        "{}: not every request retired",
         g.label
     );
     let kind = g.kind();
@@ -124,12 +122,12 @@ fn assert_streams_match(g: &ServeGrid, which: &str, model: &Model, report: &Serv
             .outcomes
             .iter()
             .find(|o| o.id == id)
-            .unwrap_or_else(|| panic!("{}/{which}: request {id} missing", g.label))
+            .unwrap_or_else(|| panic!("{}: request {id} missing", g.label))
             .tokens;
         let want = solo(model, &kind, &g.prompt(id, plen), max, None);
         assert_eq!(
             got, &want,
-            "{}/{which}: request {id} token stream diverged from solo decode",
+            "{}: request {id} token stream diverged from solo decode",
             g.label
         );
     }
@@ -144,19 +142,18 @@ fn build_request(g: &ServeGrid, id: u64, plen: usize, max: usize, at: usize) -> 
     }
 }
 
-/// Serves the grid point continuously and with the fixed-batch baseline,
-/// checks both against solo decodes, and returns the continuous report.
+/// Serves the grid point on the continuous engine, checks every stream
+/// against its solo decode, and returns the report.
 fn run_grid_point(g: &ServeGrid) -> ServeReport {
     let model = g.model();
     let kind = g.kind();
 
-    // Continuous engine leg.
     let mut engine = Engine::new(&model, &kind, g.pool(), g.cfg());
     for &(id, plen, max, at) in g.specs {
         engine.submit(build_request(g, id, plen, max, at));
     }
     let report = engine.run();
-    assert_streams_match(g, "continuous", &model, &report);
+    assert_streams_match(g, &model, &report);
     if g.expect_preemption {
         assert!(
             report.preemptions >= 1,
@@ -186,16 +183,6 @@ fn run_grid_point(g: &ServeGrid) -> ServeReport {
         );
     }
 
-    // Fixed-batch baseline leg (the goodput control must agree too; it
-    // ignores the speculation opt-in and decodes plainly, which must not
-    // change a single token).
-    let requests: Vec<Request> = g
-        .specs
-        .iter()
-        .map(|&(id, plen, max, at)| build_request(g, id, plen, max, at))
-        .collect();
-    let fixed = serve_fixed_batches(&model, &kind, &g.cfg(), requests);
-    assert_streams_match(g, "fixed", &model, &fixed);
     report
 }
 
