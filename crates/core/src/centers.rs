@@ -26,9 +26,10 @@ pub const DEFAULT_COLLINEARITY_THRESHOLD: f64 = 0.98;
 ///
 /// let mut book = CenterBook::new(0.98);
 /// let keys = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![0.0, 1.0]];
-/// book.add_key(&keys[..1]); // key 0 becomes a center
-/// book.add_key(&keys[..2]); // key 1 is collinear with key 0
-/// book.add_key(&keys[..3]); // key 2 is orthogonal -> a new center
+/// let mut dots = Vec::new(); // reusable center-score buffer
+/// book.add_key(&keys[..1], &mut dots); // key 0 becomes a center
+/// book.add_key(&keys[..2], &mut dots); // key 1 is collinear with key 0
+/// book.add_key(&keys[..3], &mut dots); // key 2 is orthogonal -> a new center
 /// assert_eq!(book.centers(), &[0, 2]);
 /// assert_eq!(book.cid(1), 0);
 /// assert!((book.dnorm(1) - 2.0).abs() < 1e-6);
@@ -106,12 +107,15 @@ impl CenterBook {
 
     /// Registers the newest key (paper Alg. 1). `keys` is the full key cache
     /// with the new key last; only keys at center positions are read,
-    /// mirroring the EAS.5 sub-task's memory traffic.
+    /// mirroring the EAS.5 sub-task's memory traffic. They are scored
+    /// against the new key in one [`KeyLookup::dot_positions`] call, into
+    /// `dots` — caller-owned working memory, so a decode step that reuses it
+    /// allocates nothing here.
     ///
     /// # Panics
     ///
     /// Panics if `keys.num_keys() != self.len() + 1`.
-    pub fn add_key(&mut self, keys: &(impl KeyLookup + ?Sized)) {
+    pub fn add_key(&mut self, keys: &(impl KeyLookup + ?Sized), dots: &mut Vec<f64>) {
         assert_eq!(
             keys.num_keys(),
             self.len() + 1,
@@ -125,13 +129,13 @@ impl CenterBook {
         let mut max_cos = 0.0f64;
         let mut max_pos = 0usize;
         if new_norm > 0.0 {
-            for &c in &self.centers {
+            keys.dot_positions(new_key, &self.centers, dots);
+            for (&c, &dot) in self.centers.iter().zip(dots.iter()) {
                 let center_norm = self.norm[c];
                 if center_norm == 0.0 {
                     continue;
                 }
-                let cos =
-                    f64::from(vector::dot(new_key, keys.key_at(c))) / (new_norm * center_norm);
+                let cos = dot / (new_norm * center_norm);
                 if cos.abs() > max_cos.abs() {
                     max_cos = cos;
                     max_pos = c;
@@ -151,31 +155,6 @@ impl CenterBook {
             self.centers.push(n);
         }
     }
-
-    /// Approximates all `n` attention scores from the `q·k_c` dot products of
-    /// the centers alone: `s[i] ≈ center_scores[cid[i]] · dnorm[i]`.
-    ///
-    /// `center_scores` maps center *position* to its exact score; typically
-    /// produced by [`CenterBook::score_centers`].
-    pub fn approx_scores(&self, center_scores: &impl Fn(usize) -> f64) -> Vec<f64> {
-        (0..self.len())
-            .map(|i| center_scores(self.cid[i]) * self.dnorm[i])
-            .collect()
-    }
-
-    /// Computes the exact scores of the center keys only:
-    /// `q_scaled · k_c` for each center `c`. This is EAS.1's traffic — the
-    /// only key reads the identification pass needs.
-    pub fn score_centers(
-        &self,
-        q_scaled: &[f32],
-        keys: &(impl KeyLookup + ?Sized),
-    ) -> Vec<(usize, f64)> {
-        self.centers
-            .iter()
-            .map(|&c| (c, f64::from(vector::dot(q_scaled, keys.key_at(c)))))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -183,9 +162,10 @@ mod tests {
     use super::*;
 
     fn feed(book: &mut CenterBook, keys: &[Vec<f32>]) {
+        let mut dots = Vec::new();
         for i in 0..keys.len() {
             if i >= book.len() {
-                book.add_key(&keys[..=i]);
+                book.add_key(&keys[..=i], &mut dots);
             }
         }
     }
@@ -193,7 +173,7 @@ mod tests {
     #[test]
     fn first_key_is_its_own_center() {
         let mut book = CenterBook::new(0.98);
-        book.add_key(&[vec![3.0, 4.0]][..]);
+        book.add_key(&[vec![3.0, 4.0]][..], &mut Vec::new());
         assert_eq!(book.centers(), &[0]);
         assert_eq!(book.cid(0), 0);
         assert_eq!(book.dnorm(0), 1.0);
@@ -248,40 +228,31 @@ mod tests {
     }
 
     #[test]
-    fn approx_scores_reconstruct_collinear_exactly() {
+    fn center_rescale_reconstructs_collinear_exactly() {
+        // EAS.2's estimate `s[i] ≈ s[cid[i]] · dnorm[i]` from the center
+        // scores alone: perfectly (anti-)collinear keys reconstruct exactly.
         let mut book = CenterBook::new(0.98);
         let keys = vec![vec![2.0, 0.0], vec![6.0, 0.0], vec![-1.0, 0.0]];
         feed(&mut book, &keys);
-        let q = vec![1.5f32, 0.0];
-        let centers = book.score_centers(&q, &keys);
-        let lookup = |c: usize| {
-            centers
-                .iter()
-                .find(|(pos, _)| *pos == c)
-                .map(|(_, s)| *s)
-                .unwrap()
-        };
-        let approx = book.approx_scores(&lookup);
-        // Perfectly collinear keys reconstruct exactly.
+        assert_eq!(book.centers(), &[0]);
+        let q = [1.5f32, 0.0];
+        let mut center_scores = Vec::new();
+        keys.dot_positions(&q, book.centers(), &mut center_scores);
+        let approx: Vec<f64> = (0..book.len())
+            .map(|i| {
+                let slot = book.centers().iter().position(|&c| c == book.cid(i));
+                center_scores[slot.expect("cid is a center")] * book.dnorm(i)
+            })
+            .collect();
         assert!((approx[0] - 3.0).abs() < 1e-6);
         assert!((approx[1] - 9.0).abs() < 1e-6);
         assert!((approx[2] + 1.5).abs() < 1e-6);
     }
 
     #[test]
-    fn score_centers_touches_only_centers() {
-        let mut book = CenterBook::new(0.98);
-        let keys = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![0.0, 3.0]];
-        feed(&mut book, &keys);
-        let scored = book.score_centers(&[1.0, 1.0], &keys);
-        let positions: Vec<usize> = scored.iter().map(|(p, _)| *p).collect();
-        assert_eq!(positions, vec![0, 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "exactly one unregistered key")]
     fn add_key_requires_incremental_feed() {
         let mut book = CenterBook::new(0.98);
-        book.add_key(&[vec![1.0], vec![2.0]][..]);
+        book.add_key(&[vec![1.0], vec![2.0]][..], &mut Vec::new());
     }
 }

@@ -25,8 +25,6 @@
 //! [`Identification::Approximate`] the only error source is interval
 //! misidentification, exactly as the paper argues.
 
-use std::collections::HashSet;
-
 use crate::cache::IntermediateCache;
 use crate::centers::{CenterBook, DEFAULT_COLLINEARITY_THRESHOLD};
 use crate::kv::KvCache;
@@ -130,7 +128,7 @@ pub struct LadCheckpoint {
     centers: CenterBook,
     cache: IntermediateCache,
     cached_mode: Vec<Option<usize>>,
-    prev_active: HashSet<usize>,
+    prev_active: Vec<usize>,
 }
 
 /// Full LAD decoding state of one attention head.
@@ -156,7 +154,8 @@ pub struct LadAttention {
     /// Mode under which each position currently sits in the intermediate
     /// caches; `None` while still inside the latest window.
     cached_mode: Vec<Option<usize>>,
-    prev_active: HashSet<usize>,
+    /// The previous step's active positions, ascending.
+    prev_active: Vec<usize>,
     scratch: StepScratch,
 }
 
@@ -168,11 +167,18 @@ struct StepScratch {
     q_scaled: Vec<f32>,
     scores: Vec<f64>,
     exact: Vec<bool>,
-    by_pos: Vec<f64>,
     num: Vec<f64>,
+    /// This step's active positions, ascending.
     active: Vec<usize>,
     corrected: Vec<bool>,
-    next_active: HashSet<usize>,
+    /// Positions listed for the next gathered key read, and their scores
+    /// (also the center book's center dot products).
+    gather: Vec<usize>,
+    gathered: Vec<f64>,
+    /// `(position, weight)` pairs, as two lists, for the next gathered value
+    /// read.
+    value_pos: Vec<usize>,
+    value_w: Vec<f64>,
     /// `(position, exact score)` of every latest-window position, cached by
     /// the window pass so the degenerate-denominator fallback can reuse the
     /// slice instead of rescanning all `n` positions.
@@ -194,7 +200,7 @@ impl LadAttention {
             centers: CenterBook::new(threshold),
             cache: IntermediateCache::new(dim),
             cached_mode: Vec::new(),
-            prev_active: HashSet::new(),
+            prev_active: Vec::new(),
             scratch: StepScratch::default(),
             cfg,
         }
@@ -234,7 +240,7 @@ impl LadAttention {
     /// Whether `position` was identified active (and therefore corrected)
     /// during the most recent step.
     pub fn was_corrected_last_step(&self, position: usize) -> bool {
-        self.prev_active.contains(&position)
+        self.prev_active.binary_search(&position).is_ok()
     }
 
     /// Captures the head's decoding state so a later [`restore`] rewinds it
@@ -274,6 +280,10 @@ impl LadAttention {
     ///
     /// The per-step working memory lives in a reusable scratch, so after
     /// warm-up the hot path's only allocation is the returned output vector.
+    /// Every KV read is a gathered one: each stage lists the positions it
+    /// needs and reads them in one [`KvCache::score_positions_into`] /
+    /// [`KvCache::values_weighted_at`] call, in the order the per-position
+    /// loop would have, so the result is bit-identical to that loop.
     ///
     /// # Panics
     ///
@@ -286,12 +296,12 @@ impl LadAttention {
         self.kv.push(key, value);
         self.tracker.push_position();
         self.cached_mode.push(None);
-        self.centers.add_key(&self.kv.keys());
-        let n = self.kv.len();
-
         // Detach the scratch so its buffers can be borrowed alongside the
         // other fields; reattached (capacity intact) before returning.
         let mut scratch = std::mem::take(&mut self.scratch);
+        self.centers.add_key(&self.kv.keys(), &mut scratch.gathered);
+        let n = self.kv.len();
+
         let scale = 1.0 / (d as f32).sqrt();
         scratch.q_scaled.clear();
         scratch.q_scaled.extend(query.iter().map(|&x| x * scale));
@@ -304,6 +314,8 @@ impl LadAttention {
         scratch.exact.resize(n, false); // which scores are exact
         let scores = &mut scratch.scores;
         let exact = &mut scratch.exact;
+        let gather = &mut scratch.gather;
+        let gathered = &mut scratch.gathered;
         let mut large_mode_exact = 0usize;
         // Traffic counters: key/value vectors fetched from the KV arena this
         // step, incremented at every read site below. Center-book internal
@@ -315,59 +327,48 @@ impl LadAttention {
         let identify_span = lad_obs::span("lad.identify");
         match self.cfg.identification {
             Identification::Oracle => {
-                for i in 0..n {
-                    scores[i] = f64::from(vector::dot(q_scaled, self.kv.key(i)));
-                    exact[i] = true;
-                }
+                scores.clear();
+                self.kv.score_keys_into(q_scaled, scores);
+                exact.fill(true);
                 keys_fetched += n;
             }
             Identification::Approximate => {
                 // EAS.1: exact scores of directional centers only.
-                scratch.by_pos.clear();
-                scratch.by_pos.resize(n, 0.0);
-                for &c in self.centers.centers() {
-                    let s = f64::from(vector::dot(q_scaled, self.kv.key(c)));
-                    scratch.by_pos[c] = s;
-                    scores[c] = s;
-                    exact[c] = true;
-                    keys_fetched += 1;
-                }
-                // EAS.2: rescale via dnorm.
+                let centers = self.centers.centers();
+                score_listed(&self.kv, q_scaled, centers, gathered, scores, exact);
+                keys_fetched += centers.len();
+                // EAS.2: rescale via dnorm. Every `cid` is a center, whose
+                // exact score EAS.1 just wrote.
                 for i in 0..n {
                     if !exact[i] {
-                        scores[i] = scratch.by_pos[self.centers.cid(i)] * self.centers.dnorm(i);
+                        scores[i] = scores[self.centers.cid(i)] * self.centers.dnorm(i);
                     }
                 }
                 // EAS.3: exact scores for large-mode cached positions.
                 if self.cfg.exact_large_modes {
                     let _large_mode_span = lad_obs::span("lad.large_mode_exact");
-                    for i in 0..n {
-                        if !exact[i]
+                    gather.clear();
+                    gather.extend((0..n).filter(|&i| {
+                        !exact[i]
                             && self.cached_mode[i].is_some()
                             && self.tracker.mode(i) >= self.cfg.large_mode_min_index
-                        {
-                            scores[i] = f64::from(vector::dot(q_scaled, self.kv.key(i)));
-                            exact[i] = true;
-                            large_mode_exact += 1;
-                            keys_fetched += 1;
-                        }
-                    }
+                    }));
+                    score_listed(&self.kv, q_scaled, gather, gathered, scores, exact);
+                    large_mode_exact = gather.len();
+                    keys_fetched += gather.len();
                 }
                 // Window positions are in the active FIFO by default — the MD
                 // module computes their exact scores.
-                for i in 0..n {
-                    if !exact[i] && self.cached_mode[i].is_none() {
-                        scores[i] = f64::from(vector::dot(q_scaled, self.kv.key(i)));
-                        exact[i] = true;
-                        keys_fetched += 1;
-                    }
-                }
+                gather.clear();
+                gather.extend((0..n).filter(|&i| !exact[i] && self.cached_mode[i].is_none()));
+                score_listed(&self.kv, q_scaled, gather, gathered, scores, exact);
+                keys_fetched += gather.len();
             }
         }
 
         let m = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
 
-        // -- APID: identify active cached positions.
+        // -- APID: identify active cached positions (ascending).
         scratch.active.clear();
         for (i, &score) in scores.iter().enumerate() {
             if self.cached_mode[i].is_some() {
@@ -387,22 +388,33 @@ impl LadAttention {
             self.cache.evaluate_into(q_scaled, m, &mut scratch.num)
         };
         let num = &mut scratch.num;
+        let (value_pos, value_w) = (&mut scratch.value_pos, &mut scratch.value_w);
 
         // -- MD + AC.3: correction computations for active positions.
         let correct_span = lad_obs::span("lad.correct");
         let mut mode_updates = 0usize;
         let mut new_active = 0usize;
-        scratch.next_active.clear();
         scratch.corrected.clear();
         scratch.corrected.resize(n, false);
+        // The MD module computes the *accurate* score for active positions:
+        // one gathered key read for those whose score is still an estimate.
+        gather.clear();
+        gather.extend(scratch.active.iter().copied().filter(|&j| !exact[j]));
+        gathered.clear();
+        self.kv.score_positions_into(q_scaled, gather, gathered);
+        keys_fetched += gather.len();
+        let mut fresh = gathered.iter().copied();
+        // Both active lists ascend, so "new since last step" is a merge walk.
+        let mut prev = self.prev_active.iter().copied().peekable();
+        value_pos.clear();
+        value_w.clear();
         for &j in &scratch.active {
-            // The MD module computes the *accurate* score for active
-            // positions (reads the key from the KV cache).
             let s_exact = if exact[j] {
                 scores[j]
             } else {
-                keys_fetched += 1;
-                f64::from(vector::dot(q_scaled, self.kv.key(j)))
+                fresh
+                    .next()
+                    .expect("one gathered score per estimated active")
             };
             let shifted = s_exact - m;
             let id = self.cfg.pwl.interval_of(shifted);
@@ -414,17 +426,15 @@ impl LadAttention {
             // Correction factor; zero for false positives (id == cached).
             let cf = alpha * shifted + beta;
             if cf != 0.0 {
-                values_fetched += 1;
-                for (slot, &vc) in num.iter_mut().zip(self.kv.value(j)) {
-                    *slot += cf * f64::from(vc);
-                }
+                value_pos.push(j);
+                value_w.push(cf);
                 den += cf;
             }
             scratch.corrected[j] = true;
-            if !self.prev_active.contains(&j) {
+            while prev.next_if(|&p| p < j).is_some() {}
+            if prev.next_if_eq(&j).is_none() {
                 new_active += 1;
             }
-            scratch.next_active.insert(j);
             // Counter maintenance for active positions uses the true interval.
             let changed = self.tracker.record(j, id);
             if changed {
@@ -436,6 +446,10 @@ impl LadAttention {
                 values_fetched += 1;
             }
         }
+        // The corrections' value reads, in active order: `num` receives
+        // exactly the adds the per-position loop made, in the same order.
+        values_fetched += value_pos.len();
+        self.kv.values_weighted_at(value_pos, value_w, num);
         drop(correct_span);
 
         // -- Step 5: window positions (not yet cached) computed directly.
@@ -445,6 +459,8 @@ impl LadAttention {
         let window_span = lad_obs::span("lad.window");
         let mut window_count = 0usize;
         scratch.window_scores.clear();
+        value_pos.clear();
+        value_w.clear();
         for (i, &score) in scores.iter().enumerate() {
             if self.cached_mode[i].is_none() {
                 window_count += 1;
@@ -454,10 +470,8 @@ impl LadAttention {
                 let (a, b) = self.cfg.pwl.coeffs(id);
                 let w = a * shifted + b;
                 if w != 0.0 {
-                    values_fetched += 1;
-                    for (slot, &vc) in num.iter_mut().zip(self.kv.value(i)) {
-                        *slot += w * f64::from(vc);
-                    }
+                    value_pos.push(i);
+                    value_w.push(w);
                     den += w;
                 }
                 self.tracker.record(i, id);
@@ -467,6 +481,8 @@ impl LadAttention {
                 self.tracker.record_mode_hit(i);
             }
         }
+        values_fetched += value_pos.len();
+        self.kv.values_weighted_at(value_pos, value_w, num);
         drop(window_span);
 
         // -- Degenerate-denominator guard: the PWL weights can go negative
@@ -486,17 +502,19 @@ impl LadAttention {
             for &(_, score) in &scratch.window_scores {
                 m_w = m_w.max(score);
             }
-            num.clear();
-            num.resize(d, 0.0);
+            value_pos.clear();
+            value_w.clear();
             let mut w_den = 0.0f64;
-            values_fetched += scratch.window_scores.len();
             for &(i, score) in &scratch.window_scores {
                 let w = (score - m_w).exp();
                 w_den += w;
-                for (slot, &vc) in num.iter_mut().zip(self.kv.value(i)) {
-                    *slot += w * f64::from(vc);
-                }
+                value_pos.push(i);
+                value_w.push(w);
             }
+            num.clear();
+            num.resize(d, 0.0);
+            values_fetched += value_pos.len();
+            self.kv.values_weighted_at(value_pos, value_w, num);
             num.iter().map(|&x| (x / w_den) as f32).collect()
         };
 
@@ -505,7 +523,7 @@ impl LadAttention {
             if self.cfg.diagnostics && self.cfg.identification == Identification::Approximate {
                 // The oracle comparison re-reads every cached position's key.
                 keys_fetched += self.cached_mode.iter().flatten().count();
-                self.identification_errors(q_scaled, m, &scratch.next_active)
+                self.identification_errors(q_scaled, m, &scratch.corrected)
             } else {
                 (0, 0)
             };
@@ -525,10 +543,11 @@ impl LadAttention {
             }
         }
 
-        // Swap rather than move: last step's set becomes next step's
-        // (cleared) scratch, so neither HashSet is ever re-allocated.
-        std::mem::swap(&mut self.prev_active, &mut scratch.next_active);
+        // Swap rather than move: this step's ascending active list becomes
+        // `prev_active`, and last step's list the next step's (cleared)
+        // scratch, so neither list is ever re-allocated.
         let active_count = scratch.active.len();
+        std::mem::swap(&mut self.prev_active, &mut scratch.active);
         self.scratch = scratch;
 
         StepOutput {
@@ -559,17 +578,18 @@ impl LadAttention {
         }
     }
 
-    /// Compares the identified active set against oracle identification.
+    /// Compares the identified active set (`identified[i]` for every
+    /// position the step corrected) against oracle identification.
     fn identification_errors(
         &self,
         q_scaled: &[f32],
         m: f64,
-        identified: &HashSet<usize>,
+        identified: &[bool],
     ) -> (usize, usize) {
         let mut false_negatives = 0;
         let mut false_positives = 0;
-        for i in 0..self.kv.len() {
-            let Some(cached) = self.cached_mode[i] else {
+        for (i, (&cached, &identified)) in self.cached_mode.iter().zip(identified).enumerate() {
+            let Some(cached) = cached else {
                 continue;
             };
             // We compare against the *cached* mode: a position is truly
@@ -577,13 +597,31 @@ impl LadAttention {
             // its cache contribution assumes.
             let s = f64::from(vector::dot(q_scaled, self.kv.key(i)));
             let truly_active = self.cfg.pwl.interval_of(s - m) != cached;
-            match (truly_active, identified.contains(&i)) {
+            match (truly_active, identified) {
                 (true, false) => false_negatives += 1,
                 (false, true) => false_positives += 1,
                 _ => {}
             }
         }
         (false_negatives, false_positives)
+    }
+}
+
+/// Scores the listed `positions` exactly with one gathered key read (into
+/// `buf`) and records them in `scores` / `exact`.
+fn score_listed(
+    kv: &KvCache,
+    q_scaled: &[f32],
+    positions: &[usize],
+    buf: &mut Vec<f64>,
+    scores: &mut [f64],
+    exact: &mut [bool],
+) {
+    buf.clear();
+    kv.score_positions_into(q_scaled, positions, buf);
+    for (&i, &s) in positions.iter().zip(buf.iter()) {
+        scores[i] = s;
+        exact[i] = true;
     }
 }
 

@@ -24,6 +24,16 @@
 //! still accumulates in the scalar loop's order, so both reads are
 //! bit-identical to a per-key [`lad_math::vector::dot`] and a per-position
 //! [`KvCache::value_axpy`] under either kernel.
+//!
+//! The sparse reads of the LAD decoder run the gathered forms of the same
+//! kernels over a listed subset of positions, with the same guarantee and
+//! the same metering as one [`KvCache::key`] / [`KvCache::value`] per
+//! listed position:
+//!
+//! * [`KvCache::score_positions_into`] — the listed keys' scores, through
+//!   [`simd::dot_gather_f32`];
+//! * [`KvCache::values_weighted_at`] — the weighted sum of the listed values,
+//!   in listed order, through [`simd::weighted_gather_f64`].
 
 use lad_math::{f16, simd, F16};
 use std::cell::Cell;
@@ -304,7 +314,8 @@ impl KvCache {
     /// One sparse value read: `acc[j] += w · v_position[j]`, decoding fp16
     /// values exactly on the fly — the per-position form of
     /// [`KvCache::values_weighted_into`] for callers that weight a subset of
-    /// positions (top-k, H2O, LAD).
+    /// positions one at a time (top-k, H2O); LAD lists its subset for
+    /// [`KvCache::values_weighted_at`].
     ///
     /// # Panics
     ///
@@ -360,6 +371,75 @@ impl KvCache {
                     for (slot, &b) in acc.iter_mut().zip(row) {
                         *slot += w * f64::from(F16::from_bits(b).to_f32());
                     }
+                }
+            }
+        }
+    }
+
+    /// The sparse score read: appends `qs · k_p` (as `f64`) to `out` for
+    /// every listed position `p`, in listed order, and meters one key per
+    /// listed position, exactly as that many [`KvCache::key`] reads would.
+    ///
+    /// In `f32` mode this runs the dispatched [`simd::dot_gather_f32`]:
+    /// eight listed keys per register, each lane accumulating in the same
+    /// element order as a sequential [`lad_math::vector::dot`], so every
+    /// score is bit-identical to `vector::dot(qs, self.key(p))`. fp16 keys
+    /// run [`simd::dot_f16`] per position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qs.len() != dim` or any position is out of bounds.
+    pub fn score_positions_into(&self, qs: &[f32], positions: &[usize], out: &mut Vec<f64>) {
+        assert_eq!(
+            qs.len(),
+            self.dim,
+            "KvCache::score_positions_into: dim mismatch"
+        );
+        meter(positions.len() * self.dim * self.precision.bytes_per_element());
+        let start = out.len();
+        match self.precision {
+            KvPrecision::F32 => {
+                out.resize(start + positions.len(), 0.0);
+                simd::dot_gather_f32(qs, &self.keys, positions, &mut out[start..]);
+            }
+            KvPrecision::F16 => out.extend(positions.iter().map(|&p| {
+                let bits = &self.keys16[p * self.dim..(p + 1) * self.dim];
+                f64::from(simd::dot_f16(qs, bits))
+            })),
+        }
+    }
+
+    /// The sparse value read: `acc[j] += ws[k] · v_{positions[k]}[j]` for
+    /// every listed `k` in order — exactly [`KvCache::value_axpy`] called
+    /// once per listed position, and metered the same.
+    ///
+    /// In `f32` mode this runs the dispatched [`simd::weighted_gather_f64`],
+    /// whose lanes are value columns; each column still adds its products in
+    /// listed order, so the sum is bit-identical to the per-position loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != dim`, `ws.len() != positions.len()`, or any
+    /// position is out of bounds.
+    pub fn values_weighted_at(&self, positions: &[usize], ws: &[f64], acc: &mut [f64]) {
+        assert_eq!(
+            acc.len(),
+            self.dim,
+            "KvCache::values_weighted_at: dim mismatch"
+        );
+        assert_eq!(
+            ws.len(),
+            positions.len(),
+            "KvCache::values_weighted_at: one weight per listed position"
+        );
+        match self.precision {
+            KvPrecision::F32 => {
+                meter(positions.len() * self.dim * 4);
+                simd::weighted_gather_f64(positions, ws, &self.values, acc);
+            }
+            KvPrecision::F16 => {
+                for (&p, &w) in positions.iter().zip(ws) {
+                    self.value_axpy(p, w, acc);
                 }
             }
         }
@@ -450,6 +530,23 @@ pub trait KeyLookup {
 
     /// Key at `position`.
     fn key_at(&self, position: usize) -> &[f32];
+
+    /// Writes `q · k_p` (as `f64`) for every listed position `p` into `out`
+    /// (cleared first), each bit-identical to a sequential
+    /// [`lad_math::vector::dot`] of `q` and [`KeyLookup::key_at`]`(p)` —
+    /// which is what this default runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of bounds.
+    fn dot_positions(&self, q: &[f32], positions: &[usize], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            positions
+                .iter()
+                .map(|&p| f64::from(lad_math::vector::dot(q, self.key_at(p)))),
+        );
+    }
 }
 
 impl KeyLookup for KeysView<'_> {
@@ -459,6 +556,20 @@ impl KeyLookup for KeysView<'_> {
 
     fn key_at(&self, position: usize) -> &[f32] {
         self.key(position)
+    }
+
+    /// The arena is contiguous, so this runs the dispatched
+    /// [`simd::dot_gather_f32`] (unmetered, like every [`KeysView`] read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.len()` differs from the key width or a position is out
+    /// of bounds.
+    fn dot_positions(&self, q: &[f32], positions: &[usize], out: &mut Vec<f64>) {
+        assert_eq!(q.len(), self.dim, "KeysView::dot_positions: dim mismatch");
+        out.clear();
+        out.resize(positions.len(), 0.0);
+        simd::dot_gather_f32(q, self.flat, positions, out);
     }
 }
 
@@ -607,6 +718,25 @@ mod tests {
         let mut key_buf = vec![0.0f32; 3];
         kv.key_into(2, &mut key_buf);
         assert_eq!(&key_buf[..], kv.key(2));
+
+        // The gathered reads on a scattered, unsorted list with a repeat.
+        let listed = [3usize, 0, 4, 3];
+        let lw = [0.25f64, -2.0, 1.5, 3.0];
+        let mut listed_dense = vec![0.0f64; 3];
+        for (&p, &w) in listed.iter().zip(&lw) {
+            kv.value_axpy(p, w, &mut listed_dense);
+        }
+        for kernel in [lad_math::Kernel::Scalar, lad_math::Kernel::Simd] {
+            let mut got = vec![7.0];
+            lad_math::with_kernel(kernel, || kv.score_positions_into(&qs, &listed, &mut got));
+            let want: Vec<f64> = std::iter::once(7.0)
+                .chain(listed.iter().map(|&p| scored[p]))
+                .collect();
+            assert_eq!(got, want, "{}", kernel.name());
+            let mut acc = vec![0.0f64; 3];
+            lad_math::with_kernel(kernel, || kv.values_weighted_at(&listed, &lw, &mut acc));
+            assert_eq!(acc, listed_dense, "{}", kernel.name());
+        }
     }
 
     #[test]
@@ -627,6 +757,10 @@ mod tests {
         kv.key_into(0, &mut buf); // 16 B
         kv.values_weighted_into(&[1.0; 3], &mut acc); // 3 values = 48 B
         assert_eq!(traffic_bytes(), 16 + 16 + 48 + 16 + 16 + 48);
+        reset_traffic_bytes();
+        kv.score_positions_into(&[1.0; 4], &[2, 0], &mut scores); // 2 keys = 32 B
+        kv.values_weighted_at(&[1, 1, 2], &[1.0; 3], &mut acc); // 3 values = 48 B
+        assert_eq!(traffic_bytes(), 32 + 48);
 
         // fp16 arenas meter at two bytes per element.
         let mut kv16 = KvCache::with_precision(4, KvPrecision::F16);
@@ -636,7 +770,9 @@ mod tests {
         kv16.value_axpy(0, 1.0, &mut acc); // 8 B
         let _ = kv16.key_bits(0); // 8 B
         kv16.values_weighted_into(&[1.0], &mut acc); // 8 B
-        assert_eq!(traffic_bytes(), 32);
+        kv16.score_positions_into(&[1.0; 4], &[0, 0], &mut scores); // 16 B
+        kv16.values_weighted_at(&[0], &[1.0], &mut acc); // 8 B
+        assert_eq!(traffic_bytes(), 56);
         reset_traffic_bytes();
     }
 

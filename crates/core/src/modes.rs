@@ -30,7 +30,11 @@ pub const COUNTER_MAX: u16 = 4095;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModeTracker {
     intervals: usize,
-    counts: Vec<Vec<u16>>,
+    /// Position-major `len() × intervals` counters: position `p` owns
+    /// `counts[p·intervals..(p + 1)·intervals]`. One flat arena, so a new
+    /// position never allocates beyond amortised growth and a clone is one
+    /// allocation.
+    counts: Vec<u16>,
     modes: Vec<usize>,
 }
 
@@ -56,19 +60,19 @@ impl ModeTracker {
 
     /// Number of tracked positions.
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.modes.len()
     }
 
     /// `true` when no positions are tracked.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.modes.is_empty()
     }
 
     /// Registers a new position with zeroed counters and default mode 0
     /// (the hardware default for positions inside the latest-16 window,
     /// paper Sec. IV-B(3)).
     pub fn push_position(&mut self) {
-        self.counts.push(vec![0; self.intervals]);
+        self.counts.resize(self.counts.len() + self.intervals, 0);
         self.modes.push(0);
     }
 
@@ -87,7 +91,12 @@ impl ModeTracker {
     ///
     /// Panics if out of bounds.
     pub fn counts(&self, position: usize) -> &[u16] {
-        &self.counts[position]
+        &self.counts[self.span(position)]
+    }
+
+    /// Where `position`'s counters sit in the flat arena.
+    fn span(&self, position: usize) -> std::ops::Range<usize> {
+        position * self.intervals..(position + 1) * self.intervals
     }
 
     /// Records that `position`'s score fell into `interval` this step and
@@ -102,7 +111,8 @@ impl ModeTracker {
     /// Panics if `position` or `interval` is out of bounds.
     pub fn record(&mut self, position: usize, interval: usize) -> bool {
         assert!(interval < self.intervals, "record: interval out of bounds");
-        let counters = &mut self.counts[position];
+        let span = self.span(position);
+        let counters = &mut self.counts[span];
         age_if_saturated(counters, interval);
         counters[interval] += 1;
         let mode = self.modes[position];
@@ -123,7 +133,8 @@ impl ModeTracker {
     /// Panics if out of bounds.
     pub fn record_mode_hit(&mut self, position: usize) {
         let mode = self.modes[position];
-        let counters = &mut self.counts[position];
+        let span = self.span(position);
+        let counters = &mut self.counts[span];
         age_if_saturated(counters, mode);
         counters[mode] += 1;
     }

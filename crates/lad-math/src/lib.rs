@@ -15,8 +15,8 @@
 //!   per-sample `matvec` calls bit for bit.
 //! * [`simd`] — runtime-dispatched AVX2 microkernels behind the same
 //!   interfaces (`LAD_GEMM_KERNEL`, [`with_kernel`]): the f32 GEMM and the
-//!   f32 KV read (key scores, weighted value sum) are bit-identical to
-//!   scalar, the fp16 KV dot is bounded-error.
+//!   f32 KV read (key scores, weighted value sum, over all rows or a listed
+//!   subset) are bit-identical to scalar, the fp16 KV dot is bounded-error.
 //! * [`quant`] — int8 weight quantisation with per-output-row scales and the
 //!   `W8A32` GEMM/matvec kernels that consume it.
 //! * [`pwl`] — piecewise-linear approximation of `exp` on `(-inf, 0]` with

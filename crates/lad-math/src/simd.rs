@@ -34,6 +34,12 @@
 //!   `w · v` in ascending position order, as the position-major scalar loop
 //!   does.
 //!
+//! Their gathered forms ([`dot_gather_f32`], [`weighted_gather_f64`]) run the
+//! same lanes over a *listed* subset of rows — the sparse reads of the LAD
+//! decoder. Only where each lane's row starts changes: eight listed keys are
+//! transposed in-register, and each value column adds its products in listed
+//! order.
+//!
 //! Dispatch is three-tiered: a process-wide default from `LAD_GEMM_KERNEL`
 //! (`scalar` forces the reference path, `simd`/`auto` use the widest
 //! bit-exact kernel the CPU has), a thread-local scoped override
@@ -450,6 +456,59 @@ pub fn dot_rows_f32_scalar(qs: &[f32], keys: &[f32], out: &mut [f64]) {
     }
 }
 
+/// Scores a listed subset of keys against one query:
+/// `out[k] = qs · keys[idx[k]·d..(idx[k] + 1)·d]` widened exactly to `f64`,
+/// with `d = qs.len()`. `idx` may be in any order and repeat. Dispatched
+/// through [`active_kernel`].
+///
+/// Bit-identical to [`dot_gather_f32_scalar`] (one [`crate::vector::dot`] per
+/// listed key): the AVX2 kernel is [`dot_rows_f32`]'s, with the eight lanes
+/// fed from eight listed rows instead of eight consecutive ones.
+///
+/// # Panics
+///
+/// Panics if `qs` is empty, `out.len() != idx.len()`, or any listed index
+/// is `>= keys.len() / qs.len()`.
+pub fn dot_gather_f32(qs: &[f32], keys: &[f32], idx: &[usize], out: &mut [f64]) {
+    assert_gather("dot_gather_f32", qs.len(), keys.len(), idx, out.len());
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; every
+        // listed row lies inside `keys` and `out` has one slot per index, as
+        // asserted above.
+        unsafe { dot_gather_f32_avx2(qs, keys, idx, out) };
+        return;
+    }
+    dot_gather_f32_scalar(qs, keys, idx, out);
+}
+
+/// Reference gathered key scoring: one sequential [`crate::vector::dot`] per
+/// listed key.
+///
+/// # Panics
+///
+/// As [`dot_gather_f32`].
+pub fn dot_gather_f32_scalar(qs: &[f32], keys: &[f32], idx: &[usize], out: &mut [f64]) {
+    assert_gather("dot_gather_f32", qs.len(), keys.len(), idx, out.len());
+    let d = qs.len();
+    for (slot, &i) in out.iter_mut().zip(idx) {
+        *slot = f64::from(crate::vector::dot(qs, &keys[i * d..(i + 1) * d]));
+    }
+}
+
+/// Checks a gathered read's shape: a non-empty row width `d`, one output
+/// (or weight) per listed index, and every index a whole row of the arena.
+/// The AVX2 gathers rely on exactly these conditions.
+fn assert_gather(name: &str, d: usize, arena_len: usize, idx: &[usize], per_index: usize) {
+    assert!(d > 0, "{name}: rows must be non-empty");
+    assert_eq!(per_index, idx.len(), "{name}: one slot per listed index");
+    let rows = arena_len / d;
+    assert!(
+        idx.iter().all(|&i| i < rows),
+        "{name}: listed index out of range ({rows} rows)"
+    );
+}
+
 /// The weighted value sum: `acc[j] += ws[i] · f64(values[i·d + j])` for every
 /// position `i` in ascending order, with `d = acc.len()` and `n = ws.len()`.
 /// Dispatched through [`active_kernel`].
@@ -471,13 +530,73 @@ pub fn weighted_rows_f64(ws: &[f64], values: &[f32], acc: &mut [f64]) {
     );
     #[cfg(target_arch = "x86_64")]
     if active_kernel() == Kernel::Simd {
-        // SAFETY: Kernel::Simd is only active when AVX2 is present; the
-        // lengths were asserted above.
-        let done = unsafe { weighted_rows_f64_avx2(ws, values, acc) };
-        weighted_columns_scalar(ws, values, acc, done);
+        let d = acc.len();
+        let rows = || ws.iter().enumerate().map(move |(i, &w)| (i * d, w));
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; by the
+        // length assertion above every row `i * d .. (i + 1) * d` lies
+        // inside `values`.
+        let done = unsafe { weighted_columns_avx2(rows, values, acc) };
+        weighted_columns_scalar(rows(), values, acc, done);
         return;
     }
     weighted_rows_f64_scalar(ws, values, acc);
+}
+
+/// The gathered weighted value sum: for every listed `k` in order,
+/// `acc[j] += ws[k] · f64(values[idx[k]·d + j])`, with `d = acc.len()`.
+/// `idx` may be in any order and repeat. Dispatched through [`active_kernel`].
+///
+/// Bit-identical to [`weighted_gather_f64_scalar`]: the AVX2 kernel is
+/// [`weighted_rows_f64`]'s (lanes = value columns, held in `f64x4`
+/// registers across all listed positions), each column adding `w · v` in
+/// listed order.
+///
+/// # Panics
+///
+/// Panics if `acc` is empty, `ws.len() != idx.len()`, or any listed index
+/// is `>= values.len() / acc.len()`.
+pub fn weighted_gather_f64(idx: &[usize], ws: &[f64], values: &[f32], acc: &mut [f64]) {
+    assert_gather(
+        "weighted_gather_f64",
+        acc.len(),
+        values.len(),
+        idx,
+        ws.len(),
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        let d = acc.len();
+        let rows = || idx.iter().zip(ws).map(move |(&i, &w)| (i * d, w));
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; every
+        // listed row `i * d .. (i + 1) * d` lies inside `values`, as
+        // asserted above.
+        let done = unsafe { weighted_columns_avx2(rows, values, acc) };
+        weighted_columns_scalar(rows(), values, acc, done);
+        return;
+    }
+    weighted_gather_f64_scalar(idx, ws, values, acc);
+}
+
+/// Reference gathered value sum: the position-major loop over the listed
+/// rows, in listed order.
+///
+/// # Panics
+///
+/// As [`weighted_gather_f64`].
+pub fn weighted_gather_f64_scalar(idx: &[usize], ws: &[f64], values: &[f32], acc: &mut [f64]) {
+    assert_gather(
+        "weighted_gather_f64",
+        acc.len(),
+        values.len(),
+        idx,
+        ws.len(),
+    );
+    let d = acc.len();
+    for (&i, &w) in idx.iter().zip(ws) {
+        for (slot, &v) in acc.iter_mut().zip(&values[i * d..(i + 1) * d]) {
+            *slot += w * f64::from(v);
+        }
+    }
 }
 
 /// Reference weighted value sum: the position-major loop the exact attention
@@ -502,36 +621,47 @@ pub fn weighted_rows_f64_scalar(ws: &[f64], values: &[f32], acc: &mut [f64]) {
     }
 }
 
-/// Columns `from..d` of [`weighted_rows_f64_scalar`], column by column: each
-/// column is independent, so this is the same sum in the same order.
+/// Columns `from..d` of the weighted sum over `rows` (`(row start, weight)`
+/// pairs, in summation order), column by column: each column is
+/// independent, so this is the position-major loop's sum in the same order.
 #[cfg(target_arch = "x86_64")]
-fn weighted_columns_scalar(ws: &[f64], values: &[f32], acc: &mut [f64], from: usize) {
-    let d = acc.len();
+fn weighted_columns_scalar(
+    rows: impl Iterator<Item = (usize, f64)> + Clone,
+    values: &[f32],
+    acc: &mut [f64],
+    from: usize,
+) {
     for (j, slot) in acc.iter_mut().enumerate().skip(from) {
-        for (i, &w) in ws.iter().enumerate() {
-            *slot += w * f64::from(values[i * d + j]);
+        for (start, w) in rows.clone() {
+            *slot += w * f64::from(values[start + j]);
         }
     }
 }
 
-/// Transposes an 8-key × 8-element tile: `p[r·d + c]` for rows `r < 8`,
-/// columns `c < 8` comes back as `out[c]`, lane `r`.
+/// Transposes an 8-key × 8-element tile: element `e + c` of key `r`, which
+/// starts at `p.add(start(r))`, comes back as `out[c]`, lane `r`, for
+/// `r, c < 8`.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `p[r·d + c]` readable for every such `r, c`.
+/// AVX2 must be available, and `p.add(start(r) + e + c)` readable for every
+/// such `r, c`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn transpose_keys8(p: *const f32, d: usize) -> [std::arch::x86_64::__m256; 8] {
+unsafe fn transpose_keys8(
+    p: *const f32,
+    start: &impl Fn(usize) -> usize,
+    e: usize,
+) -> [std::arch::x86_64::__m256; 8] {
     use std::arch::x86_64::*;
 
     let mut out = [_mm256_setzero_ps(); 8];
-    for (half, off) in [0usize, 4].into_iter().enumerate() {
-        let t0 = key_pair(p, d, 0, off);
-        let t1 = key_pair(p, d, 1, off);
-        let t2 = key_pair(p, d, 2, off);
-        let t3 = key_pair(p, d, 3, off);
+    for (half, off) in [e, e + 4].into_iter().enumerate() {
+        let t0 = key_pair(p, start, 0, off);
+        let t1 = key_pair(p, start, 1, off);
+        let t2 = key_pair(p, start, 2, off);
+        let t3 = key_pair(p, start, 3, off);
         let u0 = _mm256_unpacklo_ps(t0, t1);
         let u1 = _mm256_unpackhi_ps(t0, t1);
         let u2 = _mm256_unpacklo_ps(t2, t3);
@@ -550,16 +680,21 @@ unsafe fn transpose_keys8(p: *const f32, d: usize) -> [std::arch::x86_64::__m256
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `p[r·d + off ..][..4]` and
-/// `p[(r + 4)·d + off ..][..4]` readable.
+/// AVX2 must be available, and `p.add(start(r) + off)[..4]` and
+/// `p.add(start(r + 4) + off)[..4]` readable.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn key_pair(p: *const f32, d: usize, r: usize, off: usize) -> std::arch::x86_64::__m256 {
+unsafe fn key_pair(
+    p: *const f32,
+    start: &impl Fn(usize) -> usize,
+    r: usize,
+    off: usize,
+) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
     _mm256_insertf128_ps::<1>(
-        _mm256_castps128_ps256(_mm_loadu_ps(p.add(r * d + off))),
-        _mm_loadu_ps(p.add((r + 4) * d + off)),
+        _mm256_castps128_ps256(_mm_loadu_ps(p.add(start(r) + off))),
+        _mm_loadu_ps(p.add(start(r + 4) + off)),
     )
 }
 
@@ -584,28 +719,39 @@ unsafe fn accumulate_tile(
     acc
 }
 
-/// Finishes eight keys' accumulators over the `d % 8` element tail in scalar
-/// order and writes them, widened, to `out`.
+/// Scores the eight keys `keys[start(r)..][..d]` (lane `r` = key `r`) into
+/// `out[..8]`: each lane accumulates its key in ascending element order from
+/// `-0.0`, the `d % 8` tail in scalar order, then widens to `f64`. `start`
+/// is a closure so the consecutive-rows caller keeps its strided
+/// addressing after inlining.
 ///
 /// # Safety
 ///
-/// AVX2 must be available.
+/// AVX2 must be available, `out.len() == 8`, and
+/// `start(r) + qs.len() <= keys.len()` for every `r < 8`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn finish_keys8(
-    acc: std::arch::x86_64::__m256,
-    qs: &[f32],
-    keys: &[f32],
-    body: usize,
-    out: &mut [f64],
-) {
+unsafe fn dot_keys8(qs: &[f32], keys: &[f32], start: impl Fn(usize) -> usize, out: &mut [f64]) {
+    use std::arch::x86_64::*;
+
     let d = qs.len();
+    let body = d - d % 8;
+    let p = keys.as_ptr();
+    let q = qs.as_ptr();
+    let mut acc = _mm256_set1_ps(-0.0);
+    let mut e = 0;
+    // Every tile read covers elements e..e + 8 <= body <= d of each key,
+    // inside `keys` by the caller's contract.
+    while e < body {
+        acc = accumulate_tile(acc, &transpose_keys8(p, &start, e), q.add(e));
+        e += 8;
+    }
     let mut lanes = [0.0f32; 8];
-    std::arch::x86_64::_mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
     for (r, (slot, mut sum)) in out.iter_mut().zip(lanes).enumerate() {
         for e in body..d {
-            sum += qs[e] * keys[r * d + e];
+            sum += qs[e] * keys[start(r) + e];
         }
         *slot = f64::from(sum);
     }
@@ -619,47 +765,62 @@ unsafe fn finish_keys8(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_rows_f32_avx2(qs: &[f32], keys: &[f32], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-
     let d = qs.len();
     let n = out.len();
-    let body = d - d % 8;
-    let q = qs.as_ptr();
     let mut i = 0;
-    // Every tile read below covers keys i..i + 8 ≤ n and elements
-    // e..e + 8 ≤ body ≤ d, inside `keys` by the caller's length contract.
     while i + 8 <= n {
-        let p = keys.as_ptr().add(i * d);
-        let mut acc = _mm256_set1_ps(-0.0);
-        let mut e = 0;
-        while e < body {
-            acc = accumulate_tile(acc, &transpose_keys8(p.add(e), d), q.add(e));
-            e += 8;
-        }
-        finish_keys8(acc, qs, &keys[i * d..], body, &mut out[i..i + 8]);
+        dot_keys8(qs, &keys[i * d..], |r| r * d, &mut out[i..i + 8]);
         i += 8;
     }
     dot_rows_f32_scalar(qs, &keys[i * d..], &mut out[i..]);
 }
 
-/// The AVX2 weighted value sum over columns `0..d - d % 4`: blocks of 32
-/// columns held in eight `f64x4` registers, then one register per pass.
-/// Returns the first column it did not cover.
+/// [`dot_gather_f32`] on AVX2: groups of eight listed keys through
+/// [`dot_keys8`], the last `idx.len() % 8` through [`crate::vector::dot`].
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `values.len() == ws.len() * acc.len()`.
+/// AVX2 must be available, `out.len() == idx.len()`, and
+/// `(i + 1) * qs.len() <= keys.len()` for every listed `i`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn weighted_rows_f64_avx2(ws: &[f64], values: &[f32], acc: &mut [f64]) -> usize {
+unsafe fn dot_gather_f32_avx2(qs: &[f32], keys: &[f32], idx: &[usize], out: &mut [f64]) {
+    let d = qs.len();
+    let groups = idx.len() / 8 * 8;
+    for (ids, slots) in idx[..groups]
+        .chunks_exact(8)
+        .zip(out[..groups].chunks_exact_mut(8))
+    {
+        let rows: [usize; 8] = std::array::from_fn(|r| ids[r] * d);
+        dot_keys8(qs, keys, |r| rows[r], slots);
+    }
+    dot_gather_f32_scalar(qs, keys, &idx[groups..], &mut out[groups..]);
+}
+
+/// The AVX2 weighted value sum over columns `0..d - d % 4`, with
+/// `d = acc.len()`: blocks of 32 columns held in eight `f64x4` registers,
+/// then one register per pass, each walking `rows()` (`(row start, weight)`
+/// pairs) in order. Returns the first column it did not cover.
+///
+/// # Safety
+///
+/// AVX2 must be available, and every start `rows()` yields must satisfy
+/// `start + acc.len() <= values.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weighted_columns_avx2<I: Iterator<Item = (usize, f64)>>(
+    rows: impl Fn() -> I,
+    values: &[f32],
+    acc: &mut [f64],
+) -> usize {
     let d = acc.len();
     let mut c0 = 0;
     while c0 + 32 <= d {
-        weighted_block_avx2::<8>(ws, values, acc, c0);
+        weighted_block_avx2::<8>(rows(), values, acc, c0);
         c0 += 32;
     }
     while c0 + 4 <= d {
-        weighted_block_avx2::<1>(ws, values, acc, c0);
+        weighted_block_avx2::<1>(rows(), values, acc, c0);
         c0 += 4;
     }
     c0
@@ -669,33 +830,32 @@ unsafe fn weighted_rows_f64_avx2(ws: &[f64], values: &[f32], acc: &mut [f64]) ->
 ///
 /// # Safety
 ///
-/// AVX2 must be available, `values.len() == ws.len() * acc.len()`, and
-/// `c0 + 4·R <= acc.len()`.
+/// AVX2 must be available, `c0 + 4·R <= acc.len()`, and every start `rows`
+/// yields must satisfy `start + acc.len() <= values.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn weighted_block_avx2<const R: usize>(
-    ws: &[f64],
+    rows: impl Iterator<Item = (usize, f64)>,
     values: &[f32],
     acc: &mut [f64],
     c0: usize,
 ) {
     use std::arch::x86_64::*;
 
-    let d = acc.len();
     let a = acc.as_mut_ptr().add(c0);
     let mut regs = [_mm256_setzero_pd(); R];
     for (r, reg) in regs.iter_mut().enumerate() {
         *reg = _mm256_loadu_pd(a.add(4 * r));
     }
-    let mut v = values.as_ptr().add(c0);
-    for &w in ws {
+    let v = values.as_ptr().add(c0);
+    for (start, w) in rows {
         let wv = _mm256_set1_pd(w);
+        let row = v.add(start);
         for (r, reg) in regs.iter_mut().enumerate() {
-            let x = _mm256_cvtps_pd(_mm_loadu_ps(v.add(4 * r)));
+            let x = _mm256_cvtps_pd(_mm_loadu_ps(row.add(4 * r)));
             *reg = _mm256_add_pd(*reg, _mm256_mul_pd(wv, x));
         }
-        v = v.add(d);
     }
     for (r, reg) in regs.iter().enumerate() {
         _mm256_storeu_pd(a.add(4 * r), *reg);

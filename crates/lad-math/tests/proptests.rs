@@ -195,6 +195,69 @@ proptest! {
         prop_assert_eq!(bits(&simd), bits(&reference));
     }
 
+    /// The gathered key-scoring kernel's SIMD path (eight *listed* keys per
+    /// register) equals one sequential `vector::dot` per listed key bit for
+    /// bit, over every `d % 8` element tail and `idx.len() % 8` list tail,
+    /// on unsorted lists with repeats (and empty ones).
+    #[test]
+    fn scalar_and_simd_gathered_key_scores_are_bit_identical(
+        d in 1usize..=130,
+        n in 1usize..=40,
+        len in 0usize..=40,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::simd::{dot_gather_f32, dot_gather_f32_scalar};
+        use lad_math::{vector, with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let qs: Vec<f32> = (0..d).map(|_| awkward_f32(&mut rng)).collect();
+        let keys: Vec<f32> = (0..n * d).map(|_| awkward_f32(&mut rng)).collect();
+        let idx: Vec<usize> = (0..len).map(|_| rng.next_below(n as u64) as usize).collect();
+        let mut scalar = vec![0.0f64; len];
+        let mut simd = vec![0.0f64; len];
+        dot_gather_f32_scalar(&qs, &keys, &idx, &mut scalar);
+        with_kernel(Kernel::Simd, || dot_gather_f32(&qs, &keys, &idx, &mut simd));
+        let reference: Vec<u64> = idx
+            .iter()
+            .map(|&i| f64::from(vector::dot(&qs, &keys[i * d..(i + 1) * d])).to_bits())
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&scalar), reference);
+        prop_assert_eq!(bits(&simd), reference);
+    }
+
+    /// The gathered weighted value sum's SIMD path (value columns in
+    /// registers across the listed positions) equals the position-major loop
+    /// over the list bit for bit, over every `d % 4` column tail, on unsorted
+    /// lists with repeats (and empty ones), from a non-zero accumulator.
+    #[test]
+    fn scalar_and_simd_gathered_weighted_values_are_bit_identical(
+        d in 1usize..=130,
+        n in 1usize..=40,
+        len in 0usize..=40,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::simd::{weighted_gather_f64, weighted_gather_f64_scalar};
+        use lad_math::{with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let idx: Vec<usize> = (0..len).map(|_| rng.next_below(n as u64) as usize).collect();
+        let ws: Vec<f64> = (0..len).map(|_| awkward_f64(&mut rng)).collect();
+        let values: Vec<f32> = (0..n * d).map(|_| awkward_f32(&mut rng)).collect();
+        let start: Vec<f64> = (0..d).map(|_| awkward_f64(&mut rng)).collect();
+        let mut scalar = start.clone();
+        let mut simd = start.clone();
+        let mut reference = start;
+        weighted_gather_f64_scalar(&idx, &ws, &values, &mut scalar);
+        with_kernel(Kernel::Simd, || weighted_gather_f64(&idx, &ws, &values, &mut simd));
+        for (&i, &w) in idx.iter().zip(&ws) {
+            for (j, slot) in reference.iter_mut().enumerate() {
+                *slot += w * f64::from(values[i * d + j]);
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&scalar), bits(&reference));
+        prop_assert_eq!(bits(&simd), bits(&reference));
+    }
+
     /// Matrix::matmul (through the blocked kernel) equals a locally computed
     /// naive ascending-k product bit-for-bit.
     #[test]
@@ -300,4 +363,33 @@ fn all_negative_zero_products_score_negative_zero() {
             }
         }
     }
+}
+
+/// A listed key index past the arena is refused before the SIMD kernel's
+/// unchecked loads run.
+#[test]
+#[should_panic(expected = "listed index out of range")]
+fn gathered_key_scores_reject_out_of_range_index() {
+    use lad_math::simd::dot_gather_f32;
+    use lad_math::{with_kernel, Kernel};
+    let keys = vec![1.0f32; 9 * 8];
+    let idx = [0usize, 1, 2, 3, 4, 5, 6, 9];
+    let mut out = [0.0f64; 8];
+    with_kernel(Kernel::Simd, || {
+        dot_gather_f32(&[1.0; 8], &keys, &idx, &mut out)
+    });
+}
+
+/// A listed value index past the arena is refused before the SIMD kernel's
+/// unchecked loads run.
+#[test]
+#[should_panic(expected = "listed index out of range")]
+fn gathered_weighted_values_reject_out_of_range_index() {
+    use lad_math::simd::weighted_gather_f64;
+    use lad_math::{with_kernel, Kernel};
+    let values = vec![1.0f32; 3 * 32];
+    let mut acc = vec![0.0f64; 32];
+    with_kernel(Kernel::Simd, || {
+        weighted_gather_f64(&[2, 3], &[1.0, 1.0], &values, &mut acc)
+    });
 }
