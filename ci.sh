@@ -25,7 +25,8 @@ cargo test --workspace --release -q
 echo "== serving differential grid (continuous batching vs solo decode)"
 cargo test --release --test serving -q
 
-echo "== benches compile (cargo bench --no-run, incl. spec_decode)"
+echo "== benches compile (cargo bench --no-run: gemm_batch, gemm_kernels, spec_decode,"
+echo "   backend_quality, obs_overhead and the paper-figure benches)"
 cargo bench --workspace --no-run
 
 echo "== benchmark package (own workspace, path-depends on the crates' public"
@@ -39,9 +40,10 @@ echo "== serving observability smoke (serve_trace example; span coverage,"
 echo "   request timelines, metrics exposition, flight-recorder incident)"
 cargo run --release --example serve_trace
 
-echo "== bench regression gate (gemm/spec/kernel/backend-zoo/obs ratios vs"
-echo "   committed BENCH_*.json floors, incl. the backend_quality quality-per-byte"
-echo "   smoke and the enabled-recorder overhead ceiling;"
+echo "== bench regression gate (ratios vs committed BENCH_*.json floors/ceilings:"
+echo "   batch-8 batched Engine speedup, spec vs plain, gemm_f32 / kv_read_f16 /"
+echo "   kv_read_f32 microkernel floors, gemm_f32_rows16 staircase ceiling,"
+echo "   backend_quality quality-per-byte floors, enabled-recorder overhead ceiling;"
 echo "   also fails on any committed BENCH_*.json bench_check has no gate for)"
 cargo run --release -p lad-bench --bin bench_check
 

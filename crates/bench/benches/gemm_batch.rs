@@ -2,26 +2,30 @@
 //!
 //! The per-sample path (`lad_bench::decode_per_sample`: one solo `Session`
 //! per prompt, one after the other) streams every weight matrix once per
-//! sample per step; the step-synchronous engine
-//! (`decode_batch_gemm`) stacks the batch into one activation matrix and
-//! streams each weight matrix once per *step*. Both run single-threaded here
-//! so the sweep isolates the GEMM effect from pool scheduling. The engines
-//! are required to be bit-identical, so every point also cross-checks tokens.
+//! sample per step. The batched path serves the whole batch through one
+//! `lad_serve::Engine`: every request arrives at tick 0 and is admitted at
+//! once (`max_active` = batch), and each tick feeds one row per request
+//! (`prefill_chunk` 1), so the step-synchronous executor stacks the batch
+//! into one activation matrix and streams each weight matrix once per
+//! *tick*. Both run single-threaded here (`parallelism` 1) so the sweep
+//! isolates the GEMM effect from pool scheduling. The paths are required to
+//! be bit-identical, so every point also cross-checks tokens.
 //!
 //! The run is written to `BENCH_gemm.json` at the repo root as the committed
 //! baseline, and the batch-8 point asserts the acceptance floor of a 1.3x
 //! per-token speedup on the tiny preset.
 //!
 //! ```sh
-//! cargo bench --bench gemm_batch
+//! cargo bench -p lad-bench --bench gemm_batch
 //! ```
 
+use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_bench::{decode_per_sample, print_table, section};
 use lad_core::decoder::LadConfig;
 use lad_model::backend::AttentionKind;
-use lad_model::batch::decode_batch_gemm;
 use lad_model::config::ModelConfig;
 use lad_model::transformer::Model;
+use lad_serve::{Engine, Request, ServeConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -35,8 +39,8 @@ struct GemmPoint {
     per_sample_ms: f64,
     batched_ms: f64,
     speedup: f64,
-    gemm_calls: usize,
-    sync_barriers: usize,
+    /// Engine ticks the batched serve took (one step each).
+    ticks: usize,
 }
 
 fn prompts(batch: usize) -> Vec<Vec<u32>> {
@@ -47,6 +51,35 @@ fn prompts(batch: usize) -> Vec<Vec<u32>> {
                 .collect()
         })
         .collect()
+}
+
+/// Serves every prompt through one `Engine` for `STEPS` tokens each: all
+/// requests arrive at tick 0 and are admitted together, each tick feeds one
+/// row per request, and the pool holds every request whole. Returns the
+/// generated tokens per prompt (prompt order) and the ticks served.
+fn serve_batch(
+    model: &Model,
+    kind: &AttentionKind,
+    prompts: &[Vec<u32>],
+) -> (Vec<Vec<u32>>, usize) {
+    let model_cfg = model.config();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let blocks = prompts.len() * BlockPool::blocks_for(PROMPT_LEN + STEPS);
+    let cfg = ServeConfig {
+        max_active: prompts.len(),
+        prefill_chunk: 1,
+        parallelism: 1,
+        ..ServeConfig::default()
+    };
+    let pool = BlockPool::new(model_cfg, blocks * block_bytes);
+    let mut engine = Engine::new(model, kind, pool, cfg);
+    for (id, prompt) in prompts.iter().enumerate() {
+        engine.submit(Request::new(id as u64, prompt.clone(), STEPS));
+    }
+    let mut report = engine.run();
+    report.outcomes.sort_by_key(|o| o.id);
+    let streams = report.outcomes.into_iter().map(|o| o.tokens).collect();
+    (streams, report.steps)
 }
 
 /// Best-of-3 wall-clock for one decode closure, in seconds per token.
@@ -73,12 +106,11 @@ fn sweep(model: &Model, kind: &AttentionKind, label: &'static str, points: &mut 
         let (per_sample, per_sample_t) = time_per_token(total_tokens, || {
             decode_per_sample(model, kind, &prompts, STEPS)
         });
-        let (batched, batched_t) = time_per_token(total_tokens, || {
-            decode_batch_gemm(model, kind, &prompts, STEPS, 1)
-        });
+        let ((batched, ticks), batched_t) =
+            time_per_token(total_tokens, || serve_batch(model, kind, &prompts));
         assert_eq!(
-            per_sample, batched.sequences,
-            "batch={batch}: batched-GEMM decode diverged from per-sample decoding"
+            per_sample, batched,
+            "batch={batch}: batched serve diverged from per-sample decoding"
         );
         let speedup = per_sample_t / batched_t;
         rows.push(vec![
@@ -86,8 +118,7 @@ fn sweep(model: &Model, kind: &AttentionKind, label: &'static str, points: &mut 
             format!("{:.3}", per_sample_t * 1e3),
             format!("{:.3}", batched_t * 1e3),
             format!("{speedup:.2}x"),
-            format!("{}", batched.gemm.gemm_calls),
-            format!("{}", batched.gemm.sync_barriers),
+            format!("{ticks}"),
         ]);
         points.push(GemmPoint {
             kind: label,
@@ -95,8 +126,7 @@ fn sweep(model: &Model, kind: &AttentionKind, label: &'static str, points: &mut 
             per_sample_ms: per_sample_t * 1e3,
             batched_ms: batched_t * 1e3,
             speedup,
-            gemm_calls: batched.gemm.gemm_calls,
-            sync_barriers: batched.gemm.sync_barriers,
+            ticks,
         });
     }
     print_table(
@@ -105,8 +135,7 @@ fn sweep(model: &Model, kind: &AttentionKind, label: &'static str, points: &mut 
             "per-sample ms/tok",
             "batched ms/tok",
             "speedup",
-            "gemm-calls",
-            "barriers",
+            "ticks",
         ],
         &rows,
     );
@@ -132,15 +161,8 @@ fn write_baseline(points: &[GemmPoint]) {
         let _ = writeln!(
             json,
             "    {{\"kind\": \"{}\", \"batch\": {}, \"per_sample_ms_per_token\": {:.4}, \
-             \"batched_ms_per_token\": {:.4}, \"speedup\": {:.3}, \
-             \"gemm_calls\": {}, \"sync_barriers\": {}}}{comma}",
-            p.kind,
-            p.batch,
-            p.per_sample_ms,
-            p.batched_ms,
-            p.speedup,
-            p.gemm_calls,
-            p.sync_barriers,
+             \"batched_ms_per_token\": {:.4}, \"speedup\": {:.3}, \"ticks\": {}}}{comma}",
+            p.kind, p.batch, p.per_sample_ms, p.batched_ms, p.speedup, p.ticks,
         );
     }
     let _ = writeln!(json, "  ]");

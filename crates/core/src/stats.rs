@@ -4,7 +4,6 @@
 //! `|M|`, `|J|`, `|U|` and prefetch-hit quantities that drive the pipeline
 //! latency (paper Eq. 7) and the HBM traffic model.
 
-use lad_obs::StageBreakdown;
 use serde::{Deserialize, Serialize};
 
 /// Statistics of a single LAD decoding step for one attention head.
@@ -93,20 +92,6 @@ impl StepStats {
     }
 }
 
-/// Scheduling counters of a step-synchronous batched decode: how many
-/// cross-sample GEMM calls ran and how many per-step synchronisation
-/// barriers the batch engine crossed. Like [`StepStats::fanout_width`] this
-/// is scheduling metadata — it never affects tokens or algorithmic stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct GemmBatchMetrics {
-    /// Batched matrix-matrix projection calls (one per linear layer per
-    /// step on the batched path; 0 on per-sample paths).
-    pub gemm_calls: usize,
-    /// Step-synchronous barriers crossed (one per global decode step the
-    /// batch advanced through; 0 on per-sample paths).
-    pub sync_barriers: usize,
-}
-
 /// Aggregate over many steps (and many heads) of [`StepStats`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsSummary {
@@ -144,37 +129,6 @@ pub struct StatsSummary {
     pub total_evictions: usize,
     /// Mean scheduled fan-out width.
     pub mean_fanout_width: f64,
-    /// Worker-pool tasks stolen while these steps decoded (0 unless injected
-    /// via [`StatsSummary::with_pool_metrics`]).
-    pub pool_tasks_stolen: usize,
-    /// Worker-pool idle wakeups while these steps decoded (0 unless injected
-    /// via [`StatsSummary::with_pool_metrics`]).
-    pub pool_idle_wakeups: usize,
-    /// Cumulative nanoseconds pool workers spent parked while these steps
-    /// decoded (0 unless injected via [`StatsSummary::with_pool_metrics`]).
-    /// Nonzero with `pool_tasks_stolen == 0` means workers starved rather
-    /// than never contended — the single-core diagnostic.
-    pub pool_park_nanos: u64,
-    /// Batched-GEMM projection calls during the decode (0 unless injected
-    /// via [`StatsSummary::with_gemm_metrics`]).
-    pub gemm_calls: usize,
-    /// Step-synchronous barriers during the decode (0 unless injected via
-    /// [`StatsSummary::with_gemm_metrics`]).
-    pub sync_barriers: usize,
-    /// Per-stage latency histograms (p50/p95/p99 per span name), built from
-    /// a recorder capture of the decode (empty unless injected via
-    /// [`StatsSummary::with_stage_latencies`]). Timing metadata only: like
-    /// the pool/GEMM counters it never affects tokens or algorithmic stats.
-    pub stage_latencies: StageBreakdown,
-    /// Mean fraction of speculative draft tokens the verifier accepted,
-    /// in [0, 1] (0 unless injected via [`StatsSummary::with_spec_metrics`]).
-    /// Scheduling metadata: speculation commits only greedy-verified tokens,
-    /// so acceptance never changes the stream — only its cost.
-    pub spec_acceptance_rate: f64,
-    /// Mean tokens committed per speculative verify round (>= 1.0 once
-    /// injected: the bonus token always commits; 0 unless injected via
-    /// [`StatsSummary::with_spec_metrics`]).
-    pub spec_accepted_len: f64,
 }
 
 impl StatsSummary {
@@ -215,68 +169,6 @@ impl StatsSummary {
             sum.mean_fanout_width /= n;
         }
         sum
-    }
-
-    /// Attaches worker-pool scheduling counters (metered around the decode
-    /// that produced these steps) to the summary.
-    pub fn with_pool_metrics(mut self, metrics: crate::pool::PoolMetrics) -> StatsSummary {
-        self.pool_tasks_stolen = metrics.tasks_stolen;
-        self.pool_idle_wakeups = metrics.idle_wakeups;
-        self.pool_park_nanos = metrics.park_nanos;
-        self
-    }
-
-    /// Attaches per-stage latency histograms (aggregated from a recorder
-    /// capture of the decode) to the summary.
-    pub fn with_stage_latencies(mut self, stages: StageBreakdown) -> StatsSummary {
-        self.stage_latencies = stages;
-        self
-    }
-
-    /// The human-readable stage-breakdown table: per-stage count and
-    /// p50/p95/p99/total latencies, followed by the pool park-time line.
-    /// Empty string when no stage latencies were attached.
-    pub fn stage_table(&self) -> String {
-        if self.stage_latencies.is_empty() {
-            return String::new();
-        }
-        let mut table = self.stage_latencies.render();
-        table.push_str(&format!(
-            "pool: park {} total, {} steals, {} idle wakeups\n",
-            lad_obs::breakdown::fmt_ns(self.pool_park_nanos),
-            self.pool_tasks_stolen,
-            self.pool_idle_wakeups,
-        ));
-        table
-    }
-
-    /// Attaches the batched-decode scheduling counters (batched-GEMM calls
-    /// and step barriers) to the summary.
-    pub fn with_gemm_metrics(mut self, metrics: GemmBatchMetrics) -> StatsSummary {
-        self.gemm_calls = metrics.gemm_calls;
-        self.sync_barriers = metrics.sync_barriers;
-        self
-    }
-
-    /// Attaches speculative-decoding acceptance counters (metered over the
-    /// decode that produced these steps) to the summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acceptance_rate` is outside [0, 1] or `accepted_len` is
-    /// negative.
-    pub fn with_spec_metrics(mut self, acceptance_rate: f64, accepted_len: f64) -> StatsSummary {
-        assert!(
-            (0.0..=1.0).contains(&acceptance_rate),
-            "spec acceptance rate must be a fraction, got {acceptance_rate}"
-        );
-        assert!(
-            accepted_len >= 0.0,
-            "spec accepted length cannot be negative, got {accepted_len}"
-        );
-        self.spec_acceptance_rate = acceptance_rate;
-        self.spec_accepted_len = accepted_len;
-        self
     }
 }
 
@@ -427,44 +319,6 @@ mod tests {
         assert_eq!(sum.total_evictions, 3, "evictions is a sum");
     }
 
-    #[test]
-    fn pool_metrics_attach_to_summary() {
-        let metrics = crate::pool::PoolMetrics {
-            tasks_executed: 10,
-            tasks_stolen: 4,
-            idle_wakeups: 7,
-            scopes_completed: 3,
-            park_nanos: 1_500,
-        };
-        let sum = StatsSummary::from_steps(std::iter::empty()).with_pool_metrics(metrics);
-        assert_eq!(sum.pool_tasks_stolen, 4);
-        assert_eq!(sum.pool_idle_wakeups, 7);
-        assert_eq!(sum.pool_park_nanos, 1_500);
-    }
-
-    #[test]
-    fn stage_latencies_attach_to_summary() {
-        let mut stages = StageBreakdown::new();
-        for v in [1_000u64, 3_000, 9_000] {
-            stages.record("lad.identify", v);
-        }
-        let sum = StatsSummary::from_steps(std::iter::empty())
-            .with_stage_latencies(stages)
-            .with_pool_metrics(crate::pool::PoolMetrics {
-                park_nanos: 2_000_000,
-                ..crate::pool::PoolMetrics::default()
-            });
-        let hist = sum.stage_latencies.get("lad.identify").unwrap();
-        assert_eq!(hist.count(), 3);
-        assert!(hist.p50() >= 1_000 && hist.p99() >= 9_000 / 2);
-        let table = sum.stage_table();
-        assert!(table.contains("lad.identify"));
-        assert!(table.contains("p95"));
-        assert!(table.contains("park 2.00ms"));
-        // No latencies attached -> no table.
-        assert_eq!(StatsSummary::default().stage_table(), "");
-    }
-
     /// Stats-field audit: every field of [`StepStats`] and [`StatsSummary`]
     /// must be explicitly classified below as **algorithmic** (determined by
     /// the LAD algorithm alone — must survive `algorithmic()` untouched and
@@ -552,48 +406,8 @@ mod tests {
             mean_keys_read: _,
             total_bytes_moved: _,
             total_evictions: _,
-            // Scheduling metadata: injected via with_pool_metrics /
-            // with_gemm_metrics or aggregated from StepStats metadata.
+            // Scheduling metadata: aggregated from StepStats metadata.
             mean_fanout_width: _,
-            pool_tasks_stolen: _,
-            pool_idle_wakeups: _,
-            pool_park_nanos: _,
-            gemm_calls: _,
-            sync_barriers: _,
-            // Timing metadata: injected via with_stage_latencies.
-            stage_latencies: _,
-            // Speculation metadata: injected via with_spec_metrics. Commits
-            // are greedy-verified, so these never affect the token stream.
-            spec_acceptance_rate: _,
-            spec_accepted_len: _,
         } = StatsSummary::default();
-    }
-
-    #[test]
-    fn spec_metrics_attach_to_summary() {
-        let sum = StatsSummary::from_steps(std::iter::empty()).with_spec_metrics(0.75, 2.5);
-        assert_eq!(sum.spec_acceptance_rate, 0.75);
-        assert_eq!(sum.spec_accepted_len, 2.5);
-        // Attaching speculation metadata must not fabricate steps.
-        assert_eq!(sum.steps, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a fraction")]
-    fn spec_metrics_reject_out_of_range_rate() {
-        let _ = StatsSummary::default().with_spec_metrics(1.5, 2.0);
-    }
-
-    #[test]
-    fn gemm_metrics_attach_to_summary() {
-        let metrics = GemmBatchMetrics {
-            gemm_calls: 120,
-            sync_barriers: 20,
-        };
-        let sum = StatsSummary::from_steps(std::iter::empty()).with_gemm_metrics(metrics);
-        assert_eq!(sum.gemm_calls, 120);
-        assert_eq!(sum.sync_barriers, 20);
-        // Attaching scheduling metadata must not fabricate steps.
-        assert_eq!(sum.steps, 0);
     }
 }

@@ -9,8 +9,8 @@
 //! attention heads, which own per-sample state, are the only part that fans
 //! out: one task per chunk of samples per layer on the shared
 //! [`WorkerPool`]. This is the only parallel decode path; the serving
-//! engine (speculative verify rounds included) and [`decode_batch_gemm`]
-//! drive it.
+//! engine (`lad_serve::Engine`, speculative verify rounds included) drives
+//! it.
 //!
 //! Neither batching nor scheduling changes results: the GEMM's ascending-`k`
 //! accumulation contract makes every row bit-identical to the per-sample
@@ -22,38 +22,11 @@
 use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, HeadStepOutput};
 use crate::config::{MlpKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, ROPE_BASE};
-use crate::transformer::{argmax, Model};
-use lad_core::pool::{PoolMetrics, WorkerPool};
-use lad_core::stats::{GemmBatchMetrics, StatsSummary, StepStats};
+use crate::transformer::Model;
+use lad_core::pool::WorkerPool;
+use lad_core::stats::StepStats;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
 use lad_math::vector;
-
-/// Result of decoding one batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchResult {
-    /// Generated tokens per sample, prompt order.
-    pub sequences: Vec<Vec<u32>>,
-    /// Step statistics of every (sample, layer, head) at the final step —
-    /// every backend reports the shared traffic counters; LAD additionally
-    /// fills its identification fields.
-    pub final_stats: Vec<StepStats>,
-    /// Worker-pool scheduling counters metered across the whole batch (zero
-    /// when every step ran inline; best-effort on a pool shared with
-    /// concurrent decodes).
-    pub pool: PoolMetrics,
-    /// Batched-GEMM calls and step barriers crossed.
-    pub gemm: GemmBatchMetrics,
-}
-
-impl BatchResult {
-    /// Aggregate of the final-step LAD statistics, with the batch's pool
-    /// and batched-GEMM scheduling counters attached.
-    pub fn stats_summary(&self) -> StatsSummary {
-        StatsSummary::from_steps(&self.final_stats)
-            .with_pool_metrics(self.pool)
-            .with_gemm_metrics(self.gemm)
-    }
-}
 
 /// Reused activation matrices of a [`BatchSession`]: every buffer holds
 /// `active` stacked per-sample rows, so after the first step the batched hot
@@ -213,8 +186,6 @@ pub struct BatchSession<'m> {
     /// (layer, head) order after a one-row step.
     last_stats: Vec<Vec<StepStats>>,
     scratch: BatchScratch,
-    gemm_metrics: GemmBatchMetrics,
-    pool_metrics: PoolMetrics,
     /// Run descriptors of the in-flight step (samples, run lengths, draft
     /// rows, tokens run-major) — reused scratch so stepping stays
     /// allocation-free.
@@ -285,8 +256,6 @@ impl<'m> BatchSession<'m> {
             parallelism,
             last_stats: vec![Vec::new(); batch],
             scratch: BatchScratch::default(),
-            gemm_metrics: GemmBatchMetrics::default(),
-            pool_metrics: PoolMetrics::default(),
             run_samples: Vec::new(),
             run_lens: Vec::new(),
             run_drafts: Vec::new(),
@@ -408,17 +377,6 @@ impl<'m> BatchSession<'m> {
         &self.scratch.logits[active_idx * vocab..(active_idx + 1) * vocab]
     }
 
-    /// Batched-GEMM calls and step barriers accumulated so far.
-    pub fn gemm_metrics(&self) -> GemmBatchMetrics {
-        self.gemm_metrics
-    }
-
-    /// Pool scheduling counters accumulated across this session's steps
-    /// (best-effort on a pool shared with concurrent decodes).
-    pub fn pool_metrics(&self) -> PoolMetrics {
-        self.pool_metrics
-    }
-
     /// Advances every listed sample by one token — one step-synchronous
     /// global step. `tokens` pairs each active sample index with the token
     /// it consumes, in strictly increasing sample order; inactive samples
@@ -426,9 +384,9 @@ impl<'m> BatchSession<'m> {
     /// row-per-entry in [`BatchSession::logits`].
     ///
     /// An **empty** `tokens` slice is a documented no-op returning
-    /// [`StepOutcome::Idle`]: nothing advances, no barrier or GEMM is
-    /// counted, and the logits buffer keeps its previous contents. This is
-    /// the idle tick of a scheduler whose active set momentarily drained.
+    /// [`StepOutcome::Idle`]: nothing advances, no GEMM runs, and the
+    /// logits buffer keeps its previous contents. This is the idle tick of
+    /// a scheduler whose active set momentarily drained.
     ///
     /// # Panics
     ///
@@ -612,8 +570,6 @@ impl<'m> BatchSession<'m> {
 
         let width = self.parallelism.min(n_runs).max(1);
         let pool = (width > 1).then(WorkerPool::global);
-        let pool_before = pool.map(|p| p.metrics());
-        let mut gemm_calls = 0usize;
 
         // The scratch matrices move out of `self` for the step so the head
         // states below can be borrowed mutably alongside them.
@@ -662,7 +618,6 @@ impl<'m> BatchSession<'m> {
             block.wq.forward_batch_into(rows, normed, q, gemm);
             block.wk.forward_batch_into(rows, normed, k, gemm);
             block.wv.forward_batch_into(rows, normed, v, gemm);
-            gemm_calls += 3;
             drop(qkv_span);
 
             if cfg.position == PositionKind::Rope {
@@ -794,7 +749,6 @@ impl<'m> BatchSession<'m> {
             {
                 let _out_span = lad_obs::span("batch.out_gemm");
                 block.wo.forward_batch_into(rows, attn, proj, gemm);
-                gemm_calls += 1;
                 for a in 0..rows {
                     vector::axpy(
                         &mut x[a * hidden..(a + 1) * hidden],
@@ -818,7 +772,6 @@ impl<'m> BatchSession<'m> {
                         *val = gelu(*val);
                     }
                     block.w_down.forward_batch_into(rows, up, proj, gemm);
-                    gemm_calls += 2;
                 }
                 MlpKind::SwiGlu => {
                     let w_gate = block
@@ -831,7 +784,6 @@ impl<'m> BatchSession<'m> {
                         *g = silu(*g) * u;
                     }
                     block.w_down.forward_batch_into(rows, gate, proj, gemm);
-                    gemm_calls += 3;
                 }
             }
             for a in 0..rows {
@@ -861,7 +813,6 @@ impl<'m> BatchSession<'m> {
             logits,
             gemm,
         );
-        gemm_calls += 1;
         drop(logits_span);
 
         for (&s, &len) in samples.iter().zip(lens) {
@@ -869,16 +820,6 @@ impl<'m> BatchSession<'m> {
         }
         self.scratch = scratch;
         self.ckpts = ckpt_store;
-        self.gemm_metrics.gemm_calls += gemm_calls;
-        self.gemm_metrics.sync_barriers += 1;
-        if let (Some(pool), Some(before)) = (pool, pool_before) {
-            let delta = pool.metrics().delta(before);
-            self.pool_metrics.tasks_executed += delta.tasks_executed;
-            self.pool_metrics.tasks_stolen += delta.tasks_stolen;
-            self.pool_metrics.idle_wakeups += delta.idle_wakeups;
-            self.pool_metrics.scopes_completed += delta.scopes_completed;
-            self.pool_metrics.park_nanos += delta.park_nanos;
-        }
         StepOutcome::Advanced { active: rows }
     }
 }
@@ -922,88 +863,6 @@ fn step_run_chunk(
     }
 }
 
-/// Greedy-decodes every prompt for `steps` tokens through a step-synchronous
-/// [`BatchSession`]: all samples advance one token per global step with
-/// cross-sample batched GEMMs; ragged prompts are handled by shrinking the
-/// active set as samples finish. Tokens and algorithmic stats are
-/// bit-identical to one solo [`Session`](crate::transformer::Session) decode
-/// per prompt at any `parallelism`.
-///
-/// # Panics
-///
-/// Panics if `parallelism == 0` or any prompt is empty.
-pub fn decode_batch_gemm(
-    model: &Model,
-    kind: &AttentionKind,
-    prompts: &[Vec<u32>],
-    steps: usize,
-    parallelism: usize,
-) -> BatchResult {
-    assert!(
-        parallelism > 0,
-        "decode_batch_gemm: threads must be positive"
-    );
-    assert!(
-        prompts.iter().all(|p| !p.is_empty()),
-        "decode_batch_gemm: empty prompt"
-    );
-    if prompts.is_empty() {
-        return BatchResult {
-            sequences: Vec::new(),
-            final_stats: Vec::new(),
-            pool: PoolMetrics::default(),
-            gemm: GemmBatchMetrics::default(),
-        };
-    }
-    let n = prompts.len();
-    let lens: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
-    let horizon = lens.iter().copied().max().unwrap_or(0) + steps;
-    let mut session = BatchSession::new(model, kind, n, parallelism);
-    let mut next_token = vec![0u32; n];
-    let mut generated: Vec<Vec<u32>> = vec![Vec::with_capacity(steps); n];
-    let mut tokens: Vec<(usize, u32)> = Vec::with_capacity(n);
-
-    #[allow(clippy::needless_range_loop)] // `t` is a global step counter, not a prompt index
-    for t in 0..horizon {
-        tokens.clear();
-        for s in 0..n {
-            // Sample `s` stays active while it still has prompt tokens to
-            // consume or generated tokens to feed back — the same
-            // `len + steps` consumption as `Session::generate_greedy`.
-            if t < lens[s] + steps {
-                let tok = if t < lens[s] {
-                    prompts[s][t]
-                } else {
-                    next_token[s]
-                };
-                tokens.push((s, tok));
-            }
-        }
-        if tokens.is_empty() {
-            break;
-        }
-        session.step(&tokens);
-        for (a, &(s, _)) in tokens.iter().enumerate() {
-            if t + 1 >= lens[s] && generated[s].len() < steps {
-                let next = argmax(session.logits(a));
-                generated[s].push(next);
-                next_token[s] = next;
-            }
-        }
-    }
-
-    let mut final_stats = Vec::new();
-    for s in 0..n {
-        final_stats.extend(session.last_stats(s).iter().copied());
-    }
-    BatchResult {
-        sequences: generated,
-        final_stats,
-        pool: session.pool_metrics(),
-        gemm: session.gemm_metrics(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,95 +874,10 @@ mod tests {
         Model::random(ModelConfig::tiny("batch", 2, 32, 2), 71)
     }
 
-    fn prompts() -> Vec<Vec<u32>> {
-        vec![vec![1, 2, 3], vec![9, 8], vec![4, 4, 4, 4], vec![200, 100]]
-    }
-
-    /// The sequential reference: one solo [`Session`] greedy decode per
-    /// prompt. Returns the generated tokens and every sample's final-step
-    /// `algorithmic()` stats, prompt order.
-    fn solo_reference(
-        model: &Model,
-        kind: &AttentionKind,
-        prompts: &[Vec<u32>],
-        steps: usize,
-    ) -> (Vec<Vec<u32>>, Vec<StepStats>) {
-        let mut sequences = Vec::new();
-        let mut final_stats = Vec::new();
-        for prompt in prompts {
-            let mut session = Session::new(model, kind);
-            sequences.push(session.generate_greedy(prompt, steps));
-            final_stats.extend(session.last_stats().iter().map(|s| s.algorithmic()));
-        }
-        (sequences, final_stats)
-    }
-
     #[test]
     #[should_panic(expected = "threads must be positive")]
     fn zero_threads_rejected() {
-        decode_batch_gemm(&model(), &AttentionKind::Exact, &prompts(), 2, 0);
-    }
-
-    #[test]
-    fn gemm_batch_matches_sequential_exactly() {
-        // The tentpole invariant: the step-synchronous batched engine emits
-        // bit-identical tokens and algorithmic stats to solo `Session`
-        // decodes, for exact and LAD backends, ragged prompts included.
-        let model = model();
-        for kind in [
-            AttentionKind::Exact,
-            AttentionKind::Lad(LadConfig::default()),
-            AttentionKind::topk(6),
-            AttentionKind::h2o_budget(12, 4),
-        ] {
-            let (sequences, final_stats) = solo_reference(&model, &kind, &prompts(), 10);
-            let batched = decode_batch_gemm(&model, &kind, &prompts(), 10, 1);
-            assert_eq!(sequences, batched.sequences);
-            let batched_stats: Vec<StepStats> = batched
-                .final_stats
-                .iter()
-                .map(|s| s.algorithmic())
-                .collect();
-            assert_eq!(final_stats, batched_stats);
-        }
-    }
-
-    #[test]
-    fn gemm_batch_opt_style_matches_sequential() {
-        // Learned positions + LayerNorm + GELU exercise the other batched
-        // code paths (pos-embed add, gelu loop, no RoPE).
-        let model = Model::random(ModelConfig::tiny_opt("opt-batch", 2, 32, 2), 77);
-        let (sequences, _) = solo_reference(&model, &AttentionKind::Exact, &prompts(), 8);
-        let batched = decode_batch_gemm(&model, &AttentionKind::Exact, &prompts(), 8, 1);
-        assert_eq!(sequences, batched.sequences);
-    }
-
-    #[test]
-    fn gemm_batch_fanout_is_bit_identical_to_inline() {
-        let model = model();
-        let kind = AttentionKind::Lad(LadConfig::default());
-        let inline = decode_batch_gemm(&model, &kind, &prompts(), 10, 1);
-        let fanned = decode_batch_gemm(&model, &kind, &prompts(), 10, 4);
-        assert_eq!(inline.sequences, fanned.sequences);
-        for (a, b) in inline.final_stats.iter().zip(&fanned.final_stats) {
-            assert_eq!(a.algorithmic(), b.algorithmic());
-        }
-        // The fanned run scheduled head chunks on the pool.
-        assert!(fanned.pool.tasks_executed > 0);
-    }
-
-    #[test]
-    fn gemm_batch_counts_calls_and_barriers() {
-        let model = model(); // tiny: 2 layers, SwiGLU -> 7 GEMMs/layer + unembed.
-        let steps = 6;
-        let batched = decode_batch_gemm(&model, &AttentionKind::Exact, &prompts(), steps, 1);
-        let max_len = prompts().iter().map(Vec::len).max().unwrap();
-        let barriers = max_len + steps;
-        assert_eq!(batched.gemm.sync_barriers, barriers);
-        assert_eq!(batched.gemm.gemm_calls, barriers * (2 * 7 + 1));
-        let summary = batched.stats_summary();
-        assert_eq!(summary.sync_barriers, barriers);
-        assert_eq!(summary.gemm_calls, batched.gemm.gemm_calls);
+        BatchSession::new(&model(), &AttentionKind::Exact, 2, 0);
     }
 
     #[test]
@@ -1115,12 +889,10 @@ mod tests {
             StepOutcome::Advanced { active: 2 }
         );
         let logits_before = session.logits(0).to_vec();
-        let gemm_before = session.gemm_metrics();
         assert_eq!(session.step(&[]), StepOutcome::Idle);
         assert_eq!(session.position(0), 1);
         assert_eq!(session.position(1), 1);
         assert_eq!(session.logits(0), &logits_before[..]);
-        assert_eq!(session.gemm_metrics(), gemm_before);
         // Decoding continues unperturbed after the idle tick.
         assert_eq!(session.step(&[(0, 3)]), StepOutcome::Advanced { active: 1 });
         assert_eq!(session.position(0), 2);
@@ -1378,11 +1150,5 @@ mod tests {
             session.step(&[(1, 2), (0, 3)]);
         }));
         assert!(caught.is_err(), "unsorted sample list must panic");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty prompt")]
-    fn empty_prompt_rejected_on_gemm_path() {
-        decode_batch_gemm(&model(), &AttentionKind::Exact, &[vec![1], vec![]], 2, 1);
     }
 }

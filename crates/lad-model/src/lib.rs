@@ -2,9 +2,10 @@
 //!
 //! Provides a from-scratch transformer ([`transformer::Model`]) with seeded
 //! random weights and a per-sample decode [`transformer::Session`] whose
-//! attention heads run one of four pluggable backends
-//! ([`backend::AttentionKind`]): exact softmax, LAD, Qserve-KV4 or H2O —
-//! the paper's comparison set.
+//! attention heads run one of six pluggable backends
+//! ([`backend::AttentionKind`]): exact softmax (f32 or fp16 KV), LAD,
+//! Qserve-KV4, top-k and H2O. Exact, LAD, Qserve-KV4 and H2O are the
+//! paper's comparison set.
 //!
 //! Config presets ([`config::ModelConfig`]) carry the real dimensions of the
 //! paper's four evaluation models for analytic accelerator modelling;
@@ -38,7 +39,7 @@ pub mod spec;
 pub mod transformer;
 
 pub use backend::{AttentionKind, HeadState, HeadStepOutput};
-pub use batch::{decode_batch_gemm, BatchResult, BatchSession, Run, StepOutcome};
+pub use batch::{BatchSession, Run, StepOutcome};
 pub use config::{MlpKind, ModelConfig, NormKind, PositionKind};
 pub use sampling::{generate, Sampler};
 pub use spec::{DraftPolicy, Drafter, SpecConfig};

@@ -9,9 +9,8 @@
 //!   arrival step and optional latency deadline;
 //! * **per-step admission**: requests join mid-flight whenever the paged
 //!   [`lad_accel::paged::BlockPool`] can reserve their prompt blocks and a
-//!   batch slot is free — the ragged-prompt active-set *shrinking* of
-//!   `decode_batch_gemm`, generalised to true dynamic membership with join
-//!   *and* leave per global step;
+//!   batch slot is free — dynamic membership, with samples joining *and*
+//!   leaving the [`lad_model::BatchSession`] at any global step;
 //! * **chunked prefill** interleaved with decode: decode-phase requests
 //!   advance one token per engine tick, while prefilling requests consume
 //!   up to `prefill_chunk` prompt tokens per tick as one multi-row run in

@@ -1,6 +1,7 @@
 //! Capture a decode timeline: run a short LAD decode with the recorder on,
-//! export a Perfetto-loadable Chrome trace plus a flat JSONL event stream,
-//! and print the per-stage latency table.
+//! then serve two requests through a batched `Engine`, export a
+//! Perfetto-loadable Chrome trace plus a flat JSONL event stream, and print
+//! the per-stage latency table and the pool's scheduling counters.
 //!
 //! ```sh
 //! cargo run --release --example trace_decode
@@ -15,14 +16,16 @@
 //!
 //! Both files are validated before the example exits, and CI runs it.
 
+use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
-use lad::core::stats::StatsSummary;
+use lad::core::pool::WorkerPool;
 use lad::model::backend::AttentionKind;
-use lad::model::batch::decode_batch_gemm;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::{Model, Session};
+use lad::obs::breakdown::fmt_ns;
 use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
 use lad::obs::StageBreakdown;
+use lad::serve::{Engine, Request, ServeConfig};
 
 const PROMPT_LEN: usize = 24;
 const STEPS: usize = 48;
@@ -37,12 +40,11 @@ fn main() {
     let model = Model::random(ModelConfig::tiny("trace", 2, 128, 4), 11);
     let kind = AttentionKind::Lad(LadConfig::default());
 
-    println!("trace_decode: recording a {STEPS}-step LAD decode (+ a short batched decode)\n");
+    println!("trace_decode: recording a {STEPS}-step LAD decode (+ a short batched serve)\n");
     lad::obs::set_enabled(true);
 
     // Single-sequence decode: the sequential reference forward.
     let mut session = Session::new(&model, &kind);
-    let mut stats = Vec::new();
     let mut logits = session.prefill(&prompt(0));
     for _ in 0..STEPS {
         let next = logits
@@ -52,12 +54,24 @@ fn main() {
             .map(|(i, _)| i as u32)
             .expect("non-empty logits");
         logits = session.step(next);
-        stats.extend_from_slice(session.last_stats());
     }
 
-    // A short step-synchronous batched decode fanned out on the global pool,
-    // so the batch.* and pool.* spans show up on the same timeline.
-    let batched = decode_batch_gemm(&model, &kind, &[prompt(1), prompt(2)], 8, 2);
+    // Two requests served through one engine whose step-synchronous batch
+    // fans attention out on the global pool, so the batch.* and pool.*
+    // spans show up on the same timeline.
+    let model_cfg = model.config();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let blocks = 2 * BlockPool::blocks_for(PROMPT_LEN + 8);
+    let cfg = ServeConfig {
+        prefill_chunk: 1,
+        parallelism: 2,
+        ..ServeConfig::default()
+    };
+    let pool = BlockPool::new(model_cfg, blocks * block_bytes);
+    let mut engine = Engine::new(&model, &kind, pool, cfg);
+    engine.submit(Request::new(1, prompt(1), 8));
+    engine.submit(Request::new(2, prompt(2), 8));
+    let served = engine.run();
 
     lad::obs::set_enabled(false);
     let threads = lad::obs::drain();
@@ -93,13 +107,18 @@ fn main() {
         jsonl_path.display()
     );
 
-    // Per-stage latency table, assembled exactly like library users would:
-    // histograms from the capture, pool counters from the batched decode.
+    // Per-stage latency table from the capture, then the global pool's
+    // scheduling counters (this process ran nothing else on it).
     let stages = StageBreakdown::from_events(&threads);
-    let summary = StatsSummary::from_steps(&stats)
-        .with_pool_metrics(batched.pool)
-        .with_stage_latencies(stages.clone());
-    println!("{}", summary.stage_table());
+    print!("{}", stages.render());
+    let pool = WorkerPool::global().metrics();
+    println!(
+        "pool: park {} total, {} tasks, {} steals, {} idle wakeups\n",
+        fmt_ns(pool.park_nanos),
+        pool.tasks_executed,
+        pool.tasks_stolen,
+        pool.idle_wakeups,
+    );
 
     // Span coverage of the single-sequence decode: the per-layer + logits
     // stages should account for nearly all of session.step's wall time.
@@ -127,8 +146,8 @@ fn main() {
             coverage * 100.0
         );
     }
-    // Batched decode sanity: both sequences advanced and its spans recorded.
-    assert_eq!(batched.sequences.len(), 2);
+    // Batched serve sanity: both requests finished and its spans recorded.
+    assert_eq!(served.total_tokens(), 2 * 8);
     assert!(
         stages.get("batch.step").is_some(),
         "batch spans missing from capture"

@@ -3,13 +3,13 @@
 //!
 //! LAD's claim (and this repo's tentpole invariant) is that neither
 //! *batching* nor *scheduling* ever changes *results*: the step-synchronous
-//! batched engine (`decode_batch_gemm` over `BatchSession`) — cross-sample
-//! blocked GEMMs under a bit-exact ascending-`k` accumulation contract,
-//! attention fanned out as sample-chunk tasks on the shared worker pool —
-//! must be token-exact against one solo sequential `Session` decode per
-//! prompt, for the LAD backend and the exact-softmax reference alike, and
-//! must report identical `StepStats` (including `den_fallbacks`) up to the
-//! scheduling metadata that `StepStats::algorithmic()` strips.
+//! batched executor (`BatchSession`, stepped in lockstep by `lockstep`) —
+//! cross-sample blocked GEMMs under a bit-exact ascending-`k` accumulation
+//! contract, attention fanned out as sample-chunk tasks on the shared
+//! worker pool — must be token-exact against one solo sequential `Session`
+//! decode per prompt, for every backend, and must report identical
+//! `StepStats` (including `den_fallbacks`) up to the scheduling metadata
+//! that `StepStats::algorithmic()` strips.
 //!
 //! The harness decodes seeded random models under a grid of
 //! {parallelism × batch size × window size × stream length} and asserts the
@@ -25,11 +25,12 @@ use lad::core::decoder::LadConfig;
 use lad::core::stats::StepStats;
 use lad::math::pwl::PwlExp;
 use lad::model::backend::AttentionKind;
-use lad::model::batch::{decode_batch_gemm, BatchSession, StepOutcome};
+use lad::model::batch::{BatchSession, StepOutcome};
 use lad::model::config::ModelConfig;
 use lad::model::spec::SpecConfig;
 use lad::model::transformer::{argmax, Model, Session};
 use lad::serve::{Engine, Request, ServeConfig, ServeReport};
+use proptest::prelude::*;
 
 /// One grid point of the differential sweep.
 struct DiffConfig {
@@ -111,6 +112,68 @@ fn decode_all(session: &mut Session, prompt: &[u32], steps: usize) -> DecodeOutc
     DecodeOutcome { tokens, stats }
 }
 
+/// Streams and final-step stats of one [`lockstep`] decode.
+struct Lockstep {
+    /// Generated tokens per sample, prompt order.
+    streams: Vec<Vec<u32>>,
+    /// Every sample's `last_stats` after its final step, prompt order.
+    final_stats: Vec<StepStats>,
+}
+
+/// Greedy-decodes `steps` tokens from every prompt through one
+/// `BatchSession`, one token per sample per global step: a sample consumes
+/// its prompt, then feeds back each token it samples, `len + steps` tokens
+/// in all (what a solo `Session` consumes), and drops out of the step's
+/// token list once done, so ragged prompts shrink the active set. With
+/// `idle_every = Some(k)`, an empty step — which must report `Idle` — runs
+/// before every `k`-th global step.
+fn lockstep(
+    model: &Model,
+    kind: &AttentionKind,
+    prompts: &[Vec<u32>],
+    steps: usize,
+    parallelism: usize,
+    idle_every: Option<usize>,
+) -> Lockstep {
+    let mut session = BatchSession::new(model, kind, prompts.len(), parallelism);
+    let mut fed: Vec<Vec<u32>> = prompts.to_vec();
+    let mut streams: Vec<Vec<u32>> = vec![Vec::new(); prompts.len()];
+    let horizon = prompts.iter().map(Vec::len).max().unwrap_or(0) + steps;
+    for t in 0..horizon {
+        if idle_every.is_some_and(|every| t % every == 0) {
+            assert_eq!(
+                session.step(&[]),
+                StepOutcome::Idle,
+                "empty step must report Idle"
+            );
+        }
+        let tokens: Vec<(usize, u32)> = (0..prompts.len())
+            .filter(|&s| t < fed[s].len())
+            .map(|s| (s, fed[s][t]))
+            .collect();
+        let active = tokens.len();
+        assert_eq!(
+            session.step(&tokens),
+            StepOutcome::Advanced { active },
+            "non-empty step must report its active count"
+        );
+        for (row, &(s, _)) in tokens.iter().enumerate() {
+            if t + 1 >= prompts[s].len() && streams[s].len() < steps {
+                let next = argmax(session.logits(row));
+                streams[s].push(next);
+                fed[s].push(next);
+            }
+        }
+    }
+    let final_stats = (0..prompts.len())
+        .flat_map(|s| session.last_stats(s).iter().copied())
+        .collect();
+    Lockstep {
+        streams,
+        final_stats,
+    }
+}
+
 fn assert_stats_match(label: &str, kind: &str, seq: &[StepStats], pooled: &[StepStats]) {
     assert_eq!(
         seq.len(),
@@ -149,18 +212,18 @@ fn run_config_kinds(cfg: &DiffConfig, kinds: &[(&str, AttentionKind)]) -> usize 
             expected.push(seq.tokens);
         }
 
-        // Step-synchronous batched GEMM engine: cross-sample matrix-matrix
+        // Step-synchronous batched executor: cross-sample matrix-matrix
         // projections (inline and pool-fanned) vs the per-sample reference,
         // token- and stats-exact.
-        let gemm_inline = decode_batch_gemm(&model, kind, &prompts, cfg.steps, 1);
-        let gemm_fanned = decode_batch_gemm(&model, kind, &prompts, cfg.steps, cfg.parallelism);
+        let gemm_inline = lockstep(&model, kind, &prompts, cfg.steps, 1, None);
+        let gemm_fanned = lockstep(&model, kind, &prompts, cfg.steps, cfg.parallelism, None);
         assert_eq!(
-            gemm_inline.sequences, expected,
+            gemm_inline.streams, expected,
             "{}/{kind_name}: inline batched-GEMM decode diverged from single sessions",
             cfg.label
         );
         assert_eq!(
-            gemm_fanned.sequences, expected,
+            gemm_fanned.streams, expected,
             "{}/{kind_name}: fanned batched-GEMM decode diverged from single sessions",
             cfg.label
         );
@@ -175,19 +238,6 @@ fn run_config_kinds(cfg: &DiffConfig, kinds: &[(&str, AttentionKind)]) -> usize 
             kind_name,
             &expected_final,
             &gemm_fanned.final_stats,
-        );
-        // Every prompt in this harness has the same length, so the batched
-        // engine crosses exactly one barrier per consumed token.
-        assert_eq!(
-            gemm_inline.gemm.sync_barriers,
-            cfg.prompt_len + cfg.steps,
-            "{}/{kind_name}: barrier count off",
-            cfg.label
-        );
-        assert!(
-            gemm_inline.gemm.gemm_calls >= gemm_inline.gemm.sync_barriers,
-            "{}/{kind_name}: batched decode reported no GEMM calls",
-            cfg.label
         );
     }
 
@@ -393,6 +443,58 @@ fn backend_zoo_differential_grid() {
     }
 }
 
+/// Deterministic prompt for sample `s` of a seeded proptest batch.
+fn prop_prompt(seed: u64, s: usize, len: usize) -> Vec<u32> {
+    (0..len)
+        .map(|i| ((i as u64 * 37 + seed * 11 + s as u64 * 13) % 256) as u32)
+        .collect()
+}
+
+proptest! {
+    /// Random-batch leg: for arbitrary seeded models, batches of 1-6
+    /// samples with ragged prompt lengths (so the active set shrinks
+    /// mid-decode and the fan-out splits at every chunk shape), fan-out
+    /// widths 1-4 and every backend the grid sweeps, the lockstep decode
+    /// must reproduce each prompt's solo `Session` tokens and final-step
+    /// algorithmic stats.
+    #[test]
+    fn random_ragged_batches_match_solo_sessions(
+        seed in 0u64..5000,
+        // One entry per sample (batch 1-6), each its own prompt length.
+        prompt_lens in prop::collection::vec(1usize..6, 1..7),
+        steps in 1usize..6,
+        parallelism in 1usize..5,
+        backend in 0u8..4,
+    ) {
+        let model = Model::random(ModelConfig::tiny("prop", 1, 16, 2), seed);
+        let kind = match backend {
+            0 => AttentionKind::Exact,
+            1 => AttentionKind::Lad(LadConfig::default()),
+            2 => AttentionKind::topk(6),
+            _ => AttentionKind::h2o_budget(12, 4),
+        };
+        let prompts: Vec<Vec<u32>> = prompt_lens
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| prop_prompt(seed, s, len))
+            .collect();
+
+        let mut expected_streams = Vec::new();
+        let mut expected_stats: Vec<StepStats> = Vec::new();
+        for p in &prompts {
+            let mut session = Session::new(&model, &kind);
+            expected_streams.push(session.generate_greedy(p, steps));
+            expected_stats.extend(session.last_stats().iter().map(|s| s.algorithmic()));
+        }
+
+        let batched = lockstep(&model, &kind, &prompts, steps, parallelism, None);
+        prop_assert_eq!(&batched.streams, &expected_streams);
+        let batched_stats: Vec<StepStats> =
+            batched.final_stats.iter().map(|s| s.algorithmic()).collect();
+        prop_assert_eq!(&batched_stats, &expected_stats);
+    }
+}
+
 /// Greedy-decodes `steps` tokens from `prompt` as the only request of a
 /// serving engine: the first tick prefills the whole prompt and samples the
 /// first token, every later tick is one speculative verify round under
@@ -529,14 +631,14 @@ fn simd_kernel_matches_scalar_on_grid() {
         ];
         for (kind_name, kind) in &kinds {
             let scalar = with_kernel(Kernel::Scalar, || {
-                decode_batch_gemm(&model, kind, &prompts, cfg.steps, 1)
+                lockstep(&model, kind, &prompts, cfg.steps, 1, None)
             });
             for parallelism in [1, 2] {
                 let simd = with_kernel(Kernel::Simd, || {
-                    decode_batch_gemm(&model, kind, &prompts, cfg.steps, parallelism)
+                    lockstep(&model, kind, &prompts, cfg.steps, parallelism, None)
                 });
                 assert_eq!(
-                    scalar.sequences, simd.sequences,
+                    scalar.streams, simd.streams,
                     "{}/{kind_name}/p{parallelism}: SIMD kernel changed decoded tokens",
                     cfg.label
                 );
@@ -652,8 +754,8 @@ fn stats_bytes_moved_matches_traffic_meter() {
 /// Empty-step leg: `BatchSession::step(&[])` is the documented idle no-op
 /// (the serving engine leans on it for arrival gaps). Idle steps sprinkled
 /// through a decode must return `StepOutcome::Idle`, advance nothing, and
-/// leave every subsequent token and logit bit-identical to a run without
-/// them.
+/// leave every token and final-step algorithmic stat bit-identical to a run
+/// without them.
 #[test]
 fn empty_steps_are_idle_and_invisible() {
     let cfg = &default_grid()[0];
@@ -661,50 +763,17 @@ fn empty_steps_are_idle_and_invisible() {
     let kind = AttentionKind::Lad(cfg.lad_config());
     let prompts = cfg.prompts();
 
-    let run = |idle_every: Option<usize>| {
-        let mut session = BatchSession::new(&model, &kind, cfg.batch, cfg.parallelism);
-        let mut fed: Vec<Vec<u32>> = prompts.clone();
-        let mut streams: Vec<Vec<u32>> = vec![Vec::new(); cfg.batch];
-        let max_len = fed.iter().map(Vec::len).max().unwrap();
-        for t in 0..max_len + cfg.steps {
-            if let Some(every) = idle_every {
-                if t % every == 0 {
-                    assert_eq!(
-                        session.step(&[]),
-                        StepOutcome::Idle,
-                        "empty step must report Idle"
-                    );
-                }
-            }
-            let tokens: Vec<(usize, u32)> = (0..cfg.batch)
-                .filter(|&s| t < fed[s].len())
-                .map(|s| (s, fed[s][t]))
-                .collect();
-            if tokens.is_empty() {
-                break;
-            }
-            let active = tokens.len();
-            assert_eq!(
-                session.step(&tokens),
-                StepOutcome::Advanced { active },
-                "non-empty step must report its active count"
-            );
-            for (row, &(s, _)) in tokens.iter().enumerate() {
-                if t + 1 >= fed[s].len() && streams[s].len() < cfg.steps {
-                    let next = argmax(session.logits(row));
-                    streams[s].push(next);
-                    fed[s].push(next);
-                }
-            }
-        }
-        streams
-    };
-
-    let without_idle = run(None);
-    let with_idle = run(Some(3));
+    let without_idle = lockstep(&model, &kind, &prompts, cfg.steps, cfg.parallelism, None);
+    let with_idle = lockstep(&model, &kind, &prompts, cfg.steps, cfg.parallelism, Some(3));
     assert_eq!(
-        without_idle, with_idle,
+        without_idle.streams, with_idle.streams,
         "idle no-op steps perturbed decoded streams"
+    );
+    assert_stats_match(
+        cfg.label,
+        "idle",
+        &without_idle.final_stats,
+        &with_idle.final_stats,
     );
 }
 
@@ -713,8 +782,8 @@ fn empty_steps_are_idle_and_invisible() {
 /// with it enabled (spans actually recorded), and again after it has been
 /// enabled and disabled — all three must agree token-for-token and on every
 /// `algorithmic()` stat. Runs a slice of the default grid covering the
-/// LLaMA-style, OPT-style and den-fallback points, plus the batched-GEMM
-/// engine (so the `batch.*` spans are exercised under the toggle too).
+/// LLaMA-style, OPT-style and den-fallback points, plus the batched
+/// executor (so the `batch.*` spans are exercised under the toggle too).
 #[test]
 fn recorder_toggle_never_changes_results() {
     let grid = default_grid();
@@ -735,7 +804,7 @@ fn recorder_toggle_never_changes_results() {
         let prompts = cfg.prompts();
         let run = || {
             let single = decode_all(&mut Session::new(&model, &kind), &prompts[0], cfg.steps);
-            let batched = decode_batch_gemm(&model, &kind, &prompts, cfg.steps, cfg.parallelism);
+            let batched = lockstep(&model, &kind, &prompts, cfg.steps, cfg.parallelism, None);
             (single, batched)
         };
 
@@ -765,8 +834,8 @@ fn recorder_toggle_never_changes_results() {
             );
             assert_stats_match(cfg.label, state, &base.stats, &single.stats);
             assert_eq!(
-                base_batch.sequences, batched.sequences,
-                "{}: recorder {state} changed batched-GEMM tokens",
+                base_batch.streams, batched.streams,
+                "{}: recorder {state} changed batched tokens",
                 cfg.label
             );
             assert_stats_match(

@@ -8,22 +8,23 @@
 //! One `#[test]` only: the recorder is process-global, and a sibling test
 //! toggling it concurrently would corrupt the capture.
 
+use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
 use lad::core::pool::WorkerPool;
 use lad::model::backend::AttentionKind;
-use lad::model::batch::decode_batch_gemm;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::{argmax, Model, Session};
 use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
 use lad::obs::json::{self, Value};
 use lad::obs::StageBreakdown;
+use lad::serve::{Engine, Request, ServeConfig};
 
 fn prompt(salt: u32) -> Vec<u32> {
     (0..12u32).map(|i| (i * 29 + salt * 7 + 1) % 256).collect()
 }
 
 /// Stages the single-sequence LAD decode records on the main thread, plus
-/// the batched engine's `batch.*` stages and the pool's task span.
+/// the batched executor's `batch.*` stages and the pool's task span.
 const EXPECTED_STAGES: &[&str] = &[
     "session.step",
     "layer.qkv_proj",
@@ -55,13 +56,26 @@ fn captured_decode_trace_matches_export_schemas() {
     for _ in 0..12 {
         logits = session.step(argmax(&logits));
     }
-    let batched = decode_batch_gemm(&model, &kind, &[prompt(1), prompt(2)], 6, 2);
+    // Two requests served through one engine whose batch fans attention out
+    // on the global pool.
+    let model_cfg = model.config();
+    let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
+    let pool = BlockPool::new(model_cfg, 2 * BlockPool::blocks_for(12 + 6) * block_bytes);
+    let cfg = ServeConfig {
+        prefill_chunk: 1,
+        parallelism: 2,
+        ..ServeConfig::default()
+    };
+    let mut engine = Engine::new(&model, &kind, pool, cfg);
+    engine.submit(Request::new(1, prompt(1), 6));
+    engine.submit(Request::new(2, prompt(2), 6));
+    let served = engine.run();
     lad::obs::set_enabled(false);
     let threads = lad::obs::drain();
-    assert_eq!(batched.sequences.len(), 2);
-    // The fanned batched decode runs on the global pool, which has no
-    // background workers on a single-core host (everything help-runs on
-    // the main thread there).
+    assert_eq!(served.total_tokens(), 2 * 6);
+    // The fanned batch runs on the global pool, which has no background
+    // workers on a single-core host (everything help-runs on the main
+    // thread there).
     let expected_tracks = 1 + usize::from(WorkerPool::global().workers() > 0);
     assert!(
         threads.len() >= expected_tracks,
