@@ -40,11 +40,10 @@ echo "== serving observability smoke (serve_trace example; span coverage,"
 echo "   request timelines, metrics exposition, flight-recorder incident)"
 cargo run --release --example serve_trace
 
-echo "== bench regression gate (ratios vs committed BENCH_*.json floors/ceilings:"
-echo "   batch-8 batched Engine speedup, spec vs plain, gemm_f32 / kv_read_f16 /"
-echo "   kv_read_f32 microkernel floors, gemm_f32_rows16 staircase ceiling,"
-echo "   backend_quality quality-per-byte floors, enabled-recorder overhead ceiling;"
-echo "   also fails on any committed BENCH_*.json bench_check has no gate for)"
+echo "== bench regression gate (one loop over the gate table lad_bench::gates::GATES:"
+echo "   each committed BENCH_*.json row against its bound, then a quick re-measure,"
+echo "   every timed ratio the median of interleaved same-process pairs;"
+echo "   also fails on any committed BENCH_*.json no gate names)"
 cargo run --release -p lad-bench --bin bench_check
 
 echo "== serving ledger smoke (benchmark/run.sh --quick: all four workloads at"

@@ -14,10 +14,11 @@
 //!
 //! so a sparsity knob only wins where it sheds traffic faster than it sheds
 //! agreement. The gated quantities are structural, not timed (the counters
-//! are deterministic): on every (dataset, length) cell the best non-exact
-//! backend must hold at least 0.95x of exact's quality-per-megabyte-moved,
-//! somewhere in the sweep a sparse backend must **beat** exact by 1.2x, and
-//! the H2O rows must actually evict. Greedy exact-match agreement is a
+//! are deterministic), with bounds from `lad_bench::gates::GATES`: on every
+//! (dataset, length) cell the best non-exact backend must hold exact's
+//! quality-per-megabyte-moved within a small margin, somewhere in the sweep
+//! a sparse backend must **beat** exact outright, and the H2O rows must
+//! actually evict. Greedy exact-match agreement is a
 //! brutal metric — one flipped argmax diverges the rest of the stream — so
 //! the long-prompt cells mostly show where each budget stops being free,
 //! while the short-prompt cells show H2O winning per byte outright.
@@ -29,28 +30,14 @@
 //! cargo bench --bench backend_quality
 //! ```
 
+use lad_bench::gates::{self, bench_model, BACKENDS_FILE};
 use lad_bench::{print_table, section};
 use lad_eval::backends::{backend_quality_report, backend_zoo, BackendQualityRow};
 use lad_eval::datasets::{alpaca_shaped, gsm8k_shaped};
 use lad_eval::PromptSet;
-use lad_model::config::ModelConfig;
-use lad_model::transformer::Model;
-use std::fmt::Write as _;
 
 const PROMPTS_PER_SET: usize = 2;
 const GEN_LENS: [usize; 2] = [32, 64];
-
-/// Per-cell floor: the best non-exact backend must stay within 5% of exact
-/// attention on quality per megabyte moved (LAD holds ~1.0x everywhere).
-const QPB_FLOOR: f64 = 0.95;
-
-/// Sweep-wide floor: somewhere in the sweep a sparse backend must beat
-/// exact attention outright on quality per megabyte moved.
-const HERO_FLOOR: f64 = 1.2;
-
-fn model_cfg() -> ModelConfig {
-    ModelConfig::tiny("backend-bench", 2, 256, 4)
-}
 
 /// Two dataset presets x two generation lengths: the dataset and
 /// sequence-length axes of the sweep.
@@ -81,50 +68,36 @@ fn qpb_ratio(rows: &[BackendQualityRow], row: &BackendQualityRow) -> f64 {
 }
 
 fn write_baseline(rows: &[BackendQualityRow]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"bench\": \"backend_quality/quality_per_byte_moved\","
+    let json_rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "{{\"kind\": \"{}\", \"dataset\": \"{}\", \"gen_len\": {}, \
+                 \"agreement\": {:.4}, \"mbytes_moved\": {:.4}, \"evictions\": {}, \
+                 \"quality_per_mbyte\": {:.4}, \"qpb_ratio_vs_exact\": {:.4}}}",
+                row.backend,
+                row.dataset,
+                row.gen_len,
+                row.agreement,
+                row.bytes_moved as f64 / 1e6,
+                row.evictions,
+                row.quality_per_mbyte_moved(),
+                qpb_ratio(rows, row),
+            )
+        })
+        .collect();
+    gates::write_baseline(
+        BACKENDS_FILE,
+        "backend_quality/quality_per_byte_moved",
+        "tiny backend preset (2 layers, 256 hidden, 4 heads)",
+        &[("prompts_per_set", PROMPTS_PER_SET.to_string())],
+        &json_rows,
     );
-    let _ = writeln!(
-        json,
-        "  \"model\": \"tiny backend preset (2 layers, 256 hidden, 4 heads)\","
-    );
-    let _ = writeln!(json, "  \"prompts_per_set\": {PROMPTS_PER_SET},");
-    let _ = writeln!(json, "  \"host_cores\": {cores},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"kind\": \"{}\", \"dataset\": \"{}\", \"gen_len\": {}, \
-             \"agreement\": {:.4}, \"mbytes_moved\": {:.4}, \"evictions\": {}, \
-             \"quality_per_mbyte\": {:.4}, \"qpb_ratio_vs_exact\": {:.4}}}{comma}",
-            row.backend,
-            row.dataset,
-            row.gen_len,
-            row.agreement,
-            row.bytes_moved as f64 / 1e6,
-            row.evictions,
-            row.quality_per_mbyte_moved(),
-            qpb_ratio(rows, row),
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("\nbaseline written to BENCH_backends.json"),
-        Err(e) => println!("\ncould not write BENCH_backends.json: {e}"),
-    }
 }
 
 fn main() {
-    let cfg = model_cfg();
-    let model = Model::random(cfg.clone(), 7);
-    let benches = benches(cfg.vocab as u32);
+    let model = bench_model();
+    let benches = benches(model.config().vocab as u32);
     let zoo = backend_zoo();
 
     section("backend_quality: agreement per KV megabyte moved (vs exact)");
@@ -159,14 +132,8 @@ fn main() {
         &table,
     );
 
-    write_baseline(&rows);
-
-    // Acceptance floors. Exact is its own reference on every cell; on every
-    // cell the best non-exact backend must hold the per-cell floor;
-    // somewhere a sparse backend must beat exact outright; and the H2O
-    // family must have actually engaged its eviction machinery.
-    let mut evictions = 0usize;
-    let mut hero = f64::NEG_INFINITY;
+    // Exact is its own reference on every cell, and every backend scored
+    // every cell; writing the baseline checks the gates.
     for bench in &benches {
         let cell: Vec<&BackendQualityRow> = rows
             .iter()
@@ -175,31 +142,6 @@ fn main() {
         assert_eq!(cell.len(), zoo.len(), "every backend scored the cell");
         assert_eq!(cell[0].backend, "exact");
         assert_eq!(cell[0].agreement, 1.0, "exact is its own reference");
-        let best = cell
-            .iter()
-            .skip(1)
-            .map(|r| qpb_ratio(&rows, r))
-            .fold(f64::NEG_INFINITY, f64::max);
-        hero = hero.max(best);
-        println!(
-            "{}/g{}: best non-exact qpb ratio {best:.2}x (floor {QPB_FLOOR:.2}x)",
-            bench.name, bench.gen_len
-        );
-        assert!(
-            best >= QPB_FLOOR,
-            "{}/g{}: every non-exact backend lost per byte moved ({best:.2}x)",
-            bench.name,
-            bench.gen_len
-        );
-        evictions += cell.iter().map(|r| r.evictions).sum::<usize>();
     }
-    println!("sweep best qpb ratio {hero:.2}x (floor {HERO_FLOOR:.2}x)");
-    assert!(
-        hero >= HERO_FLOOR,
-        "no sparse backend beat exact attention per byte moved anywhere ({hero:.2}x)"
-    );
-    assert!(
-        evictions > 0,
-        "the H2O rows never evicted — budgets too loose"
-    );
+    write_baseline(&rows);
 }

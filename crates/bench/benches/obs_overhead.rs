@@ -6,165 +6,66 @@
 //! ops plus a `Copy` ring write — invisible next to the GEMMs a serving
 //! step actually spends its time in. This bench pins that promise as a
 //! gated number: decode **steps per second** of an identical continuous-
-//! batching workload, recorders off vs on, same process back to back
-//! (machine noise hits both sides). The enabled run may cost at most
-//! `MAX_OVERHEAD_PCT` percent.
+//! batching workload (`lad_bench::gates::OBS_WORKLOAD`), recorders off vs
+//! on, as the median of interleaved off/on pairs in one process
+//! (`lad_bench::gates::obs_point`), against the ceiling in
+//! `lad_bench::gates::GATES`.
 //!
 //! The run is written to `BENCH_obs.json` at the repo root as the
 //! committed baseline (validated and re-measured by `bench_check`).
 //!
 //! ```sh
-//! cargo bench --bench obs_overhead
+//! cargo bench -p lad-bench --bench obs_overhead
 //! ```
 
-use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
+use lad_bench::gates::{self, bench_model, obs_point, GATES, OBS_FILE, OBS_PAIRS, OBS_WORKLOAD};
 use lad_bench::{print_table, section};
-use lad_model::backend::AttentionKind;
-use lad_model::config::ModelConfig;
-use lad_model::transformer::Model;
-use lad_serve::{Engine, Request, ServeConfig, ServeReport};
-use std::fmt::Write as _;
-
-/// Ceiling on the enabled-recorder cost the baseline commits to.
-const MAX_OVERHEAD_PCT: f64 = 5.0;
-
-/// Runs per side; the best (highest steps/s) run of each side is compared.
-const RUNS: usize = 5;
-
-/// (id, prompt_len, max_tokens, arrival_step) — two staggered waves.
-const WORKLOAD: [(u64, usize, usize, usize); 8] = [
-    (0, 12, 24, 0),
-    (1, 8, 8, 0),
-    (2, 14, 40, 1),
-    (3, 9, 12, 2),
-    (4, 10, 16, 8),
-    (5, 12, 32, 8),
-    (6, 7, 8, 9),
-    (7, 11, 20, 10),
-];
-
-fn model_cfg() -> ModelConfig {
-    ModelConfig::tiny("serve-bench", 2, 256, 4)
-}
-
-fn requests() -> Vec<Request> {
-    WORKLOAD
-        .iter()
-        .map(|&(id, plen, max, at)| {
-            let prompt: Vec<u32> = (0..plen)
-                .map(|i| ((i as u64 * 37 + 5 + id * 13) % 256) as u32)
-                .collect();
-            Request::new(id, prompt, max).arriving_at(at)
-        })
-        .collect()
-}
-
-fn serve_once(model: &Model) -> ServeReport {
-    let cfg = model_cfg();
-    let block_bytes = cfg.layers * 2 * cfg.hidden * 2 * BLOCK_TOKENS;
-    let pool = BlockPool::new(&cfg, 256 * block_bytes);
-    let serve_cfg = ServeConfig {
-        max_active: 4,
-        prefill_chunk: 1,
-        ..ServeConfig::default()
-    };
-    let mut engine = Engine::new(model, &AttentionKind::Exact, pool, serve_cfg);
-    for req in requests() {
-        engine.submit(req);
-    }
-    engine.run()
-}
-
-/// Best steps-per-second over `RUNS` runs of the workload.
-fn best_steps_per_s(model: &Model) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..RUNS {
-        let report = serve_once(model);
-        let sps = report.steps as f64 / report.wall.as_secs_f64().max(1e-12);
-        best = best.max(sps);
-    }
-    best
-}
-
-fn set_recorders(on: bool) {
-    lad_obs::set_enabled(on);
-    lad_obs::metrics::set_metrics_enabled(on);
-    lad_obs::timeline::set_timeline_enabled(on);
-}
-
-fn write_baseline(off_sps: f64, on_sps: f64, overhead_pct: f64) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"obs_overhead/recorder_on_vs_off\",");
-    let _ = writeln!(
-        json,
-        "  \"model\": \"tiny serve preset (2 layers, 256 hidden, 4 heads)\","
-    );
-    let _ = writeln!(json, "  \"requests\": {},", WORKLOAD.len());
-    let _ = writeln!(json, "  \"runs_per_side\": {RUNS},");
-    let _ = writeln!(json, "  \"host_cores\": {cores},");
-    let _ = writeln!(json, "  \"results\": [");
-    let _ = writeln!(
-        json,
-        "    {{\"kind\": \"recorder_off\", \"steps_per_s\": {off_sps:.1}, \
-         \"overhead_pct\": 0.0, \"max_overhead_pct\": {MAX_OVERHEAD_PCT}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"kind\": \"recorder_on\", \"steps_per_s\": {on_sps:.1}, \
-         \"overhead_pct\": {overhead_pct:.2}, \"max_overhead_pct\": {MAX_OVERHEAD_PCT}}}"
-    );
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("\nbaseline written to BENCH_obs.json"),
-        Err(e) => println!("\ncould not write BENCH_obs.json: {e}"),
-    }
-}
 
 fn main() {
-    let model = Model::random(model_cfg(), 7);
-
-    section("obs_overhead: warmup");
-    let warmup = serve_once(&model);
-    println!(
-        "warmup: {} steps, {} outcomes",
-        warmup.steps,
-        warmup.outcomes.len()
-    );
+    let gate = GATES.iter().find(|g| g.file == OBS_FILE).expect("gated");
+    let ceiling = gate.bound.value();
 
     section("obs_overhead: recorders off vs on (same workload, same process)");
-    set_recorders(false);
-    let off_sps = best_steps_per_s(&model);
-    set_recorders(true);
-    let on_sps = best_steps_per_s(&model);
-    set_recorders(false);
-    // Discard what the measurement recorded: this bench only times.
-    let _ = lad_obs::drain();
-    let _ = lad_obs::timeline::drain_timeline();
-
-    let overhead_pct = (off_sps - on_sps) / off_sps * 100.0;
-    let rows = vec![
-        vec![
-            "recorder_off".to_string(),
-            format!("{off_sps:.0}"),
-            "0.00".to_string(),
+    let p = obs_point(&bench_model());
+    print_table(
+        &["config", "steps/s", "overhead %"],
+        &[
+            vec![
+                "recorder_off".to_string(),
+                format!("{:.0}", p.off_steps_per_s),
+                "0.00".to_string(),
+            ],
+            vec![
+                "recorder_on".to_string(),
+                format!("{:.0}", p.on_steps_per_s),
+                format!("{:.2}", p.overhead_pct),
+            ],
         ],
-        vec![
-            "recorder_on".to_string(),
-            format!("{on_sps:.0}"),
-            format!("{overhead_pct:.2}"),
-        ],
-    ];
-    print_table(&["config", "steps/s", "overhead %"], &rows);
-    println!("\nenabled-recorder overhead: {overhead_pct:.2}% (ceiling {MAX_OVERHEAD_PCT}%)");
-
-    write_baseline(off_sps, on_sps, overhead_pct);
-    assert!(
-        overhead_pct <= MAX_OVERHEAD_PCT,
-        "recorder overhead {overhead_pct:.2}% exceeds the {MAX_OVERHEAD_PCT}% ceiling"
     );
-    println!("\nobs_overhead: OK");
+    println!(
+        "\nenabled-recorder overhead: {:.2}% ({})",
+        p.overhead_pct, gate.bound
+    );
+
+    gates::write_baseline(
+        OBS_FILE,
+        "obs_overhead/recorder_on_vs_off",
+        "tiny serve preset (2 layers, 256 hidden, 4 heads)",
+        &[
+            ("requests", OBS_WORKLOAD.len().to_string()),
+            ("pairs", OBS_PAIRS.to_string()),
+        ],
+        &[
+            format!(
+                "{{\"kind\": \"recorder_off\", \"steps_per_s\": {:.1}, \"overhead_pct\": 0.0, \
+                 \"max_overhead_pct\": {ceiling}}}",
+                p.off_steps_per_s
+            ),
+            format!(
+                "{{\"kind\": \"recorder_on\", \"steps_per_s\": {:.1}, \"overhead_pct\": {:.2}, \
+                 \"max_overhead_pct\": {ceiling}}}",
+                p.on_steps_per_s, p.overhead_pct
+            ),
+        ],
+    );
 }

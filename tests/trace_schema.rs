@@ -70,15 +70,25 @@ fn captured_decode_trace_matches_export_schemas() {
     engine.submit(Request::new(1, prompt(1), 6));
     engine.submit(Request::new(2, prompt(2), 6));
     let served = engine.run();
+    // Whether the global pool's workers stole any of the batch's tasks is
+    // up to timing (and it has no workers on a single-core host), so one
+    // scope on a private two-worker pool puts a `pool.task` span on a worker
+    // track by construction: three tasks meet at one barrier, so at most one
+    // of them can run on the helping caller.
+    let pool = WorkerPool::new(2);
+    let barrier = std::sync::Barrier::new(3);
+    pool.scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                barrier.wait();
+            });
+        }
+    });
     lad::obs::set_enabled(false);
     let threads = lad::obs::drain();
     assert_eq!(served.total_tokens(), 2 * 6);
-    // The fanned batch runs on the global pool, which has no background
-    // workers on a single-core host (everything help-runs on the main
-    // thread there).
-    let expected_tracks = 1 + usize::from(WorkerPool::global().workers() > 0);
     assert!(
-        threads.len() >= expected_tracks,
+        threads.len() >= 2,
         "expected main + worker tracks, got {}",
         threads.len()
     );
