@@ -19,6 +19,17 @@
 //! 5. **Maintenance** — counters, mode updates (Eq. 6) and aging the oldest
 //!    window position into the caches (Eq. 5).
 //!
+//! LAD is a decoding-phase mechanism: no token is sampled from a prompt row
+//! until the last one, and a position's mode is a property of the decode
+//! steps that follow. So [`LadAttention::prompt_row`] answers prompt rows
+//! with exact softmax attention and only registers each key with the
+//! center book (Alg. 1 is order-dependent) and keeps the latest `window`
+//! scaled queries with their softmax shifts. The first decode row then
+//! builds the head's decode state
+//! in one pass — mode counters from the kept queries' exact intervals,
+//! positions outside the window aged into the caches — so LAD runs from the
+//! first generated token on.
+//!
 //! With [`Identification::Oracle`] the output equals the direct PWL attention
 //! of [`crate::reference::pwl_attention`] exactly (up to accumulation order) —
 //! the invariant the property tests pin down. With
@@ -29,6 +40,7 @@ use crate::cache::IntermediateCache;
 use crate::centers::{CenterBook, DEFAULT_COLLINEARITY_THRESHOLD};
 use crate::kv::KvCache;
 use crate::modes::ModeTracker;
+use crate::reference;
 use crate::stats::StepStats;
 use lad_math::pwl::PwlExp;
 use lad_math::vector;
@@ -127,8 +139,9 @@ pub struct LadCheckpoint {
     tracker: ModeTracker,
     centers: CenterBook,
     cache: IntermediateCache,
-    cached_mode: Vec<Option<usize>>,
+    cached_mode: Vec<Option<u8>>,
     prev_active: Vec<usize>,
+    kept: KeptRows,
 }
 
 /// Full LAD decoding state of one attention head.
@@ -152,11 +165,25 @@ pub struct LadAttention {
     centers: CenterBook,
     cache: IntermediateCache,
     /// Mode under which each position currently sits in the intermediate
-    /// caches; `None` while still inside the latest window.
-    cached_mode: Vec<Option<usize>>,
+    /// caches; `None` while still inside the latest window. One byte per
+    /// position: [`LadAttention::new`] admits at most 256 intervals.
+    cached_mode: Vec<Option<u8>>,
     /// The previous step's active positions, ascending.
     prev_active: Vec<usize>,
+    /// The latest prompt rows, kept for the crossing build.
+    kept: KeptRows,
     scratch: StepScratch,
+}
+
+/// What a head keeps of its latest prompt rows for the crossing build: a
+/// ring of `max(window, 1)` slots, prompt row `r` in slot `r % slots`.
+/// Released by the build.
+#[derive(Debug, Clone, Default)]
+struct KeptRows {
+    /// Scaled queries, `dim` floats per slot.
+    queries: Vec<f32>,
+    /// Each row's softmax shift `m`: the maximum score its exact read saw.
+    shifts: Vec<f64>,
 }
 
 /// Reusable per-step working memory. Every buffer is cleared and refilled
@@ -190,9 +217,13 @@ impl LadAttention {
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0`.
+    /// Panics if `dim == 0` or the partition has more than 256 intervals.
     pub fn new(dim: usize, cfg: LadConfig) -> LadAttention {
         let intervals = cfg.pwl.num_intervals();
+        assert!(
+            intervals <= usize::from(u8::MAX) + 1,
+            "LadAttention: at most 256 intervals"
+        );
         let threshold = cfg.collinearity_threshold;
         LadAttention {
             kv: KvCache::new(dim),
@@ -201,6 +232,7 @@ impl LadAttention {
             cache: IntermediateCache::new(dim),
             cached_mode: Vec::new(),
             prev_active: Vec::new(),
+            kept: KeptRows::default(),
             scratch: StepScratch::default(),
             cfg,
         }
@@ -234,7 +266,11 @@ impl LadAttention {
     /// The interval under which `position`'s contribution currently sits in
     /// the intermediate caches (`None` while inside the latest window).
     pub fn cached_interval(&self, position: usize) -> Option<usize> {
-        self.cached_mode.get(position).copied().flatten()
+        self.cached_mode
+            .get(position)
+            .copied()
+            .flatten()
+            .map(usize::from)
     }
 
     /// Whether `position` was identified active (and therefore corrected)
@@ -255,6 +291,7 @@ impl LadAttention {
             cache: self.cache.clone(),
             cached_mode: self.cached_mode.clone(),
             prev_active: self.prev_active.clone(),
+            kept: self.kept.clone(),
         }
     }
 
@@ -273,10 +310,124 @@ impl LadAttention {
         self.cache.clone_from(&ck.cache);
         self.cached_mode.clone_from(&ck.cached_mode);
         self.prev_active.clone_from(&ck.prev_active);
+        self.kept.clone_from(&ck.kept);
+    }
+
+    /// Feeds one prompt row: appends `(key, value)` and returns the exact
+    /// softmax attention of `query` ([`reference::exact_attention_scored`],
+    /// the read the exact backend makes, under the same `kernel.kv_read_f32`
+    /// span). Besides that read the row only registers its key with the
+    /// center book (Alg. 1 is order-dependent, so the book is the one
+    /// per-row LAD steps would build) and keeps its scaled query and
+    /// softmax shift for the crossing build in the next
+    /// [`LadAttention::step`]. The stats are the exact backend's traffic
+    /// counters; the LAD fields stay zero.
+    ///
+    /// Once a decode row has run, LAD owns the head: a later prompt row is
+    /// stepped as a decode row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice length differs from the head dimension.
+    pub fn prompt_row(&mut self, query: &[f32], key: &[f32], value: &[f32]) -> StepOutput {
+        if !self.tracker.is_empty() {
+            return self.step(query, key, value);
+        }
+        let d = self.kv.dim();
+        assert_eq!(query.len(), d, "prompt_row: query dim mismatch");
+        let (output, shift, _) = {
+            let _kv_span = lad_obs::span("kernel.kv_read_f32");
+            self.kv.push(key, value);
+            reference::exact_attention_scored(query, &self.kv, false)
+        };
+        self.centers
+            .add_key(&self.kv.keys(), &mut self.scratch.gathered);
+        let n = self.kv.len();
+        let slots = self.cfg.window.max(1);
+        let slot = (n - 1) % slots;
+        let kept = &mut self.kept;
+        if kept.shifts.len() <= slot {
+            // The ring is sized once, at its first row.
+            kept.shifts.reserve_exact(slots);
+            kept.queries.reserve_exact(slots * d);
+            kept.shifts.resize(slot + 1, 0.0);
+            kept.queries.resize((slot + 1) * d, 0.0);
+        }
+        kept.shifts[slot] = shift;
+        let scale = 1.0 / (d as f32).sqrt();
+        for (dst, &x) in kept.queries[slot * d..(slot + 1) * d].iter_mut().zip(query) {
+            *dst = x * scale;
+        }
+        StepOutput {
+            output,
+            stats: StepStats {
+                n,
+                keys_scored: n,
+                keys_read: n,
+                bytes_moved: 2 * n * d * self.kv.precision().bytes_per_element(),
+                ..StepStats::default()
+            },
+        }
+    }
+
+    /// The crossing from prompt rows to decode rows: builds the state `P`
+    /// per-row LAD steps would have left, in one pass over the `P` prompt
+    /// positions. The kept rows' queries re-score the keys, one 64-key range
+    /// at a time, each key read once for all of them. Every score a kept row
+    /// saw goes into `ModeTracker` as its exact interval under that row's
+    /// shift, oldest row first; positions `0..=P-1-window` are then cached
+    /// under their modes (Eq. 5). Returns the (keys, values) it read from
+    /// the arena.
+    fn build_decode_state(&mut self) -> (usize, usize) {
+        const RANGE: usize = 64;
+        let _mode_update_span = lad_obs::span("lad.mode_update");
+        let p = self.kv.len();
+        let slots = self.cfg.window.max(1);
+        let first_kept = p - p.min(slots);
+        for _ in 0..p {
+            self.tracker.push_position();
+            self.cached_mode.push(None);
+        }
+        let scores = &mut self.scratch.gathered;
+        for lo in (0..p).step_by(RANGE) {
+            let hi = (lo + RANGE).min(p);
+            scores.clear();
+            self.kv
+                .score_range_multi_into(&self.kept.queries, lo..hi, scores);
+            for i in lo..hi {
+                // Row `r` saw positions `0..=r`.
+                for row in first_kept.max(i)..p {
+                    let slot = row % slots;
+                    let s = scores[slot * (hi - lo) + i - lo];
+                    let shifted = s - self.kept.shifts[slot];
+                    self.tracker.record(i, self.cfg.pwl.interval_of(shifted));
+                }
+            }
+        }
+        let cached = p.saturating_sub(self.cfg.window);
+        for i in 0..cached {
+            let mode = self.tracker.mode(i);
+            let (a, b) = self.cfg.pwl.coeffs(mode);
+            self.cache.insert(a, b, self.kv.key(i), self.kv.value(i));
+            self.cached_mode[i] = Some(mode as u8);
+        }
+        // Released, not cleared: a decoding head keeps no prompt ring.
+        self.kept = KeptRows::default();
+        // Give the per-position step buffers the capacity doubling growth
+        // through `P` per-row steps would have left them.
+        let capacity = (p + 1).next_power_of_two();
+        let scratch = &mut self.scratch;
+        scratch.scores.reserve(capacity);
+        scratch.exact.reserve(capacity);
+        scratch.corrected.reserve(capacity);
+        (p + cached, cached)
     }
 
     /// Executes one decoding step: appends `(key, value)` to the KV cache and
-    /// computes the attention output for `query`.
+    /// computes the attention output for `query`. The first step after
+    /// [`LadAttention::prompt_row`]s first builds the decode state from them
+    /// (under the `lad.mode_update` span, its reads counted in this step's
+    /// stats).
     ///
     /// The per-step working memory lives in a reusable scratch, so after
     /// warm-up the hot path's only allocation is the returned output vector.
@@ -291,6 +442,15 @@ impl LadAttention {
     pub fn step(&mut self, query: &[f32], key: &[f32], value: &[f32]) -> StepOutput {
         let d = self.kv.dim();
         assert_eq!(query.len(), d, "step: query dim mismatch");
+        // Traffic counters: key/value vectors fetched from the KV arena this
+        // step, incremented at every read site below. Center-book internal
+        // maintenance (`add_key`) reads through a detached view and is
+        // modelled by the `centers` stat instead.
+        let (mut keys_fetched, mut values_fetched) = if self.tracker.len() < self.kv.len() {
+            self.build_decode_state()
+        } else {
+            (0, 0)
+        };
 
         // -- Append and register the new position.
         self.kv.push(key, value);
@@ -317,12 +477,6 @@ impl LadAttention {
         let gather = &mut scratch.gather;
         let gathered = &mut scratch.gathered;
         let mut large_mode_exact = 0usize;
-        // Traffic counters: key/value vectors fetched from the KV arena this
-        // step, incremented at every read site below. Center-book internal
-        // maintenance (`add_key` above) reads through a detached view and is
-        // modelled by the `centers` stat instead.
-        let mut keys_fetched = 0usize;
-        let mut values_fetched = 0usize;
 
         let identify_span = lad_obs::span("lad.identify");
         match self.cfg.identification {
@@ -418,7 +572,7 @@ impl LadAttention {
             };
             let shifted = s_exact - m;
             let id = self.cfg.pwl.interval_of(shifted);
-            let cached = self.cached_mode[j].expect("active positions are cached");
+            let cached = usize::from(self.cached_mode[j].expect("active positions are cached"));
             let (a_id, b_id) = self.cfg.pwl.coeffs(id);
             let (a_mode, b_mode) = self.cfg.pwl.coeffs(cached);
             let alpha = a_id - a_mode;
@@ -440,7 +594,7 @@ impl LadAttention {
             if changed {
                 self.cache
                     .delta_update(alpha, beta, self.kv.key(j), self.kv.value(j));
-                self.cached_mode[j] = Some(id);
+                self.cached_mode[j] = Some(id as u8);
                 mode_updates += 1;
                 keys_fetched += 1;
                 values_fetched += 1;
@@ -537,7 +691,7 @@ impl LadAttention {
                 let (a, b) = self.cfg.pwl.coeffs(mode);
                 self.cache
                     .insert(a, b, self.kv.key(aged), self.kv.value(aged));
-                self.cached_mode[aged] = Some(mode);
+                self.cached_mode[aged] = Some(mode as u8);
                 keys_fetched += 1;
                 values_fetched += 1;
             }
@@ -596,7 +750,7 @@ impl LadAttention {
             // active when its exact-score interval differs from the interval
             // its cache contribution assumes.
             let s = f64::from(vector::dot(q_scaled, self.kv.key(i)));
-            let truly_active = self.cfg.pwl.interval_of(s - m) != cached;
+            let truly_active = self.cfg.pwl.interval_of(s - m) != usize::from(cached);
             match (truly_active, identified) {
                 (true, false) => false_negatives += 1,
                 (false, true) => false_positives += 1,
@@ -729,7 +883,7 @@ mod tests {
         for (i, cached) in head.cached_mode.iter().enumerate() {
             if let Some(mode) = cached {
                 assert_eq!(
-                    *mode,
+                    usize::from(*mode),
                     head.tracker.mode(i),
                     "position {i} cache/tracker divergence"
                 );
@@ -833,6 +987,204 @@ mod tests {
         assert_eq!(head.kv().len(), 20);
         let second: Vec<StepOutput> = inputs.iter().map(|(q, k, v)| head.step(q, k, v)).collect();
         assert_eq!(first, second, "replay after restore diverged");
+    }
+
+    /// `(q, k, v)` triples of a random stream.
+    fn stream(rng: &mut Rng, len: usize, d: usize) -> Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> {
+        (0..len)
+            .map(|_| {
+                (
+                    rng.normal_vec(d, 1.0),
+                    rng.normal_vec(d, 1.0),
+                    rng.normal_vec(d, 1.0),
+                )
+            })
+            .collect()
+    }
+
+    /// Max absolute difference between two caches' `A`–`F` terms.
+    fn cache_gap(x: &IntermediateCache, y: &IntermediateCache) -> f64 {
+        let (xa, ya) = (x.a_matrix(), y.a_matrix());
+        let mut gap = xa
+            .as_slice()
+            .iter()
+            .zip(ya.as_slice())
+            .map(|(a, b)| f64::from((a - b).abs()))
+            .fold(0.0, f64::max);
+        let (xb, xc, xd, xe, xf) = x.small_caches();
+        let (yb, yc, yd, ye, yf) = y.small_caches();
+        for (u, v) in [(xb, yb), (xc, yc), (xd, yd)] {
+            for (a, b) in u.iter().zip(v) {
+                gap = gap.max((a - b).abs());
+            }
+        }
+        gap.max((xe - ye).abs()).max((xf - yf).abs())
+    }
+
+    #[test]
+    fn prompt_rows_are_exact_and_oracle_decode_matches_pwl_attention() {
+        // Prompt rows answer with exact softmax; from the first decode row
+        // on, oracle LAD must reproduce direct PWL attention (Eq. 3 ==
+        // Eq. 4) on top of the state the crossing built, with every cached
+        // contribution under its tracker mode and A-F equal to a
+        // from-scratch sum over the cached positions.
+        let d = 16;
+        let pwl = PwlExp::accurate_default();
+        let cfg = LadConfig {
+            window: 8,
+            ..LadConfig::oracle(pwl.clone())
+        };
+        let mut rng = Rng::new(91);
+        let mut head = LadAttention::new(d, cfg);
+        let mut shadow = KvCache::new(d);
+        for (q, k, v) in stream(&mut rng, 40, d) {
+            shadow.push(&k, &v);
+            let out = head.prompt_row(&q, &k, &v);
+            assert_eq!(out.output, reference::exact_attention(&q, &shadow));
+            assert_eq!(out.stats.active, 0);
+        }
+        // Nothing is folded into LAD state before the crossing.
+        assert!(head.tracker().is_empty());
+        assert_eq!(head.cached_interval(0), None);
+        for (step, (q, k, v)) in stream(&mut rng, 30, d).into_iter().enumerate() {
+            shadow.push(&k, &v);
+            let lad = head.step(&q, &k, &v).output;
+            let direct = reference::pwl_attention(&q, &shadow, &pwl);
+            let rel = vector::relative_l2(&lad, &direct);
+            assert!(rel < 1e-4, "decode row {step}: relative error {rel}");
+            let mut scratch = IntermediateCache::new(d);
+            for i in 0..head.kv().len() {
+                if let Some(mode) = head.cached_interval(i) {
+                    assert_eq!(mode, head.tracker().mode(i), "position {i}");
+                    let (a, b) = pwl.coeffs(mode);
+                    scratch.insert(a, b, shadow.key(i), shadow.value(i));
+                }
+            }
+            let gap = cache_gap(head.intermediate_cache(), &scratch);
+            assert!(gap < 1e-6, "decode row {step}: A-F gap {gap}");
+        }
+    }
+
+    #[test]
+    fn crossing_leaves_the_shape_of_per_row_lad_steps() {
+        // After P prompt rows and one decode row the head holds the state
+        // P + 1 LAD steps would: the same arena, a bit-identical center
+        // book, one counter row per position and positions
+        // 0..=P-window cached.
+        let d = 8;
+        let cfg = LadConfig {
+            window: 4,
+            ..LadConfig::default()
+        };
+        let inputs = stream(&mut Rng::new(92), 25, d);
+        let mut crossed = LadAttention::new(d, cfg.clone());
+        let mut per_row = LadAttention::new(d, cfg);
+        let (last, prompt) = inputs.split_last().unwrap();
+        for (q, k, v) in prompt {
+            crossed.prompt_row(q, k, v);
+            per_row.step(q, k, v);
+        }
+        crossed.step(&last.0, &last.1, &last.2);
+        per_row.step(&last.0, &last.1, &last.2);
+        assert_eq!(crossed.centers(), per_row.centers());
+        assert_eq!(crossed.tracker().len(), 25);
+        for i in 0..25 {
+            assert_eq!(
+                crossed.cached_interval(i).is_some(),
+                per_row.cached_interval(i).is_some(),
+                "position {i}"
+            );
+        }
+        assert_eq!(
+            (0..25)
+                .filter(|&i| crossed.cached_interval(i).is_some())
+                .count(),
+            21
+        );
+    }
+
+    #[test]
+    fn crossing_records_each_kept_rows_exact_intervals() {
+        // Under oracle identification the first decode row records every
+        // position's exact interval too, so after it each position's
+        // counters are exactly the PWL intervals (Eq. 3) the last `window`
+        // prompt rows and that decode row saw.
+        let d = 8;
+        let window = 4;
+        let pwl = PwlExp::accurate_default();
+        let cfg = LadConfig {
+            window,
+            ..LadConfig::oracle(pwl.clone())
+        };
+        let inputs = stream(&mut Rng::new(95), 11, d);
+        let mut head = LadAttention::new(d, cfg);
+        let mut shadow = KvCache::new(d);
+        let mut want = vec![vec![0u16; pwl.num_intervals()]; inputs.len()];
+        for (r, (q, k, v)) in inputs.iter().enumerate() {
+            shadow.push(k, v);
+            if r < 10 {
+                head.prompt_row(q, k, v);
+            } else {
+                head.step(q, k, v);
+            }
+            if r >= 10 - window {
+                let (_, intervals) = reference::pwl_attention_detailed(q, &shadow, &pwl);
+                for (i, id) in intervals.into_iter().enumerate() {
+                    want[i][id] += 1;
+                }
+            }
+        }
+        for (i, counts) in want.iter().enumerate() {
+            assert_eq!(head.tracker().counts(i), &counts[..], "position {i}");
+        }
+    }
+
+    #[test]
+    fn restore_across_the_crossing_is_bit_exact() {
+        // A checkpoint taken before the first decode row rewinds the build
+        // too: the kept prompt queries come back, and the replay rebuilds
+        // the same decode state.
+        let d = 8;
+        let cfg = LadConfig {
+            window: 4,
+            ..LadConfig::default()
+        };
+        let mut rng = Rng::new(93);
+        let mut head = LadAttention::new(d, cfg);
+        for (q, k, v) in stream(&mut rng, 12, d) {
+            head.prompt_row(&q, &k, &v);
+        }
+        let ck = head.checkpoint();
+        let inputs = stream(&mut rng, 6, d);
+        let first: Vec<StepOutput> = inputs.iter().map(|(q, k, v)| head.step(q, k, v)).collect();
+        head.restore(&ck);
+        assert!(head.tracker().is_empty());
+        let second: Vec<StepOutput> = inputs.iter().map(|(q, k, v)| head.step(q, k, v)).collect();
+        assert_eq!(first, second, "replay after restore diverged");
+    }
+
+    #[test]
+    fn prompt_rows_after_decode_rows_are_decode_rows() {
+        let d = 8;
+        let inputs = stream(&mut Rng::new(94), 10, d);
+        let mut mixed = LadAttention::new(d, LadConfig::default());
+        let mut decode = LadAttention::new(d, LadConfig::default());
+        for (i, (q, k, v)) in inputs.iter().enumerate() {
+            let got = if i < 4 {
+                mixed.step(q, k, v)
+            } else {
+                mixed.prompt_row(q, k, v)
+            };
+            assert_eq!(got, decode.step(q, k, v), "row {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 intervals")]
+    fn more_than_256_intervals_rejected() {
+        let bounds: Vec<f64> = (0..=300).map(|i| f64::from(i - 300) / 10.0).collect();
+        let pwl = PwlExp::with_boundaries(&bounds).expect("valid partition");
+        LadAttention::new(4, LadConfig::new(pwl));
     }
 
     #[test]

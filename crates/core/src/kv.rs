@@ -311,6 +311,51 @@ impl KvCache {
         }
     }
 
+    /// Scores the keys at positions `range` against each of the
+    /// `qs_rows.len() / dim` already-scaled queries in `qs_rows` (row-major),
+    /// appending query-major: `out[start + j·len + k] = q_j · k_{range.start + k}`.
+    /// The range's keys are read — and metered — once, however many queries
+    /// score them: a short range stays cache-resident across the queries.
+    /// Every score is bit-identical to [`KvCache::score_keys_into`]'s score
+    /// of the same key and query.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an fp16 cache, if `qs_rows.len()` is not a multiple of
+    /// `dim`, or if `range` reaches past the cache.
+    pub fn score_range_multi_into(
+        &self,
+        qs_rows: &[f32],
+        range: std::ops::Range<usize>,
+        out: &mut Vec<f64>,
+    ) {
+        self.assert_f32("score_range_multi_into");
+        let d = self.dim;
+        assert_eq!(
+            qs_rows.len() % d,
+            0,
+            "KvCache::score_range_multi_into: queries must be dim-long rows"
+        );
+        assert!(
+            range.end <= self.len(),
+            "KvCache::score_range_multi_into: range beyond cache"
+        );
+        let len = range.len();
+        if len == 0 {
+            return;
+        }
+        meter(len * d * 4);
+        let start = out.len();
+        out.resize(start + qs_rows.len() / d * len, 0.0);
+        let keys = &self.keys[range.start * d..range.end * d];
+        for (qs, row) in qs_rows
+            .chunks_exact(d)
+            .zip(out[start..].chunks_exact_mut(len))
+        {
+            simd::dot_rows_f32(qs, keys, row);
+        }
+    }
+
     /// One sparse value read: `acc[j] += w · v_position[j]`, decoding fp16
     /// values exactly on the fly — the per-position form of
     /// [`KvCache::values_weighted_into`] for callers that weight a subset of
@@ -607,6 +652,36 @@ mod tests {
         assert_eq!(kv.key(1), &[5.0, 6.0]);
         assert_eq!(kv.value(0), &[3.0, 4.0]);
         assert_eq!(kv.keys().len(), 2);
+    }
+
+    #[test]
+    fn range_scores_equal_single_query_reads_metered_once() {
+        // 150 keys in ranges of 64: two full ranges and a ragged tail.
+        let mut rng = lad_math::Rng::new(5);
+        let d = 16;
+        let mut kv = KvCache::new(d);
+        for _ in 0..150 {
+            kv.push(&rng.normal_vec(d, 1.0), &rng.normal_vec(d, 1.0));
+        }
+        let queries = rng.normal_vec(3 * d, 1.0);
+        let mut single = Vec::new();
+        for qs in queries.chunks_exact(d) {
+            kv.score_keys_into(qs, &mut single);
+        }
+        reset_traffic_bytes();
+        for lo in (0..150).step_by(64) {
+            let hi = (lo + 64).min(150);
+            let mut range = Vec::new();
+            kv.score_range_multi_into(&queries, lo..hi, &mut range);
+            for j in 0..3 {
+                assert_eq!(
+                    range[j * (hi - lo)..(j + 1) * (hi - lo)],
+                    single[j * 150 + lo..j * 150 + hi],
+                    "query {j} keys {lo}..{hi}"
+                );
+            }
+        }
+        assert_eq!(traffic_bytes(), (150 * d * 4) as u64);
     }
 
     #[test]

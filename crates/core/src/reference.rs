@@ -36,11 +36,12 @@ pub fn exact_attention(q: &[f32], kv: &KvCache) -> Vec<f32> {
     exact_attention_scored(q, kv, false).0
 }
 
-/// [`exact_attention`], also returning the shifted scores `sᵢ − m` when
-/// `record_scores` is set: one metered sweep over the keys, one over the
-/// values. The weights `exp(sᵢ − m)` overwrite the score buffer, and the
-/// denominator and every output column sum them in ascending position
-/// order, so the output is the same under either kernel.
+/// [`exact_attention`], also returning the softmax shift `m = maxᵢ sᵢ` and,
+/// when `record_scores` is set, the shifted scores `sᵢ − m`: one metered
+/// sweep over the keys, one over the values. The weights `exp(sᵢ − m)`
+/// overwrite the score buffer, and the denominator and every output column
+/// sum them in ascending position order, so the output is the same under
+/// either kernel.
 ///
 /// # Panics
 ///
@@ -49,7 +50,7 @@ pub fn exact_attention_scored(
     q: &[f32],
     kv: &KvCache,
     record_scores: bool,
-) -> (Vec<f32>, Option<Vec<f64>>) {
+) -> (Vec<f32>, f64, Option<Vec<f64>>) {
     assert!(!kv.is_empty(), "exact_attention: empty KV cache");
     assert_eq!(q.len(), kv.dim(), "exact_attention: query dim mismatch");
     let mut weights = scores(q, kv);
@@ -62,7 +63,11 @@ pub fn exact_attention_scored(
     }
     let mut num = vec![0.0f64; kv.dim()];
     kv.values_weighted_into(&weights, &mut num);
-    (num.into_iter().map(|x| (x / den) as f32).collect(), shifted)
+    (
+        num.into_iter().map(|x| (x / den) as f32).collect(),
+        m,
+        shifted,
+    )
 }
 
 /// Direct piecewise-linear attention (paper Eq. 3): every position weighted

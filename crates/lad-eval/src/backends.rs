@@ -64,7 +64,9 @@ pub fn backend_zoo() -> Vec<(String, AttentionKind)> {
 }
 
 /// Greedy-decodes `prompt` for `gen_len` tokens under `kind`, accumulating
-/// the per-step traffic counters of every (layer, head) along the way.
+/// the per-step traffic counters of every (layer, head) along the way. The
+/// prompt goes in as prompt rows (one [`Session::prefill`] row at a time),
+/// so the decode is `Session::generate_greedy`'s.
 fn decode_with_traffic(
     model: &Model,
     kind: &AttentionKind,
@@ -74,8 +76,8 @@ fn decode_with_traffic(
     let mut session = Session::new(model, kind);
     let mut steps: Vec<StepStats> = Vec::new();
     let mut logits = Vec::new();
-    for &t in prompt {
-        logits = session.step(t);
+    for t in prompt {
+        logits = session.prefill(std::slice::from_ref(t));
         steps.extend(session.last_stats().iter().copied());
     }
     let mut out = Vec::with_capacity(gen_len);

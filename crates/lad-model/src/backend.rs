@@ -128,6 +128,18 @@ impl AttentionKind {
     }
 }
 
+/// Which phase a row belongs to. LAD is a decoding-phase mechanism: a LAD
+/// head answers prompt rows with exact attention and builds its decode
+/// state at the first decode row ([`LadAttention::prompt_row`]). Every other
+/// backend treats both kinds alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowKind {
+    /// A prompt token.
+    Prompt,
+    /// A generated token fed back, or a speculative draft.
+    Decode,
+}
+
 /// Output of one head step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeadStepOutput {
@@ -345,8 +357,16 @@ impl HeadState {
         }
     }
 
-    /// Executes one decoding step.
-    pub fn step(&mut self, q: &[f32], k: &[f32], v: &[f32], record_scores: bool) -> HeadStepOutput {
+    /// Executes one step on a row of kind `row` (only LAD heads tell the
+    /// kinds apart).
+    pub fn step(
+        &mut self,
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        row: RowKind,
+        record_scores: bool,
+    ) -> HeadStepOutput {
         match self {
             HeadState::Exact { kv } => {
                 let _kv_span = lad_obs::span(match kv.precision() {
@@ -356,7 +376,7 @@ impl HeadState {
                 kv.push(k, v);
                 let n = kv.len();
                 let bpe = kv.precision().bytes_per_element();
-                let (output, shifted_scores) =
+                let (output, _, shifted_scores) =
                     reference::exact_attention_scored(q, kv, record_scores);
                 HeadStepOutput {
                     output,
@@ -365,7 +385,10 @@ impl HeadState {
                 }
             }
             HeadState::Lad(head) => {
-                let step = head.step(q, k, v);
+                let step = match row {
+                    RowKind::Prompt => head.prompt_row(q, k, v),
+                    RowKind::Decode => head.step(q, k, v),
+                };
                 HeadStepOutput {
                     output: step.output,
                     stats: Some(step.stats),
@@ -590,7 +613,7 @@ mod tests {
                 rng.normal_vec(d, 1.0),
             );
             shadow.push(&k, &v);
-            let out = head.step(&q, &k, &v, false);
+            let out = head.step(&q, &k, &v, RowKind::Decode, false);
             assert_eq!(out.output, reference::exact_attention(&q, &shadow));
         }
     }
@@ -598,7 +621,7 @@ mod tests {
     #[test]
     fn exact_backend_records_shifted_scores() {
         let mut head = HeadState::new(4, &AttentionKind::Exact);
-        let out = head.step(&[1.0; 4], &[0.5; 4], &[0.1; 4], true);
+        let out = head.step(&[1.0; 4], &[0.5; 4], &[0.1; 4], RowKind::Decode, true);
         let scores = out.shifted_scores.expect("recording requested");
         assert_eq!(scores.len(), 1);
         assert!(scores[0] <= 0.0);
@@ -614,6 +637,7 @@ mod tests {
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
+                RowKind::Decode,
                 false,
             );
             let stats = out.stats.expect("lad backend reports stats");
@@ -635,8 +659,8 @@ mod tests {
                 rng.normal_vec(d, 1.0),
                 rng.normal_vec(d, 1.0),
             );
-            let e = exact.step(&q, &k, &v, true);
-            let h = half.step(&q, &k, &v, true);
+            let e = exact.step(&q, &k, &v, RowKind::Decode, true);
+            let h = half.step(&q, &k, &v, RowKind::Decode, true);
             worst = worst.max(vector::relative_l2(&h.output, &e.output));
             assert!(h.shifted_scores.is_some(), "f16 backend records scores");
         }
@@ -660,8 +684,8 @@ mod tests {
                 rng.normal_vec(d, 1.0),
                 rng.normal_vec(d, 1.0),
             );
-            let e = exact.step(&q, &k, &v, false);
-            let s = qserve.step(&q, &k, &v, false);
+            let e = exact.step(&q, &k, &v, RowKind::Decode, false);
+            let s = qserve.step(&q, &k, &v, RowKind::Decode, false);
             worst = worst.max(vector::relative_l2(&s.output, &e.output));
         }
         assert!(worst > 1e-4, "KV4 must actually perturb outputs");
@@ -678,6 +702,7 @@ mod tests {
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
+                RowKind::Decode,
                 false,
             );
         }
@@ -696,6 +721,7 @@ mod tests {
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
+                RowKind::Decode,
                 false,
             );
         }
@@ -725,6 +751,7 @@ mod tests {
                     &rng.normal_vec(d, 1.0),
                     &rng.normal_vec(d, 1.0),
                     &rng.normal_vec(d, 1.0),
+                    RowKind::Decode,
                     false,
                 );
             }
@@ -740,12 +767,12 @@ mod tests {
                 .collect();
             let first: Vec<HeadStepOutput> = inputs
                 .iter()
-                .map(|(q, k, v)| head.step(q, k, v, false))
+                .map(|(q, k, v)| head.step(q, k, v, RowKind::Decode, false))
                 .collect();
             head.restore(&ck);
             let second: Vec<HeadStepOutput> = inputs
                 .iter()
-                .map(|(q, k, v)| head.step(q, k, v, false))
+                .map(|(q, k, v)| head.step(q, k, v, RowKind::Decode, false))
                 .collect();
             assert_eq!(first, second, "{kind:?}: replay after restore diverged");
         }
@@ -771,8 +798,8 @@ mod tests {
                 rng.normal_vec(d, 1.0),
                 rng.normal_vec(d, 1.0),
             );
-            let e = exact.step(&q, &k, &v, true);
-            let t = topk.step(&q, &k, &v, true);
+            let e = exact.step(&q, &k, &v, RowKind::Decode, true);
+            let t = topk.step(&q, &k, &v, RowKind::Decode, true);
             assert_eq!(t.output, e.output, "k >= n must be bit-identical");
             assert_eq!(t.shifted_scores, e.shifted_scores);
         }
@@ -791,8 +818,8 @@ mod tests {
                 rng.normal_vec(d, 1.0),
                 rng.normal_vec(d, 1.0),
             );
-            let e = exact.step(&q, &k, &v, false);
-            let t = topk.step(&q, &k, &v, false);
+            let e = exact.step(&q, &k, &v, RowKind::Decode, false);
+            let t = topk.step(&q, &k, &v, RowKind::Decode, false);
             drift = drift.max(vector::relative_l2(&t.output, &e.output));
         }
         assert!(drift > 1e-4, "top-4 of 60 should drift, drift = {drift}");
@@ -809,7 +836,7 @@ mod tests {
         let values = [[1.0f32; 4], [2.0; 4], [3.0; 4]];
         let mut last = Vec::new();
         for v in &values {
-            last = head.step(&q, &key, v, false).output;
+            last = head.step(&q, &key, v, RowKind::Decode, false).output;
         }
         assert_eq!(last, values[0].to_vec());
     }
@@ -825,6 +852,7 @@ mod tests {
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
                 &rng.normal_vec(d, 1.0),
+                RowKind::Decode,
                 false,
             );
             total_evictions += out.stats.expect("h2o reports stats").evictions;
@@ -864,8 +892,8 @@ mod tests {
                     rng.normal_vec(d, 1.0),
                     rng.normal_vec(d, 1.0),
                 );
-                let e = exact.step(&q, &k, &v, true);
-                let h = h2o.step(&q, &k, &v, true);
+                let e = exact.step(&q, &k, &v, RowKind::Decode, true);
+                let h = h2o.step(&q, &k, &v, RowKind::Decode, true);
                 assert_eq!(
                     h.output, e.output,
                     "{kind:?}: pre-eviction H2O must match exact"
@@ -901,6 +929,7 @@ mod tests {
                     &rng.normal_vec(d, 1.0),
                     &rng.normal_vec(d, 1.0),
                     &rng.normal_vec(d, 1.0),
+                    RowKind::Decode,
                     false,
                 );
                 let stats = out.stats.unwrap_or_else(|| panic!("{kind:?}: no stats"));
@@ -923,6 +952,7 @@ mod tests {
             AttentionKind::h2o_default(),
             AttentionKind::topk(4),
             AttentionKind::h2o_budget(8, 4),
+            AttentionKind::Lad(LadConfig::default()),
         ];
         for kind in &kinds {
             let mut rng = Rng::new(59);
@@ -933,8 +963,15 @@ mod tests {
                     rng.normal_vec(d, 1.0),
                     rng.normal_vec(d, 1.0),
                 );
+                // The first 24 rows are prompt rows, so the LAD leg also
+                // meters its crossing build.
+                let row = if i < 24 {
+                    RowKind::Prompt
+                } else {
+                    RowKind::Decode
+                };
                 reset_traffic_bytes();
-                let out = head.step(&q, &k, &v, false);
+                let out = head.step(&q, &k, &v, row, false);
                 let stats = out.stats.expect("stats present");
                 assert_eq!(
                     traffic_bytes(),
@@ -960,8 +997,8 @@ mod tests {
                 rng.normal_vec(d, 1.0),
                 rng.normal_vec(d, 1.0),
             );
-            let e = exact.step(&q, &k, &v, false);
-            let h = h2o.step(&q, &k, &v, false);
+            let e = exact.step(&q, &k, &v, RowKind::Decode, false);
+            let h = h2o.step(&q, &k, &v, RowKind::Decode, false);
             drift = drift.max(vector::relative_l2(&h.output, &e.output));
         }
         assert!(drift > 0.05, "H2O should diverge, drift = {drift}");

@@ -19,7 +19,7 @@
 //! stats against solo [`Session`](crate::transformer::Session) decodes, the
 //! sequential reference.
 
-use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, HeadStepOutput};
+use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, HeadStepOutput, RowKind};
 use crate::config::{MlpKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, ROPE_BASE};
 use crate::transformer::Model;
@@ -93,6 +93,9 @@ pub struct Run<'a> {
     /// Tokens fed in order; row `r` attends over the KV state rows `< r`
     /// left behind.
     pub tokens: &'a [u32],
+    /// Leading rows that are prompt rows ([`RowKind::Prompt`]); the rest
+    /// are decode rows. Prompt rows are never drafts.
+    pub prompt: usize,
     /// Trailing rows [`BatchSession::rollback_sample`] may unwind (the drafts
     /// of a speculative verify run). Only these rows are checkpointed, so a
     /// run with `drafts == 0` — a prompt chunk, a plain decode token — costs
@@ -101,12 +104,23 @@ pub struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    /// A run that is never rolled back: prompt tokens or a plain decode
-    /// token.
+    /// A run of decode rows that is never rolled back: a plain decode
+    /// token, or generated tokens replayed after a preemption.
     pub fn new(sample: usize, tokens: &'a [u32]) -> Run<'a> {
         Run {
             sample,
             tokens,
+            prompt: 0,
+            drafts: 0,
+        }
+    }
+
+    /// A run of prompt rows (a prompt chunk).
+    pub fn prompt(sample: usize, tokens: &'a [u32]) -> Run<'a> {
+        Run {
+            sample,
+            tokens,
+            prompt: tokens.len(),
             drafts: 0,
         }
     }
@@ -117,6 +131,7 @@ impl<'a> Run<'a> {
         Run {
             sample,
             tokens,
+            prompt: 0,
             drafts: tokens.len().saturating_sub(1),
         }
     }
@@ -186,11 +201,12 @@ pub struct BatchSession<'m> {
     /// (layer, head) order after a one-row step.
     last_stats: Vec<Vec<StepStats>>,
     scratch: BatchScratch,
-    /// Run descriptors of the in-flight step (samples, run lengths, draft
-    /// rows, tokens run-major) — reused scratch so stepping stays
-    /// allocation-free.
+    /// Run descriptors of the in-flight step (samples, run lengths, prompt
+    /// rows, draft rows, tokens run-major) — reused scratch so stepping
+    /// stays allocation-free.
     run_samples: Vec<usize>,
     run_lens: Vec<usize>,
+    run_prompt: Vec<usize>,
     run_drafts: Vec<usize>,
     run_tokens: Vec<u32>,
     /// Rollback checkpoints from the latest step's runs with drafts
@@ -258,6 +274,7 @@ impl<'m> BatchSession<'m> {
             scratch: BatchScratch::default(),
             run_samples: Vec::new(),
             run_lens: Vec::new(),
+            run_prompt: Vec::new(),
             run_drafts: Vec::new(),
             run_tokens: Vec::new(),
             ckpts: Vec::new(),
@@ -380,7 +397,9 @@ impl<'m> BatchSession<'m> {
     /// Advances every listed sample by one token — one step-synchronous
     /// global step. `tokens` pairs each active sample index with the token
     /// it consumes, in strictly increasing sample order; inactive samples
-    /// (already finished their ragged tail) are simply omitted. Logits land
+    /// (already finished their ragged tail) are simply omitted. Every row is
+    /// a decode row ([`RowKind::Decode`]); prompt rows go through
+    /// [`BatchSession::step_runs`] with [`Run::prompt`]. Logits land
     /// row-per-entry in [`BatchSession::logits`].
     ///
     /// An **empty** `tokens` slice is a documented no-op returning
@@ -396,11 +415,13 @@ impl<'m> BatchSession<'m> {
     pub fn step(&mut self, tokens: &[(usize, u32)]) -> StepOutcome {
         self.run_samples.clear();
         self.run_lens.clear();
+        self.run_prompt.clear();
         self.run_drafts.clear();
         self.run_tokens.clear();
         for &(s, t) in tokens {
             self.run_samples.push(s);
             self.run_lens.push(1);
+            self.run_prompt.push(0);
             self.run_drafts.push(0);
             self.run_tokens.push(t);
         }
@@ -418,9 +439,10 @@ impl<'m> BatchSession<'m> {
     /// in [`BatchSession::logits`], in run order (a run of length `L`
     /// starting at global row `r0` owns rows `r0..r0 + L`).
     ///
-    /// Only a run's last [`Run::drafts`] rows are checkpointed: the session
-    /// records the head state before each of them so
-    /// [`BatchSession::rollback_sample`] can unwind rejected speculative
+    /// A run's first [`Run::prompt`] rows are prompt rows, the rest decode
+    /// rows ([`RowKind`]). Only a run's last [`Run::drafts`] rows are
+    /// checkpointed: the session records the head state before each of them
+    /// so [`BatchSession::rollback_sample`] can unwind rejected speculative
     /// rows. A run with no drafts — prompt tokens, a plain decode token —
     /// skips the bookkeeping entirely.
     ///
@@ -429,18 +451,20 @@ impl<'m> BatchSession<'m> {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-order or repeated sample indices, empty runs, more
-    /// drafts than rows, samples out of range or not live, tokens outside
+    /// Panics on out-of-order or repeated sample indices, empty runs, prompt
+    /// rows overlapping drafts, samples out of range or not live, tokens outside
     /// the vocabulary, or a run overshooting the model's maximum sequence
     /// length.
     pub fn step_runs(&mut self, runs: &[Run<'_>]) -> StepOutcome {
         self.run_samples.clear();
         self.run_lens.clear();
+        self.run_prompt.clear();
         self.run_drafts.clear();
         self.run_tokens.clear();
         for run in runs {
             self.run_samples.push(run.sample);
             self.run_lens.push(run.tokens.len());
+            self.run_prompt.push(run.prompt);
             self.run_drafts.push(run.drafts);
             self.run_tokens.extend_from_slice(run.tokens);
         }
@@ -496,15 +520,18 @@ impl<'m> BatchSession<'m> {
     }
 
     /// The shared step body: consumes the run descriptors staged in
-    /// `run_samples` / `run_lens` / `run_drafts` / `run_tokens`.
+    /// `run_samples` / `run_lens` / `run_prompt` / `run_drafts` /
+    /// `run_tokens`.
     fn step_flat(&mut self) -> StepOutcome {
         let samples = std::mem::take(&mut self.run_samples);
         let lens = std::mem::take(&mut self.run_lens);
+        let prompt = std::mem::take(&mut self.run_prompt);
         let drafts = std::mem::take(&mut self.run_drafts);
         let toks = std::mem::take(&mut self.run_tokens);
-        let outcome = self.step_impl(&samples, &lens, &drafts, &toks);
+        let outcome = self.step_impl(&samples, &lens, &prompt, &drafts, &toks);
         self.run_samples = samples;
         self.run_lens = lens;
+        self.run_prompt = prompt;
         self.run_drafts = drafts;
         self.run_tokens = toks;
         outcome
@@ -514,6 +541,7 @@ impl<'m> BatchSession<'m> {
         &mut self,
         samples: &[usize],
         lens: &[usize],
+        prompt: &[usize],
         drafts: &[usize],
         toks: &[u32],
     ) -> StepOutcome {
@@ -528,9 +556,12 @@ impl<'m> BatchSession<'m> {
                 "BatchSession::step: sample indices must be strictly increasing"
             );
         }
-        for ((&s, &len), &d) in samples.iter().zip(lens).zip(drafts) {
+        for (((&s, &len), &p), &d) in samples.iter().zip(lens).zip(prompt).zip(drafts) {
             assert!(len > 0, "BatchSession::step_runs: empty token run");
-            assert!(d <= len, "BatchSession::step_runs: more drafts than rows");
+            assert!(
+                p + d <= len,
+                "BatchSession::step_runs: prompt rows overlap drafts"
+            );
             assert!(s < self.pos.len(), "sample index out of range");
             assert!(self.live[s], "BatchSession::step: sample {s} is not live");
             assert!(self.pos[s] + len <= cfg.max_seq, "sequence length exceeded");
@@ -664,6 +695,7 @@ impl<'m> BatchSession<'m> {
                     heads_n,
                     &mut layer_heads,
                     lens,
+                    prompt,
                     drafts,
                     &mut slots,
                     &mut ck_slots,
@@ -678,6 +710,7 @@ impl<'m> BatchSession<'m> {
                         // checkpoint slots — at run boundaries.
                         let mut heads_rest: &mut [&mut [HeadState]] = &mut layer_heads;
                         let mut lens_rest: &[usize] = lens;
+                        let mut prompt_rest: &[usize] = prompt;
                         let mut drafts_rest: &[usize] = drafts;
                         let mut slots_rest: &mut [Option<HeadStepOutput>] = &mut slots;
                         let mut ck_rest: &mut [Option<HeadCheckpoint>] = &mut ck_slots;
@@ -689,31 +722,34 @@ impl<'m> BatchSession<'m> {
                             let rows_here: usize = lens_rest[..take].iter().sum();
                             let (h_chunk, h_rest) = heads_rest.split_at_mut(take);
                             let (l_chunk, l_rest) = lens_rest.split_at(take);
+                            let (p_chunk, p_rest) = prompt_rest.split_at(take);
                             let (d_chunk, d_rest) = drafts_rest.split_at(take);
                             let (s_chunk, s_rest) = slots_rest.split_at_mut(rows_here * heads_n);
                             let (c_chunk, c_rest) = ck_rest.split_at_mut(rows_here * heads_n);
                             heads_rest = h_rest;
                             lens_rest = l_rest;
+                            prompt_rest = p_rest;
                             drafts_rest = d_rest;
                             slots_rest = s_rest;
                             ck_rest = c_rest;
                             if c == 0 {
-                                first_piece = Some((h_chunk, l_chunk, d_chunk, s_chunk, c_chunk));
+                                first_piece =
+                                    Some((h_chunk, l_chunk, p_chunk, d_chunk, s_chunk, c_chunk));
                             } else {
                                 let (q, k, v) = (&q, &k, &v);
                                 let fr = first_row;
                                 scope.spawn(move || {
                                     step_run_chunk(
-                                        fr, hidden, d, heads_n, h_chunk, l_chunk, d_chunk, s_chunk,
-                                        c_chunk, q, k, v,
+                                        fr, hidden, d, heads_n, h_chunk, l_chunk, p_chunk, d_chunk,
+                                        s_chunk, c_chunk, q, k, v,
                                     );
                                 });
                             }
                             first_row += rows_here;
                             c += 1;
                         }
-                        if let Some((h, l, dr, s, ck)) = first_piece {
-                            step_run_chunk(0, hidden, d, heads_n, h, l, dr, s, ck, q, k, v);
+                        if let Some((h, l, p, dr, s, ck)) = first_piece {
+                            step_run_chunk(0, hidden, d, heads_n, h, l, p, dr, s, ck, q, k, v);
                         }
                     });
                 }
@@ -825,7 +861,8 @@ impl<'m> BatchSession<'m> {
 }
 
 /// Steps every head of a contiguous chunk of runs whose first row sits at
-/// global row `first_row`, writing each (row, head) output — and, for the
+/// global row `first_row` (each run's first `run_prompt` rows as prompt
+/// rows), writing each (row, head) output — and, for the
 /// last `drafts` rows of each run, the head state *before* the row — into
 /// its pre-assigned slot (the pool-task body of the per-(run-chunk, layer)
 /// fan-out). Within a run each head consumes its rows oldest-first, so row
@@ -839,6 +876,7 @@ fn step_run_chunk(
     heads_n: usize,
     runs: &mut [&mut [HeadState]],
     run_lens: &[usize],
+    run_prompt: &[usize],
     run_drafts: &[usize],
     slots: &mut [Option<HeadStepOutput>],
     ckpts: &mut [Option<HeadCheckpoint>],
@@ -847,16 +885,27 @@ fn step_run_chunk(
     v: &[f32],
 ) {
     let mut row = first_row;
-    for ((run_heads, &len), &drafts) in runs.iter_mut().zip(run_lens).zip(run_drafts) {
+    for (((run_heads, &len), &prompt), &drafts) in runs
+        .iter_mut()
+        .zip(run_lens)
+        .zip(run_prompt)
+        .zip(run_drafts)
+    {
         for (h, head) in run_heads.iter_mut().enumerate() {
             for r in 0..len {
+                let kind = if r < prompt {
+                    RowKind::Prompt
+                } else {
+                    RowKind::Decode
+                };
                 let base = (row + r) * hidden;
                 let span = base + h * d..base + (h + 1) * d;
                 let slot = (row + r - first_row) * heads_n + h;
                 if r >= len - drafts {
                     ckpts[slot] = Some(head.checkpoint());
                 }
-                slots[slot] = Some(head.step(&q[span.clone()], &k[span.clone()], &v[span], false));
+                slots[slot] =
+                    Some(head.step(&q[span.clone()], &k[span.clone()], &v[span], kind, false));
             }
         }
         row += len;
@@ -1041,9 +1090,55 @@ mod tests {
         session.step_runs(&[Run {
             sample: 0,
             tokens: &[1, 2, 3, 4],
+            prompt: 0,
             drafts: 2,
         }]);
         session.rollback_sample(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt rows overlap drafts")]
+    fn prompt_rows_never_drafts() {
+        let model = model();
+        let mut session = BatchSession::new(&model, &AttentionKind::Exact, 1, 1);
+        session.step_runs(&[Run {
+            sample: 0,
+            tokens: &[1, 2, 3],
+            prompt: 2,
+            drafts: 2,
+        }]);
+    }
+
+    #[test]
+    fn prompt_runs_match_session_prefill() {
+        // A LAD sample fed its prompt as prompt runs (in chunks, one of
+        // them ending in a decode row) then decoded must produce the logits
+        // of a solo `Session::prefill` + `Session::step`, row for row.
+        let model = model();
+        let kind = AttentionKind::Lad(LadConfig {
+            window: 4,
+            ..LadConfig::default()
+        });
+        let prompt = [3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3];
+        let mut solo = Session::new(&model, &kind);
+        let mut want = vec![solo.prefill(&prompt)];
+        for t in [7u32, 8, 9] {
+            want.push(solo.step(t));
+        }
+        let mut session = BatchSession::new(&model, &kind, 1, 1);
+        session.step_runs(&[Run::prompt(0, &prompt[..6])]);
+        session.step_runs(&[Run {
+            sample: 0,
+            tokens: &[prompt[6], prompt[7], prompt[8], prompt[9], 7],
+            prompt: 4,
+            drafts: 0,
+        }]);
+        assert_eq!(session.logits(3), &want[0][..], "last prompt row");
+        assert_eq!(session.logits(4), &want[1][..], "first decode row");
+        for (t, want) in [8u32, 9].into_iter().zip(&want[2..]) {
+            session.step(&[(0, t)]);
+            assert_eq!(session.logits(0), &want[..], "decode row {t}");
+        }
     }
 
     #[test]

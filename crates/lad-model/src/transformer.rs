@@ -11,7 +11,7 @@
 //! differential leg compares the batched engine
 //! ([`crate::batch::BatchSession`], the only parallel executor) against.
 
-use crate::backend::{AttentionKind, HeadState};
+use crate::backend::{AttentionKind, HeadState, RowKind};
 use crate::config::{MlpKind, ModelConfig, NormKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, LayerNorm, Linear, RmsNorm, ROPE_BASE};
 use lad_core::audit::QkvStream;
@@ -354,13 +354,18 @@ impl<'m> Session<'m> {
         &self.last_stats
     }
 
-    /// Feeds one token and returns the next-token logits.
+    /// Feeds one token as a decode row and returns the next-token logits.
     ///
     /// # Panics
     ///
     /// Panics if `token` is outside the vocabulary or the maximum sequence
     /// length is exceeded.
     pub fn step(&mut self, token: u32) -> Vec<f32> {
+        self.step_row(token, RowKind::Decode)
+    }
+
+    /// Feeds one token as a row of kind `row`; returns the next-token logits.
+    fn step_row(&mut self, token: u32, row: RowKind) -> Vec<f32> {
         let _step_span = lad_obs::span("session.step");
         let cfg = &self.model.cfg;
         assert!((token as usize) < cfg.vocab, "token out of vocabulary");
@@ -416,6 +421,7 @@ impl<'m> Session<'m> {
                     &q_full[span.clone()],
                     &k_full[span.clone()],
                     &v_full[span.clone()],
+                    row,
                     record,
                 );
                 if let Some(taps) = self.qkv_taps.as_mut() {
@@ -458,7 +464,8 @@ impl<'m> Session<'m> {
         logits
     }
 
-    /// Feeds a prompt token-by-token; returns the logits after the last one.
+    /// Feeds a prompt token-by-token as prompt rows ([`RowKind::Prompt`]);
+    /// returns the logits after the last one.
     ///
     /// # Panics
     ///
@@ -467,7 +474,7 @@ impl<'m> Session<'m> {
         assert!(!prompt.is_empty(), "prefill: empty prompt");
         let mut logits = Vec::new();
         for &t in prompt {
-            logits = self.step(t);
+            logits = self.step_row(t, RowKind::Prompt);
         }
         logits
     }

@@ -30,8 +30,11 @@
 //! back into the paged pool — positions that every head of a sample has
 //! evicted are marked dead ([`BlockPool::mark_dead`]), and fully-dead
 //! blocks return to the free list for new admissions. Preemption still
-//! recomputes: the folded prompt replays through the same backend, so
-//! eviction decisions (and the resulting stream) are reproduced exactly.
+//! recomputes: the folded prompt replays through the same backend — the
+//! original prompt as prompt rows, the folded generated tokens as decode
+//! rows, as solo decode fed them — so eviction decisions, LAD's crossing
+//! from exact prompt rows to LAD decode rows, and the resulting stream are
+//! reproduced exactly.
 
 use crate::{FinishReason, Incident, IncidentReason, ReqState, Request, ServeConfig, ServeReport};
 use lad_accel::paged::BlockPool;
@@ -585,10 +588,17 @@ impl<'m> Engine<'m> {
             .iter()
             .map(|p| {
                 if p.prompt {
-                    Run::new(
-                        p.slot,
-                        &self.active[p.active].state.prompt[p.tokens.clone()],
-                    )
+                    // After a preemption the prompt ends in the folded
+                    // generated tokens: they replay as decode rows, the
+                    // rows solo decode fed them as.
+                    let state = &self.active[p.active].state;
+                    let original = state.prompt.len() - state.done.len();
+                    Run {
+                        sample: p.slot,
+                        tokens: &state.prompt[p.tokens.clone()],
+                        prompt: original.saturating_sub(p.tokens.start).min(p.tokens.len()),
+                        drafts: 0,
+                    }
                 } else {
                     Run::verify(p.slot, &decode_tokens[p.tokens.clone()])
                 }

@@ -13,7 +13,11 @@
 //!    (ring buffers are allocated once per thread on the *first* enabled
 //!    record, which the warm-up step absorbs; events are `Copy` writes into
 //!    the fixed ring).
-//! 3. The metrics registry and the request timeline honour the same
+//! 3. A LAD prompt row allocates no more than an exact one: LAD answers
+//!    prompt rows with the exact read and defers its decode state to the
+//!    first decode row, so the row adds only the center book's amortised
+//!    growth and a fixed ring of kept queries.
+//! 4. The metrics registry and the request timeline honour the same
 //!    contract: `Counter::inc`, `Gauge::set`, `MetricHistogram::record` and
 //!    `timeline::record` allocate nothing while disabled *and* nothing
 //!    while enabled (handles are resolved and the timeline ring warmed
@@ -97,6 +101,18 @@ fn steady_state_decode(model: &Model, kind: &AttentionKind) -> (Vec<u32>, u64) {
     (tokens, steady_allocs)
 }
 
+/// Allocation count of prompt rows 40..60 of a 60-token prompt fed to a
+/// fresh solo session (rows 0..40 run uncounted). Every arena, counter and
+/// center vector grows by doubling, and no length crosses a power of two
+/// in that stretch, so the count is the rows' own per-row allocations.
+fn prompt_row_allocs(model: &Model, kind: &AttentionKind) -> u64 {
+    let prompt: Vec<u32> = (0..60u32).map(|i| (i * 53 + 11) % 256).collect();
+    let mut session = Session::new(model, kind);
+    session.prefill(&prompt[..40]);
+    let (_, allocs) = counted(|| session.prefill(&prompt[40..]));
+    allocs
+}
+
 #[test]
 fn recorder_adds_zero_allocations() {
     // --- Claim 1: the disabled record path never allocates. ---
@@ -121,6 +137,18 @@ fn recorder_adds_zero_allocations() {
 
     // Baseline: recorder never enabled in this process so far.
     let (base_tokens, base_allocs) = steady_state_decode(&model, &kind);
+    assert!(
+        base_allocs <= 205,
+        "LAD steady-state decode allocates {base_allocs} times (at most 205)"
+    );
+
+    // --- Claim 3: a LAD prompt row allocates no more than an exact one. ---
+    let lad_prompt = prompt_row_allocs(&model, &kind);
+    let exact_prompt = prompt_row_allocs(&model, &AttentionKind::Exact);
+    assert!(
+        lad_prompt <= exact_prompt,
+        "LAD prompt rows allocated {lad_prompt} times, exact ones {exact_prompt}"
+    );
 
     // Enabled-then-disabled: the state every production process that ever
     // captured a trace sits in. Must be indistinguishable from the baseline.
@@ -157,7 +185,7 @@ fn recorder_adds_zero_allocations() {
         "enabled decode recorded no events"
     );
 
-    // --- Claim 3: metric and timeline record paths are allocation-free in
+    // --- Claim 4: metric and timeline record paths are allocation-free in
     // both states. Handles resolve once up front (registration locks and
     // may grow the registry — a setup cost, like building a session).
     let counter = lad::obs::metrics::counter("alloc.probe_counter");

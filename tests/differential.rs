@@ -25,7 +25,7 @@ use lad::core::decoder::LadConfig;
 use lad::core::stats::StepStats;
 use lad::math::pwl::PwlExp;
 use lad::model::backend::AttentionKind;
-use lad::model::batch::{BatchSession, StepOutcome};
+use lad::model::batch::{BatchSession, Run, StepOutcome};
 use lad::model::config::ModelConfig;
 use lad::model::spec::SpecConfig;
 use lad::model::transformer::{argmax, Model, Session};
@@ -98,8 +98,8 @@ struct DecodeOutcome {
 fn decode_all(session: &mut Session, prompt: &[u32], steps: usize) -> DecodeOutcome {
     let mut stats = Vec::new();
     let mut logits = Vec::new();
-    for &t in prompt {
-        logits = session.step(t);
+    for t in prompt {
+        logits = session.prefill(std::slice::from_ref(t));
         stats.extend(session.last_stats().iter().copied());
     }
     let mut tokens = Vec::with_capacity(steps);
@@ -122,7 +122,7 @@ struct Lockstep {
 
 /// Greedy-decodes `steps` tokens from every prompt through one
 /// `BatchSession`, one token per sample per global step: a sample consumes
-/// its prompt, then feeds back each token it samples, `len + steps` tokens
+/// its prompt as prompt rows, then feeds back each token it samples, `len + steps` tokens
 /// in all (what a solo `Session` consumes), and drops out of the step's
 /// token list once done, so ragged prompts shrink the active set. With
 /// `idle_every = Some(k)`, an empty step — which must report `Idle` — runs
@@ -152,8 +152,20 @@ fn lockstep(
             .map(|s| (s, fed[s][t]))
             .collect();
         let active = tokens.len();
+        // Prompt tokens are prompt rows, as in a solo `Session::prefill`.
+        let runs: Vec<Run> = tokens
+            .iter()
+            .map(|(s, token)| {
+                let token = std::slice::from_ref(token);
+                if t < prompts[*s].len() {
+                    Run::prompt(*s, token)
+                } else {
+                    Run::new(*s, token)
+                }
+            })
+            .collect();
         assert_eq!(
-            session.step(&tokens),
+            session.step_runs(&runs),
             StepOutcome::Advanced { active },
             "non-empty step must report its active count"
         );
@@ -395,11 +407,12 @@ fn default_grid() -> Vec<DiffConfig> {
             batch: 2,
             ..base
         },
-        // den-fallback point: coarse 2-interval partition, seed 7, found by
-        // search — the sequential LAD path hits den_fallbacks >= 1 here.
+        // den-fallback point: coarse 2-interval partition, seed 77, found by
+        // search — the sequential LAD path hits den_fallbacks >= 1 here
+        // (6 times, all on decode rows: prompt rows are exact).
         DiffConfig {
             label: "denfb-p4-b1-w2-s48",
-            model_seed: 7,
+            model_seed: 77,
             parallelism: 4,
             window: 2,
             prompt_len: 8,
@@ -733,7 +746,11 @@ fn stats_bytes_moved_matches_traffic_meter() {
                     next
                 };
                 reset_traffic_bytes();
-                logits = session.step(t);
+                logits = if step < prompt.len() {
+                    session.prefill(&[t])
+                } else {
+                    session.step(t)
+                };
                 let metered = traffic_bytes();
                 let reported: u64 = session
                     .last_stats()

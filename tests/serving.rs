@@ -31,6 +31,10 @@ type Spec = (u64, usize, usize, usize);
 enum GridBackend {
     Exact,
     Lad,
+    /// LAD on a coarse two-interval partition: its decode rows differ from
+    /// exact rows enough that a decode row replayed as a prompt row changes
+    /// the stream.
+    LadCoarse,
     TopK,
     H2o,
 }
@@ -63,6 +67,10 @@ impl ServeGrid {
             GridBackend::Lad => AttentionKind::Lad(LadConfig {
                 window: 8,
                 ..LadConfig::new(PwlExp::accurate_default())
+            }),
+            GridBackend::LadCoarse => AttentionKind::Lad(LadConfig {
+                window: 8,
+                ..LadConfig::new(PwlExp::with_boundaries(&[-4.0, 0.0]).expect("valid partition"))
             }),
             GridBackend::TopK => AttentionKind::topk(6),
             GridBackend::H2o => AttentionKind::h2o_budget(10, 4),
@@ -638,4 +646,76 @@ fn serving_differential_eos_truncation() {
         lad::serve::FinishReason::Eos,
         "EOS retirement must be reported as such"
     );
+}
+
+/// LAD's crossing under recompute preemption. A LAD head answers prompt
+/// rows exactly and builds its decode state at the first decode row, so a
+/// preempted request's folded prompt must replay its generated tokens as
+/// decode rows, not prompt rows. Both requests of the three-block squeeze
+/// fill their first block (8 prompt + 8 generated tokens) in the same tick
+/// and the second is preempted there, with 8 tokens generated. At
+/// `prefill_chunk: 3` the replay's third run holds two prompt rows and one
+/// decode row, so the crossing falls inside a run.
+#[test]
+fn serving_lad_preempted_after_generating_replays_decode_rows() {
+    let g = ServeGrid {
+        label: "lad-preempt-chunk3",
+        backend: GridBackend::LadCoarse,
+        model_seed: 71,
+        pool_blocks: 3,
+        max_active: 2,
+        prefill_chunk: 3,
+        specs: PRESSURE,
+        spec_ids: &[],
+        expect_preemption: true,
+    };
+    let plen = PRESSURE[1].1;
+    assert!(
+        BLOCK_TOKENS - plen >= 2,
+        "the victim must have generated at least two tokens when its first block fills"
+    );
+    let report = run_grid_point(&g);
+    let victim = report
+        .outcomes
+        .iter()
+        .find(|o| o.id == PRESSURE[1].0)
+        .expect("victim retired");
+    assert!(
+        victim.preemptions >= 1,
+        "the youngest request was never preempted"
+    );
+}
+
+/// The crossing build depends only on the prompt, not on how it was
+/// chunked: one LAD request served at `prefill_chunk` 1, 4 and its whole
+/// prompt gives one stream, its solo decode.
+#[test]
+fn serving_lad_stream_is_independent_of_prefill_chunk() {
+    let (plen, max) = (21, 12);
+    let mut streams = Vec::new();
+    for chunk in [1, 4, plen] {
+        let g = ServeGrid {
+            label: "lad-chunking",
+            backend: GridBackend::LadCoarse,
+            model_seed: 73,
+            pool_blocks: 64,
+            max_active: 1,
+            prefill_chunk: chunk,
+            specs: &[],
+            spec_ids: &[],
+            expect_preemption: false,
+        };
+        let model = g.model();
+        let mut engine = Engine::new(&model, &g.kind(), g.pool(), g.cfg());
+        engine.submit(Request::new(0, g.prompt(0, plen), max));
+        let report = engine.run();
+        assert_eq!(report.outcomes.len(), 1);
+        streams.push(report.outcomes[0].tokens.clone());
+        if chunk == 1 {
+            streams.push(solo(&model, &g.kind(), &g.prompt(0, plen), max, None));
+        }
+    }
+    for (i, stream) in streams.iter().enumerate() {
+        assert_eq!(stream, &streams[1], "stream {i} differs from solo decode");
+    }
 }

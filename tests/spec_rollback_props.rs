@@ -16,7 +16,14 @@
 //! engine's reserve/truncate/mark-dead choreography and its block
 //! accounting must stay exact (free + held == total, eviction reclaims
 //! included) through every round, with all blocks returned at release.
+//!
+//! A second property covers LAD's crossing: a LAD head answers prompt rows
+//! exactly and builds its decode state at the first decode row. When that
+//! row is the pending token of a verify run whose drafts are rejected, the
+//! rollback must restore the post-crossing state bit-identically and never
+//! reach back into the prompt rows.
 
+use lad::core::decoder::LadConfig;
 use lad::model::backend::AttentionKind;
 use lad::model::batch::{BatchSession, Run};
 use lad::model::config::ModelConfig;
@@ -127,5 +134,65 @@ proptest! {
         // already accounted.
         pool.release(id);
         prop_assert_eq!(pool.free_blocks(), pool.total_blocks());
+    }
+
+    #[test]
+    fn rollback_across_lad_crossing_restores_bitwise(
+        seed in 0u64..2000,
+        plen in 1usize..14,
+        chunk in 1usize..6,
+        rounds in 1usize..6,
+    ) {
+        let cfg = ModelConfig::tiny("rbprop", 1, 16, 2);
+        let model = Model::random(cfg, seed);
+        let kind = AttentionKind::Lad(LadConfig {
+            window: 4,
+            ..LadConfig::default()
+        });
+        let prompt: Vec<u32> = (0..plen)
+            .map(|i| ((i as u64 * 37 + seed * 11) % 256) as u32)
+            .collect();
+
+        let mut spec = BatchSession::dynamic(&model, &kind, 1);
+        let slot = spec.add_sample();
+        let mut reference = Session::new(&model, &kind);
+        let ref_logits = reference.prefill(&prompt);
+        for piece in prompt.chunks(chunk) {
+            spec.step_runs(&[Run::prompt(slot, piece)]);
+        }
+        let last = (plen - 1) % chunk;
+        prop_assert_eq!(spec.logits(last), &ref_logits[..]);
+        let mut pending = lad::model::transformer::argmax(&ref_logits);
+
+        let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(7);
+        let mut committed_total = 0usize;
+        for round in 0..rounds {
+            // The first round's pending token is the first decode row (the
+            // crossing), and at least one of its drafts is rejected.
+            let draft_len = 1 + next(&mut rng, 3);
+            let mut run = vec![pending];
+            for _ in 0..draft_len {
+                run.push(next(&mut rng, 256) as u32);
+            }
+            spec.step_runs(&[Run::verify(slot, &run)]);
+            let committed = if round == 0 {
+                1 + next(&mut rng, draft_len)
+            } else {
+                1 + next(&mut rng, draft_len + 1)
+            };
+            let mut ref_logits = Vec::new();
+            for &t in run.iter().take(committed) {
+                ref_logits = reference.step(t);
+            }
+            prop_assert_eq!(spec.logits(committed - 1), &ref_logits[..]);
+            spec.rollback_sample(slot, committed);
+            committed_total += committed;
+            prop_assert_eq!(spec.position(slot), plen + committed_total);
+            pending = next(&mut rng, 256) as u32;
+        }
+        // One more plain decode row: the restored state keeps decoding
+        // bit-identically.
+        spec.step(&[(slot, pending)]);
+        prop_assert_eq!(spec.logits(0), &reference.step(pending)[..]);
     }
 }
