@@ -47,11 +47,8 @@ fn run_quality(cfg: LadConfig, steps: usize, seed: u64) -> (f64, usize, f64) {
         cached_sum += out.stats.n.saturating_sub(out.stats.window);
     }
     let fn_rate = fn_sum as f64 / cached_sum.max(1) as f64;
-    (
-        err_sum / steps as f64,
-        head.centers().centers().len(),
-        fn_rate,
-    )
+    let centers = head.centers().centers().len();
+    (err_sum / steps as f64, centers, fn_rate)
 }
 
 fn main() {

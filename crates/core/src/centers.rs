@@ -26,21 +26,22 @@ pub const DEFAULT_COLLINEARITY_THRESHOLD: f64 = 0.98;
 ///
 /// let mut book = CenterBook::new(0.98);
 /// let keys = vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![0.0, 1.0]];
-/// let mut dots = Vec::new(); // reusable center-score buffer
-/// book.add_key(&keys[..1], &mut dots); // key 0 becomes a center
-/// book.add_key(&keys[..2], &mut dots); // key 1 is collinear with key 0
-/// book.add_key(&keys[..3], &mut dots); // key 2 is orthogonal -> a new center
-/// assert_eq!(book.centers(), &[0, 2]);
+/// book.add_key(&keys[..1]); // key 0 becomes a center
+/// book.add_key(&keys[..2]); // key 1 is collinear with key 0
+/// book.add_key(&keys[..3]); // key 2 is orthogonal -> a new center
+/// assert!(book.centers().eq([0, 2]));
 /// assert_eq!(book.cid(1), 0);
 /// assert!((book.dnorm(1) - 2.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CenterBook {
     threshold: f64,
-    cid: Vec<usize>,
+    /// Positions are stored as `u32` (at most 2³² keys); the accessors
+    /// widen them to `usize`.
+    cid: Vec<u32>,
     norm: Vec<f64>,
     dnorm: Vec<f64>,
-    centers: Vec<usize>,
+    centers: Vec<u32>,
 }
 
 impl CenterBook {
@@ -74,7 +75,13 @@ impl CenterBook {
     }
 
     /// Positions currently serving as directional centers, ascending.
-    pub fn centers(&self) -> &[usize] {
+    pub fn centers(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.centers.iter().map(|&c| c as usize)
+    }
+
+    /// [`CenterBook::centers`] as stored, the list a gathered key read
+    /// takes.
+    pub fn center_positions(&self) -> &[u32] {
         &self.centers
     }
 
@@ -84,7 +91,7 @@ impl CenterBook {
     ///
     /// Panics if out of bounds.
     pub fn cid(&self, position: usize) -> usize {
-        self.cid[position]
+        self.cid[position] as usize
     }
 
     /// L2 norm recorded for `position`'s key.
@@ -107,35 +114,46 @@ impl CenterBook {
 
     /// Registers the newest key (paper Alg. 1). `keys` is the full key cache
     /// with the new key last; only keys at center positions are read,
-    /// mirroring the EAS.5 sub-task's memory traffic. They are scored
-    /// against the new key in one [`KeyLookup::dot_positions`] call, into
-    /// `dots` — caller-owned working memory, so a decode step that reuses it
-    /// allocates nothing here.
+    /// mirroring the EAS.5 sub-task's memory traffic, one sequential
+    /// [`vector::dot`] each.
     ///
     /// # Panics
     ///
     /// Panics if `keys.num_keys() != self.len() + 1`.
-    pub fn add_key(&mut self, keys: &(impl KeyLookup + ?Sized), dots: &mut Vec<f64>) {
+    pub fn add_key(&mut self, keys: &(impl KeyLookup + ?Sized)) {
         assert_eq!(
             keys.num_keys(),
             self.len() + 1,
             "add_key: keys must contain exactly one unregistered key"
         );
-        let n = self.len();
-        let new_key = keys.key_at(n);
-        let new_norm = f64::from(vector::norm(new_key));
+        let key = keys.key_at(self.len());
+        self.admit(key, |_, c| f64::from(vector::dot(key, keys.key_at(c))));
+    }
+
+    /// Registers the newest key, `key`, from dot products a caller already
+    /// has (paper Alg. 1): `dot(k, c)` returns `key · k_c` for the `k`-th
+    /// center, at position `c`, and is bit-identical to [`vector::dot`].
+    /// It is called for every center of non-zero norm, and not at all for a
+    /// zero key. A LAD decoder takes these dots from the key read its row
+    /// already makes, so the center keys are read once per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the book already holds 2³² keys.
+    pub fn admit(&mut self, key: &[f32], dot: impl Fn(usize, usize) -> f64) {
+        let n = u32::try_from(self.len()).expect("CenterBook: at most 2^32 keys");
+        let new_norm = f64::from(vector::norm(key));
         self.norm.push(new_norm);
 
         let mut max_cos = 0.0f64;
-        let mut max_pos = 0usize;
+        let mut max_pos = 0u32;
         if new_norm > 0.0 {
-            keys.dot_positions(new_key, &self.centers, dots);
-            for (&c, &dot) in self.centers.iter().zip(dots.iter()) {
-                let center_norm = self.norm[c];
+            for (k, &c) in self.centers.iter().enumerate() {
+                let center_norm = self.norm[c as usize];
                 if center_norm == 0.0 {
                     continue;
                 }
-                let cos = dot / (new_norm * center_norm);
+                let cos = dot(k, c as usize) / (new_norm * center_norm);
                 if cos.abs() > max_cos.abs() {
                     max_cos = cos;
                     max_pos = c;
@@ -145,10 +163,10 @@ impl CenterBook {
 
         if max_cos > self.threshold {
             self.cid.push(max_pos);
-            self.dnorm.push(new_norm / self.norm[max_pos]);
+            self.dnorm.push(new_norm / self.norm[max_pos as usize]);
         } else if max_cos < -self.threshold {
             self.cid.push(max_pos);
-            self.dnorm.push(-new_norm / self.norm[max_pos]);
+            self.dnorm.push(-new_norm / self.norm[max_pos as usize]);
         } else {
             self.cid.push(n);
             self.dnorm.push(1.0);
@@ -162,19 +180,22 @@ mod tests {
     use super::*;
 
     fn feed(book: &mut CenterBook, keys: &[Vec<f32>]) {
-        let mut dots = Vec::new();
         for i in 0..keys.len() {
             if i >= book.len() {
-                book.add_key(&keys[..=i], &mut dots);
+                book.add_key(&keys[..=i]);
             }
         }
+    }
+
+    fn centers(book: &CenterBook) -> Vec<usize> {
+        book.centers().collect()
     }
 
     #[test]
     fn first_key_is_its_own_center() {
         let mut book = CenterBook::new(0.98);
-        book.add_key(&[vec![3.0, 4.0]][..], &mut Vec::new());
-        assert_eq!(book.centers(), &[0]);
+        book.add_key(&[vec![3.0, 4.0]][..]);
+        assert_eq!(centers(&book), [0]);
         assert_eq!(book.cid(0), 0);
         assert_eq!(book.dnorm(0), 1.0);
         assert!((book.norm(0) - 5.0).abs() < 1e-9);
@@ -184,7 +205,7 @@ mod tests {
     fn collinear_key_maps_to_center() {
         let mut book = CenterBook::new(0.98);
         feed(&mut book, &[vec![1.0, 0.0], vec![4.0, 0.0]]);
-        assert_eq!(book.centers(), &[0]);
+        assert_eq!(centers(&book), [0]);
         assert_eq!(book.cid(1), 0);
         assert!((book.dnorm(1) - 4.0).abs() < 1e-9);
     }
@@ -202,7 +223,7 @@ mod tests {
         let mut book = CenterBook::new(0.98);
         feed(&mut book, &[vec![1.0, 0.0], vec![0.0, 1.0], vec![0.7, 0.7]]);
         // 45-degree key (cos ~0.707 to both) is below threshold -> center.
-        assert_eq!(book.centers(), &[0, 1, 2]);
+        assert_eq!(centers(&book), [0, 1, 2]);
     }
 
     #[test]
@@ -224,7 +245,7 @@ mod tests {
         feed(&mut book, &[vec![1.0, 0.0], vec![0.0, 0.0]]);
         // A zero key has no direction; it must not alias another center.
         assert_eq!(book.cid(1), 1);
-        assert_eq!(book.centers(), &[0, 1]);
+        assert_eq!(centers(&book), [0, 1]);
     }
 
     #[test]
@@ -234,13 +255,15 @@ mod tests {
         let mut book = CenterBook::new(0.98);
         let keys = vec![vec![2.0, 0.0], vec![6.0, 0.0], vec![-1.0, 0.0]];
         feed(&mut book, &keys);
-        assert_eq!(book.centers(), &[0]);
+        assert_eq!(centers(&book), [0]);
         let q = [1.5f32, 0.0];
-        let mut center_scores = Vec::new();
-        keys.dot_positions(&q, book.centers(), &mut center_scores);
+        let center_scores: Vec<f64> = book
+            .centers()
+            .map(|c| f64::from(vector::dot(&q, &keys[c])))
+            .collect();
         let approx: Vec<f64> = (0..book.len())
             .map(|i| {
-                let slot = book.centers().iter().position(|&c| c == book.cid(i));
+                let slot = book.centers().position(|c| c == book.cid(i));
                 center_scores[slot.expect("cid is a center")] * book.dnorm(i)
             })
             .collect();
@@ -250,9 +273,37 @@ mod tests {
     }
 
     #[test]
+    fn admit_from_a_full_key_pass_equals_add_key() {
+        // Clustered keys (so some join centers) plus a zero key: admitting
+        // each key from the dots of one pass over all earlier keys builds
+        // the book `add_key` builds.
+        let mut rng = lad_math::Rng::new(7);
+        let dirs: Vec<Vec<f32>> = (0..3).map(|_| rng.normal_vec(8, 1.0)).collect();
+        let mut keys: Vec<Vec<f32>> = (0..40)
+            .map(|i| {
+                let noise = rng.normal_vec(8, 0.05);
+                dirs[i % 3].iter().zip(noise).map(|(x, e)| x + e).collect()
+            })
+            .collect();
+        keys[17] = vec![0.0; 8];
+        let mut by_add = CenterBook::new(0.98);
+        feed(&mut by_add, &keys);
+        let mut by_admit = CenterBook::new(0.98);
+        for (i, key) in keys.iter().enumerate() {
+            let dots: Vec<f64> = keys[..i]
+                .iter()
+                .map(|k| f64::from(vector::dot(key, k)))
+                .collect();
+            by_admit.admit(key, |_, c| dots[c]);
+        }
+        assert_eq!(by_admit, by_add);
+        assert!(by_add.centers().len() < 40 && by_add.cid(17) == 17);
+    }
+
+    #[test]
     #[should_panic(expected = "exactly one unregistered key")]
     fn add_key_requires_incremental_feed() {
         let mut book = CenterBook::new(0.98);
-        book.add_key(&[vec![1.0], vec![2.0]][..], &mut Vec::new());
+        book.add_key(&[vec![1.0], vec![2.0]][..]);
     }
 }

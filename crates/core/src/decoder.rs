@@ -20,15 +20,19 @@
 //!    window position into the caches (Eq. 5).
 //!
 //! LAD is a decoding-phase mechanism: no token is sampled from a prompt row
-//! until the last one, and a position's mode is a property of the decode
-//! steps that follow. So [`LadAttention::prompt_row`] answers prompt rows
-//! with exact softmax attention and only registers each key with the
-//! center book (Alg. 1 is order-dependent) and keeps the latest `window`
-//! scaled queries with their softmax shifts. The first decode row then
-//! builds the head's decode state
-//! in one pass — mode counters from the kept queries' exact intervals,
-//! positions outside the window aged into the caches — so LAD runs from the
-//! first generated token on.
+//! until the last one. So [`LadAttention::prompt_row`] answers prompt rows
+//! with exact softmax attention. The same read feeds LAD's state: every
+//! position's exact interval under the row's shift goes into its mode
+//! counters, and the new key's dot products with the centers register it
+//! with the center book (Alg. 1 is order-dependent). The first decode row
+//! then settles each mode once, to the argmax of its counters, and ages
+//! the positions outside the window into the caches, so LAD runs from the
+//! first generated token on, on modes built from every score a position
+//! has seen.
+//!
+//! Every row reads each key once: a prompt row scores its query and its new
+//! key against all keys in one pass, and a decode row scores both against
+//! the center keys in one gathered pass (EAS.1 and Alg. 1 share it).
 //!
 //! With [`Identification::Oracle`] the output equals the direct PWL attention
 //! of [`crate::reference::pwl_attention`] exactly (up to accumulation order) —
@@ -141,7 +145,6 @@ pub struct LadCheckpoint {
     cache: IntermediateCache,
     cached_mode: Vec<Option<u8>>,
     prev_active: Vec<usize>,
-    kept: KeptRows,
 }
 
 /// Full LAD decoding state of one attention head.
@@ -166,24 +169,13 @@ pub struct LadAttention {
     cache: IntermediateCache,
     /// Mode under which each position currently sits in the intermediate
     /// caches; `None` while still inside the latest window. One byte per
-    /// position: [`LadAttention::new`] admits at most 256 intervals.
+    /// position: [`ModeTracker::new`] admits at most 256 intervals. Empty
+    /// until the first decode row: a head that has one entry per position
+    /// is decoding.
     cached_mode: Vec<Option<u8>>,
     /// The previous step's active positions, ascending.
     prev_active: Vec<usize>,
-    /// The latest prompt rows, kept for the crossing build.
-    kept: KeptRows,
     scratch: StepScratch,
-}
-
-/// What a head keeps of its latest prompt rows for the crossing build: a
-/// ring of `max(window, 1)` slots, prompt row `r` in slot `r % slots`.
-/// Released by the build.
-#[derive(Debug, Clone, Default)]
-struct KeptRows {
-    /// Scaled queries, `dim` floats per slot.
-    queries: Vec<f32>,
-    /// Each row's softmax shift `m`: the maximum score its exact read saw.
-    shifts: Vec<f64>,
 }
 
 /// Reusable per-step working memory. Every buffer is cleared and refilled
@@ -199,7 +191,7 @@ struct StepScratch {
     active: Vec<usize>,
     corrected: Vec<bool>,
     /// Positions listed for the next gathered key read, and their scores
-    /// (also the center book's center dot products).
+    /// (the center read lists the new key's dot products after them).
     gather: Vec<usize>,
     gathered: Vec<f64>,
     /// `(position, weight)` pairs, as two lists, for the next gathered value
@@ -210,6 +202,8 @@ struct StepScratch {
     /// the window pass so the degenerate-denominator fallback can reuse the
     /// slice instead of rescanning all `n` positions.
     window_scores: Vec<(usize, f64)>,
+    /// A prompt row's exact interval of every position, for the counters.
+    intervals: Vec<u8>,
 }
 
 impl LadAttention {
@@ -219,20 +213,14 @@ impl LadAttention {
     ///
     /// Panics if `dim == 0` or the partition has more than 256 intervals.
     pub fn new(dim: usize, cfg: LadConfig) -> LadAttention {
-        let intervals = cfg.pwl.num_intervals();
-        assert!(
-            intervals <= usize::from(u8::MAX) + 1,
-            "LadAttention: at most 256 intervals"
-        );
         let threshold = cfg.collinearity_threshold;
         LadAttention {
             kv: KvCache::new(dim),
-            tracker: ModeTracker::new(intervals),
+            tracker: ModeTracker::new(cfg.pwl.num_intervals()),
             centers: CenterBook::new(threshold),
             cache: IntermediateCache::new(dim),
             cached_mode: Vec::new(),
             prev_active: Vec::new(),
-            kept: KeptRows::default(),
             scratch: StepScratch::default(),
             cfg,
         }
@@ -291,7 +279,6 @@ impl LadAttention {
             cache: self.cache.clone(),
             cached_mode: self.cached_mode.clone(),
             prev_active: self.prev_active.clone(),
-            kept: self.kept.clone(),
         }
     }
 
@@ -310,18 +297,18 @@ impl LadAttention {
         self.cache.clone_from(&ck.cache);
         self.cached_mode.clone_from(&ck.cached_mode);
         self.prev_active.clone_from(&ck.prev_active);
-        self.kept.clone_from(&ck.kept);
     }
 
     /// Feeds one prompt row: appends `(key, value)` and returns the exact
-    /// softmax attention of `query` ([`reference::exact_attention_scored`],
-    /// the read the exact backend makes, under the same `kernel.kv_read_f32`
-    /// span). Besides that read the row only registers its key with the
-    /// center book (Alg. 1 is order-dependent, so the book is the one
-    /// per-row LAD steps would build) and keeps its scaled query and
-    /// softmax shift for the crossing build in the next
-    /// [`LadAttention::step`]. The stats are the exact backend's traffic
-    /// counters; the LAD fields stay zero.
+    /// softmax attention of `query`, bit-identical to
+    /// [`reference::exact_attention`] and read under the exact backend's
+    /// `kernel.kv_read_f32` span. The read scores the new key against every
+    /// key too, and LAD takes its state from it: the new key joins the
+    /// center book (Alg. 1, under `lad.identify`), and every position's
+    /// exact interval under this row's shift is counted in its mode
+    /// counters (under `lad.mode_update`). No mode moves and nothing is
+    /// cached until the next [`LadAttention::step`]. The stats are the exact
+    /// backend's traffic counters; the LAD fields stay zero.
     ///
     /// Once a decode row has run, LAD owns the head: a later prompt row is
     /// stepped as a decode row.
@@ -330,34 +317,46 @@ impl LadAttention {
     ///
     /// Panics if any slice length differs from the head dimension.
     pub fn prompt_row(&mut self, query: &[f32], key: &[f32], value: &[f32]) -> StepOutput {
-        if !self.tracker.is_empty() {
+        if !self.cached_mode.is_empty() {
             return self.step(query, key, value);
         }
         let d = self.kv.dim();
         assert_eq!(query.len(), d, "prompt_row: query dim mismatch");
-        let (output, shift, _) = {
+        let scratch = &mut self.scratch;
+        let scale = 1.0 / (d as f32).sqrt();
+        scratch.q_scaled.clear();
+        scratch.q_scaled.extend(query.iter().map(|&x| x * scale));
+        // One pass: the query's scores, then the new key's dot products.
+        let n = self.kv.len() + 1;
+        let scores = &mut scratch.scores;
+        let m = {
             let _kv_span = lad_obs::span("kernel.kv_read_f32");
             self.kv.push(key, value);
-            reference::exact_attention_scored(query, &self.kv, false)
+            scores.clear();
+            self.kv.score_keys2_into(&scratch.q_scaled, key, scores);
+            scores[..n]
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
         };
-        self.centers
-            .add_key(&self.kv.keys(), &mut self.scratch.gathered);
-        let n = self.kv.len();
-        let slots = self.cfg.window.max(1);
-        let slot = (n - 1) % slots;
-        let kept = &mut self.kept;
-        if kept.shifts.len() <= slot {
-            // The ring is sized once, at its first row.
-            kept.shifts.reserve_exact(slots);
-            kept.queries.reserve_exact(slots * d);
-            kept.shifts.resize(slot + 1, 0.0);
-            kept.queries.resize((slot + 1) * d, 0.0);
+        let (scores, key_dots) = scores.split_at_mut(n);
+        {
+            let _identify_span = lad_obs::span("lad.identify");
+            self.centers.admit(key, |_, c| key_dots[c]);
         }
-        kept.shifts[slot] = shift;
-        let scale = 1.0 / (d as f32).sqrt();
-        for (dst, &x) in kept.queries[slot * d..(slot + 1) * d].iter_mut().zip(query) {
-            *dst = x * scale;
+        {
+            let _mode_update_span = lad_obs::span("lad.mode_update");
+            let intervals = &mut scratch.intervals;
+            intervals.resize(n, 0);
+            self.cfg.pwl.intervals_of(scores, m, intervals);
+            self.tracker.push_position();
+            self.tracker
+                .count_row(intervals.iter().map(|&i| usize::from(i)));
         }
+        let output = {
+            let _kv_span = lad_obs::span("kernel.kv_read_f32");
+            reference::softmax_read(scores, m, &self.kv)
+        };
         StepOutput {
             output,
             stats: StepStats {
@@ -370,40 +369,15 @@ impl LadAttention {
         }
     }
 
-    /// The crossing from prompt rows to decode rows: builds the state `P`
-    /// per-row LAD steps would have left, in one pass over the `P` prompt
-    /// positions. The kept rows' queries re-score the keys, one 64-key range
-    /// at a time, each key read once for all of them. Every score a kept row
-    /// saw goes into `ModeTracker` as its exact interval under that row's
-    /// shift, oldest row first; positions `0..=P-1-window` are then cached
-    /// under their modes (Eq. 5). Returns the (keys, values) it read from
-    /// the arena.
+    /// The crossing from prompt rows to decode rows: every prompt position's
+    /// mode becomes the argmax of the intervals its prompt rows counted,
+    /// and positions `0..=P-1-window` are cached under their modes (Eq. 5).
+    /// Returns the (keys, values) it read from the arena.
     fn build_decode_state(&mut self) -> (usize, usize) {
-        const RANGE: usize = 64;
         let _mode_update_span = lad_obs::span("lad.mode_update");
         let p = self.kv.len();
-        let slots = self.cfg.window.max(1);
-        let first_kept = p - p.min(slots);
-        for _ in 0..p {
-            self.tracker.push_position();
-            self.cached_mode.push(None);
-        }
-        let scores = &mut self.scratch.gathered;
-        for lo in (0..p).step_by(RANGE) {
-            let hi = (lo + RANGE).min(p);
-            scores.clear();
-            self.kv
-                .score_range_multi_into(&self.kept.queries, lo..hi, scores);
-            for i in lo..hi {
-                // Row `r` saw positions `0..=r`.
-                for row in first_kept.max(i)..p {
-                    let slot = row % slots;
-                    let s = scores[slot * (hi - lo) + i - lo];
-                    let shifted = s - self.kept.shifts[slot];
-                    self.tracker.record(i, self.cfg.pwl.interval_of(shifted));
-                }
-            }
-        }
+        self.tracker.settle_modes();
+        self.cached_mode.resize(p, None);
         let cached = p.saturating_sub(self.cfg.window);
         for i in 0..cached {
             let mode = self.tracker.mode(i);
@@ -411,23 +385,25 @@ impl LadAttention {
             self.cache.insert(a, b, self.kv.key(i), self.kv.value(i));
             self.cached_mode[i] = Some(mode as u8);
         }
-        // Released, not cleared: a decoding head keeps no prompt ring.
-        self.kept = KeptRows::default();
         // Give the per-position step buffers the capacity doubling growth
         // through `P` per-row steps would have left them.
         let capacity = (p + 1).next_power_of_two();
         let scratch = &mut self.scratch;
+        scratch.scores.clear();
         scratch.scores.reserve(capacity);
+        // The center read lists two scores per center.
+        scratch.gathered.reserve(2 * capacity);
         scratch.exact.reserve(capacity);
         scratch.corrected.reserve(capacity);
-        (p + cached, cached)
+        (cached, cached)
     }
 
     /// Executes one decoding step: appends `(key, value)` to the KV cache and
     /// computes the attention output for `query`. The first step after
     /// [`LadAttention::prompt_row`]s first builds the decode state from them
     /// (under the `lad.mode_update` span, its reads counted in this step's
-    /// stats).
+    /// stats). Alg. 1 registers the new key from the same key read that
+    /// scores the query (under `lad.identify`).
     ///
     /// The per-step working memory lives in a reusable scratch, so after
     /// warm-up the hot path's only allocation is the returned output vector.
@@ -443,23 +419,21 @@ impl LadAttention {
         let d = self.kv.dim();
         assert_eq!(query.len(), d, "step: query dim mismatch");
         // Traffic counters: key/value vectors fetched from the KV arena this
-        // step, incremented at every read site below. Center-book internal
-        // maintenance (`add_key`) reads through a detached view and is
-        // modelled by the `centers` stat instead.
-        let (mut keys_fetched, mut values_fetched) = if self.tracker.len() < self.kv.len() {
+        // step, incremented at every read site below.
+        let (mut keys_fetched, mut values_fetched) = if self.cached_mode.len() < self.kv.len() {
             self.build_decode_state()
         } else {
             (0, 0)
         };
 
-        // -- Append and register the new position.
+        // -- Append the new position; Alg. 1 registers it during
+        // identification, from the key read that scores the query.
         self.kv.push(key, value);
         self.tracker.push_position();
         self.cached_mode.push(None);
         // Detach the scratch so its buffers can be borrowed alongside the
         // other fields; reattached (capacity intact) before returning.
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.centers.add_key(&self.kv.keys(), &mut scratch.gathered);
         let n = self.kv.len();
 
         let scale = 1.0 / (d as f32).sqrt();
@@ -481,18 +455,33 @@ impl LadAttention {
         let identify_span = lad_obs::span("lad.identify");
         match self.cfg.identification {
             Identification::Oracle => {
+                // All keys against the query and the new key in one pass.
                 scores.clear();
-                self.kv.score_keys_into(q_scaled, scores);
+                self.kv.score_keys2_into(q_scaled, key, scores);
+                self.centers.admit(key, |_, c| scores[n + c]);
+                scores.truncate(n);
                 exact.fill(true);
                 keys_fetched += n;
             }
             Identification::Approximate => {
-                // EAS.1: exact scores of directional centers only.
-                let centers = self.centers.centers();
-                score_listed(&self.kv, q_scaled, centers, gathered, scores, exact);
-                keys_fetched += centers.len();
+                // EAS.1 and Alg. 1 in one gathered read of the center keys:
+                // the query's exact center scores, and the new key's dot
+                // products with them. If the new key becomes a center, the
+                // window read below scores it.
+                let centers = self.centers.center_positions();
+                let listed = centers.len();
+                gathered.clear();
+                self.kv
+                    .score_positions2_into(q_scaled, key, centers, gathered);
+                for (&c, &s) in centers.iter().zip(gathered.iter()) {
+                    scores[c as usize] = s;
+                    exact[c as usize] = true;
+                }
+                keys_fetched += listed;
+                self.centers.admit(key, |k, _| gathered[listed + k]);
                 // EAS.2: rescale via dnorm. Every `cid` is a center, whose
-                // exact score EAS.1 just wrote.
+                // exact score EAS.1 just wrote, unless it is the new key
+                // itself; the window read overwrites that estimate.
                 for i in 0..n {
                     if !exact[i] {
                         scores[i] = scores[self.centers.cid(i)] * self.centers.dnorm(i);
@@ -953,6 +942,40 @@ mod tests {
     }
 
     #[test]
+    fn center_book_equals_add_key_over_the_same_keys() {
+        // Alg. 1 takes its dots from the row's own key read (a full pass on
+        // prompt rows and oracle decode rows, the center read on
+        // approximate ones); the book must be the one `add_key` builds.
+        let d = 8;
+        let mut rng = Rng::new(97);
+        let dirs: Vec<Vec<f32>> = (0..3).map(|_| rng.normal_vec(d, 1.0)).collect();
+        for cfg in [
+            LadConfig::default(),
+            LadConfig::oracle(PwlExp::accurate_default()),
+        ] {
+            let mut head = LadAttention::new(d, cfg);
+            for i in 0..60 {
+                let noise = rng.normal_vec(d, 0.05);
+                let k: Vec<f32> = dirs[i % 3].iter().zip(noise).map(|(x, e)| x + e).collect();
+                let (q, v) = (rng.normal_vec(d, 1.0), rng.normal_vec(d, 1.0));
+                if i < 20 {
+                    head.prompt_row(&q, &k, &v);
+                } else {
+                    head.step(&q, &k, &v);
+                }
+            }
+            let mut book = CenterBook::new(DEFAULT_COLLINEARITY_THRESHOLD);
+            let keys = head.kv().keys();
+            for n in 1..=keys.len() {
+                let prefix: Vec<Vec<f32>> = keys.iter().take(n).map(<[f32]>::to_vec).collect();
+                book.add_key(&prefix[..]);
+            }
+            assert_eq!(head.centers(), &book);
+            assert!(book.centers().len() < 60, "keys not clustered");
+        }
+    }
+
+    #[test]
     fn checkpoint_restore_is_bit_exact() {
         // Decode N steps, checkpoint, decode M more (enough to trigger
         // aging, corrections and counter records on old positions), restore,
@@ -1043,9 +1066,14 @@ mod tests {
             assert_eq!(out.output, reference::exact_attention(&q, &shadow));
             assert_eq!(out.stats.active, 0);
         }
-        // Nothing is folded into LAD state before the crossing.
-        assert!(head.tracker().is_empty());
-        assert_eq!(head.cached_interval(0), None);
+        // Every prompt row counted every position it saw, but nothing is
+        // cached before the crossing.
+        assert_eq!(head.tracker().len(), 40);
+        for i in 0..40 {
+            let rows: u16 = head.tracker().counts(i).iter().sum();
+            assert_eq!(usize::from(rows), 40 - i, "position {i}");
+            assert_eq!(head.cached_interval(i), None);
+        }
         for (step, (q, k, v)) in stream(&mut rng, 30, d).into_iter().enumerate() {
             shadow.push(&k, &v);
             let lad = head.step(&q, &k, &v).output;
@@ -1104,19 +1132,18 @@ mod tests {
     }
 
     #[test]
-    fn crossing_records_each_kept_rows_exact_intervals() {
-        // Under oracle identification the first decode row records every
-        // position's exact interval too, so after it each position's
-        // counters are exactly the PWL intervals (Eq. 3) the last `window`
-        // prompt rows and that decode row saw.
+    fn counters_equal_the_pwl_intervals_of_every_row() {
+        // Prompt rows count every position's exact interval, and under
+        // oracle identification each decode row records it too, so each
+        // position's counters are exactly the PWL intervals (Eq. 3) of
+        // every prompt row and decode row that saw it.
         let d = 8;
-        let window = 4;
         let pwl = PwlExp::accurate_default();
         let cfg = LadConfig {
-            window,
+            window: 4,
             ..LadConfig::oracle(pwl.clone())
         };
-        let inputs = stream(&mut Rng::new(95), 11, d);
+        let inputs = stream(&mut Rng::new(95), 14, d);
         let mut head = LadAttention::new(d, cfg);
         let mut shadow = KvCache::new(d);
         let mut want = vec![vec![0u16; pwl.num_intervals()]; inputs.len()];
@@ -1127,11 +1154,13 @@ mod tests {
             } else {
                 head.step(q, k, v);
             }
-            if r >= 10 - window {
-                let (_, intervals) = reference::pwl_attention_detailed(q, &shadow, &pwl);
-                for (i, id) in intervals.into_iter().enumerate() {
-                    want[i][id] += 1;
-                }
+            let (_, intervals) = reference::pwl_attention_detailed(q, &shadow, &pwl);
+            for (i, id) in intervals.into_iter().enumerate() {
+                want[i][id] += 1;
+            }
+            if r == 9 {
+                // Before the crossing nothing has moved a mode.
+                assert!(head.tracker().iter_modes().all(|m| m == 0));
             }
         }
         for (i, counts) in want.iter().enumerate() {
@@ -1140,10 +1169,59 @@ mod tests {
     }
 
     #[test]
+    fn crossing_settles_modes_to_the_counted_argmax() {
+        // At the crossing each prompt position's mode is the argmax of its
+        // counters (lowest interval on ties), and the first decode row
+        // reads no key beyond a decode row's own reads and the cache
+        // inserts: P + 1 oracle scores, one key per mode update, P - window
+        // inserts and one aging insert, never the P prompt keys again.
+        let (d, p, window) = (8, 30, 4);
+        let cfg = LadConfig {
+            window,
+            ..LadConfig::oracle(PwlExp::accurate_default())
+        };
+        let mut rng = Rng::new(96);
+        let mut head = LadAttention::new(d, cfg);
+        for (q, k, v) in stream(&mut rng, p, d) {
+            head.prompt_row(&q, &k, &v);
+        }
+        let argmax: Vec<usize> = (0..p)
+            .map(|i| {
+                let counts = head.tracker().counts(i);
+                let top = *counts.iter().max().unwrap();
+                counts.iter().position(|&c| c == top).unwrap()
+            })
+            .collect();
+        let (q, k, v) = (
+            rng.normal_vec(d, 1.0),
+            rng.normal_vec(d, 1.0),
+            rng.normal_vec(d, 1.0),
+        );
+        crate::kv::reset_traffic_bytes();
+        let stats = head.step(&q, &k, &v).stats;
+        let inserts = p - window + 1;
+        assert_eq!(stats.keys_read, (p + 1) + stats.mode_updates + inserts);
+        assert_eq!(
+            stats.bytes_moved as u64,
+            crate::kv::traffic_bytes(),
+            "stats vs meter"
+        );
+        // Positions the decode row did not move keep the settled argmax.
+        let mut kept = 0;
+        for (i, &mode) in argmax.iter().enumerate() {
+            if !head.was_corrected_last_step(i) && i < p - window {
+                assert_eq!(head.cached_interval(i), Some(mode), "position {i}");
+                kept += 1;
+            }
+        }
+        assert!(kept > 0, "every cached position was corrected");
+    }
+
+    #[test]
     fn restore_across_the_crossing_is_bit_exact() {
         // A checkpoint taken before the first decode row rewinds the build
-        // too: the kept prompt queries come back, and the replay rebuilds
-        // the same decode state.
+        // too: the prompt rows' counters come back unsettled, and the
+        // replay rebuilds the same decode state.
         let d = 8;
         let cfg = LadConfig {
             window: 4,
@@ -1158,7 +1236,8 @@ mod tests {
         let inputs = stream(&mut rng, 6, d);
         let first: Vec<StepOutput> = inputs.iter().map(|(q, k, v)| head.step(q, k, v)).collect();
         head.restore(&ck);
-        assert!(head.tracker().is_empty());
+        assert_eq!(head.tracker().len(), 12);
+        assert_eq!(head.cached_interval(0), None);
         let second: Vec<StepOutput> = inputs.iter().map(|(q, k, v)| head.step(q, k, v)).collect();
         assert_eq!(first, second, "replay after restore diverged");
     }

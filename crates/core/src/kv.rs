@@ -34,6 +34,13 @@
 //!   [`simd::dot_gather_f32`];
 //! * [`KvCache::values_weighted_at`] — the weighted sum of the listed values,
 //!   in listed order, through [`simd::weighted_gather_f64`].
+//!
+//! Two reads score their keys against two queries at once, each key read
+//! and metered once, every score bit-identical to the one-query read's:
+//! [`KvCache::score_keys2_into`] (all keys, through [`simd::dot_rows2_f32`])
+//! and [`KvCache::score_positions2_into`] (listed keys, through
+//! [`simd::dot_gather2_f32`]). LAD scores its query and its new key with
+//! them, so Alg. 1 rides the row's own key read.
 
 use lad_math::{f16, simd, F16};
 use std::cell::Cell;
@@ -43,8 +50,8 @@ thread_local! {
     /// accessors below. A diagnostic shadow meter: the `bytes_moved`
     /// invariant tests reset it, run a (single-threaded) decode and compare
     /// the delta against the backend-reported [`crate::stats::StepStats`]
-    /// traffic counters. Reads through a detached [`KeysView`] (center-book
-    /// maintenance) are not metered — that traffic is modelled separately.
+    /// traffic counters. Reads through a detached [`KeysView`] are not
+    /// metered.
     static TRAFFIC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -311,49 +318,58 @@ impl KvCache {
         }
     }
 
-    /// Scores the keys at positions `range` against each of the
-    /// `qs_rows.len() / dim` already-scaled queries in `qs_rows` (row-major),
-    /// appending query-major: `out[start + j·len + k] = q_j · k_{range.start + k}`.
-    /// The range's keys are read — and metered — once, however many queries
-    /// score them: a short range stays cache-resident across the queries.
-    /// Every score is bit-identical to [`KvCache::score_keys_into`]'s score
-    /// of the same key and query.
+    /// [`KvCache::score_keys_into`] for two already-scaled queries at once:
+    /// appends `q0 · kᵢ` for every cached position, oldest first, then
+    /// `q1 · kᵢ` for every one. Every key is read — and metered — once, and
+    /// every score is bit-identical to `score_keys_into`'s with its query.
     ///
     /// # Panics
     ///
-    /// Panics on an fp16 cache, if `qs_rows.len()` is not a multiple of
-    /// `dim`, or if `range` reaches past the cache.
-    pub fn score_range_multi_into(
+    /// Panics on an fp16 cache, or if a query's length differs from `dim`.
+    pub fn score_keys2_into(&self, q0: &[f32], q1: &[f32], out: &mut Vec<f64>) {
+        self.assert_f32("score_keys2_into");
+        assert_eq!(
+            q0.len(),
+            self.dim,
+            "KvCache::score_keys2_into: dim mismatch"
+        );
+        let n = self.len();
+        meter(n * self.dim * 4);
+        let start = out.len();
+        out.resize(start + 2 * n, 0.0);
+        let (out0, out1) = out[start..].split_at_mut(n);
+        simd::dot_rows2_f32(q0, q1, &self.keys, out0, out1);
+    }
+
+    /// [`KvCache::score_positions_into`] for two already-scaled queries at
+    /// once: appends `q0 · k_p` for every listed position `p`, in listed
+    /// order, then `q1 · k_p` for every one. Each listed key is read — and
+    /// metered — once, and every score is bit-identical to
+    /// `score_positions_into`'s with its query. Positions are `u32`, as the
+    /// center book stores them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an fp16 cache, if a query's length differs from `dim`, or
+    /// if any position is out of bounds.
+    pub fn score_positions2_into(
         &self,
-        qs_rows: &[f32],
-        range: std::ops::Range<usize>,
+        q0: &[f32],
+        q1: &[f32],
+        positions: &[u32],
         out: &mut Vec<f64>,
     ) {
-        self.assert_f32("score_range_multi_into");
-        let d = self.dim;
+        self.assert_f32("score_positions2_into");
         assert_eq!(
-            qs_rows.len() % d,
-            0,
-            "KvCache::score_range_multi_into: queries must be dim-long rows"
+            q0.len(),
+            self.dim,
+            "KvCache::score_positions2_into: dim mismatch"
         );
-        assert!(
-            range.end <= self.len(),
-            "KvCache::score_range_multi_into: range beyond cache"
-        );
-        let len = range.len();
-        if len == 0 {
-            return;
-        }
-        meter(len * d * 4);
+        meter(positions.len() * self.dim * 4);
         let start = out.len();
-        out.resize(start + qs_rows.len() / d * len, 0.0);
-        let keys = &self.keys[range.start * d..range.end * d];
-        for (qs, row) in qs_rows
-            .chunks_exact(d)
-            .zip(out[start..].chunks_exact_mut(len))
-        {
-            simd::dot_rows_f32(qs, keys, row);
-        }
+        out.resize(start + 2 * positions.len(), 0.0);
+        let (out0, out1) = out[start..].split_at_mut(positions.len());
+        simd::dot_gather2_f32(q0, q1, &self.keys, positions, out0, out1);
     }
 
     /// One sparse value read: `acc[j] += w · v_position[j]`, decoding fp16
@@ -566,8 +582,8 @@ impl<'a> KeysView<'a> {
 }
 
 /// Random access to a growing sequence of keys — the shape
-/// [`crate::centers::CenterBook`] needs for Alg. 1. Implemented by the
-/// arena-backed [`KeysView`] and by plain `[Vec<f32>]` slices (tests,
+/// [`crate::centers::CenterBook::add_key`] needs for Alg. 1. Implemented by
+/// the arena-backed [`KeysView`] and by plain `[Vec<f32>]` slices (tests,
 /// callers without a cache).
 pub trait KeyLookup {
     /// Number of keys available.
@@ -575,23 +591,6 @@ pub trait KeyLookup {
 
     /// Key at `position`.
     fn key_at(&self, position: usize) -> &[f32];
-
-    /// Writes `q · k_p` (as `f64`) for every listed position `p` into `out`
-    /// (cleared first), each bit-identical to a sequential
-    /// [`lad_math::vector::dot`] of `q` and [`KeyLookup::key_at`]`(p)` —
-    /// which is what this default runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position is out of bounds.
-    fn dot_positions(&self, q: &[f32], positions: &[usize], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            positions
-                .iter()
-                .map(|&p| f64::from(lad_math::vector::dot(q, self.key_at(p)))),
-        );
-    }
 }
 
 impl KeyLookup for KeysView<'_> {
@@ -601,20 +600,6 @@ impl KeyLookup for KeysView<'_> {
 
     fn key_at(&self, position: usize) -> &[f32] {
         self.key(position)
-    }
-
-    /// The arena is contiguous, so this runs the dispatched
-    /// [`simd::dot_gather_f32`] (unmetered, like every [`KeysView`] read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q.len()` differs from the key width or a position is out
-    /// of bounds.
-    fn dot_positions(&self, q: &[f32], positions: &[usize], out: &mut Vec<f64>) {
-        assert_eq!(q.len(), self.dim, "KeysView::dot_positions: dim mismatch");
-        out.clear();
-        out.resize(positions.len(), 0.0);
-        simd::dot_gather_f32(q, self.flat, positions, out);
     }
 }
 
@@ -655,33 +640,34 @@ mod tests {
     }
 
     #[test]
-    fn range_scores_equal_single_query_reads_metered_once() {
-        // 150 keys in ranges of 64: two full ranges and a ragged tail.
+    fn two_query_scores_equal_single_query_reads_metered_once() {
+        // 21 keys: two blocks of eight and a ragged tail; the listed
+        // positions are unsorted and repeat.
         let mut rng = lad_math::Rng::new(5);
         let d = 16;
         let mut kv = KvCache::new(d);
-        for _ in 0..150 {
+        for _ in 0..21 {
             kv.push(&rng.normal_vec(d, 1.0), &rng.normal_vec(d, 1.0));
         }
-        let queries = rng.normal_vec(3 * d, 1.0);
-        let mut single = Vec::new();
-        for qs in queries.chunks_exact(d) {
-            kv.score_keys_into(qs, &mut single);
-        }
+        let (q0, q1) = (rng.normal_vec(d, 1.0), rng.normal_vec(d, 1.0));
+        let listed: Vec<u32> = vec![20, 3, 3, 0, 17, 9, 9, 12, 1, 4];
+        let wide: Vec<usize> = listed.iter().map(|&p| p as usize).collect();
+        let (mut one0, mut one1, mut at0, mut at1) = (vec![], vec![], vec![], vec![]);
+        kv.score_keys_into(&q0, &mut one0);
+        kv.score_keys_into(&q1, &mut one1);
+        kv.score_positions_into(&q0, &wide, &mut at0);
+        kv.score_positions_into(&q1, &wide, &mut at1);
         reset_traffic_bytes();
-        for lo in (0..150).step_by(64) {
-            let hi = (lo + 64).min(150);
-            let mut range = Vec::new();
-            kv.score_range_multi_into(&queries, lo..hi, &mut range);
-            for j in 0..3 {
-                assert_eq!(
-                    range[j * (hi - lo)..(j + 1) * (hi - lo)],
-                    single[j * 150 + lo..j * 150 + hi],
-                    "query {j} keys {lo}..{hi}"
-                );
-            }
-        }
-        assert_eq!(traffic_bytes(), (150 * d * 4) as u64);
+        let mut all = vec![7.0];
+        kv.score_keys2_into(&q0, &q1, &mut all);
+        assert_eq!(traffic_bytes(), (21 * d * 4) as u64);
+        let mut two = vec![7.0];
+        kv.score_positions2_into(&q0, &q1, &listed, &mut two);
+        assert_eq!(traffic_bytes(), ((21 + 10) * d * 4) as u64);
+        // Both reads append, query-major.
+        assert_eq!((all[0], two[0]), (7.0, 7.0));
+        assert_eq!((&all[1..22], &all[22..]), (&one0[..], &one1[..]));
+        assert_eq!((&two[1..11], &two[11..]), (&at0[..], &at1[..]));
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub struct ModeTracker {
     /// position never allocates beyond amortised growth and a clone is one
     /// allocation.
     counts: Vec<u16>,
-    modes: Vec<usize>,
+    /// One byte per position: [`ModeTracker::new`] admits at most 256
+    /// intervals.
+    modes: Vec<u8>,
 }
 
 impl ModeTracker {
@@ -43,9 +45,13 @@ impl ModeTracker {
     ///
     /// # Panics
     ///
-    /// Panics if `intervals == 0`.
+    /// Panics if `intervals == 0` or `intervals > 256`.
     pub fn new(intervals: usize) -> ModeTracker {
         assert!(intervals > 0, "ModeTracker: need at least one interval");
+        assert!(
+            intervals <= usize::from(u8::MAX) + 1,
+            "ModeTracker: at most 256 intervals"
+        );
         ModeTracker {
             intervals,
             counts: Vec::new(),
@@ -82,7 +88,7 @@ impl ModeTracker {
     ///
     /// Panics if out of bounds.
     pub fn mode(&self, position: usize) -> usize {
-        self.modes[position]
+        usize::from(self.modes[position])
     }
 
     /// Counter vector of `position`.
@@ -115,9 +121,9 @@ impl ModeTracker {
         let counters = &mut self.counts[span];
         age_if_saturated(counters, interval);
         counters[interval] += 1;
-        let mode = self.modes[position];
+        let mode = usize::from(self.modes[position]);
         if interval != mode && counters[interval] > counters[mode] {
-            self.modes[position] = interval;
+            self.modes[position] = interval as u8;
             true
         } else {
             false
@@ -132,16 +138,57 @@ impl ModeTracker {
     ///
     /// Panics if out of bounds.
     pub fn record_mode_hit(&mut self, position: usize) {
-        let mode = self.modes[position];
+        let mode = usize::from(self.modes[position]);
         let span = self.span(position);
         let counters = &mut self.counts[span];
         age_if_saturated(counters, mode);
         counters[mode] += 1;
     }
 
+    /// Counts one row's exact intervals without moving any mode: `intervals`
+    /// yields the interval of every tracked position, oldest first. A LAD
+    /// head counts its prompt rows this way, then sets each mode once with
+    /// [`ModeTracker::settle_modes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an interval is out of bounds or `intervals` yields fewer
+    /// than [`ModeTracker::len`] items.
+    pub fn count_row(&mut self, intervals: impl IntoIterator<Item = usize>) {
+        let mut counted = 0;
+        for (counters, interval) in self.counts.chunks_exact_mut(self.intervals).zip(intervals) {
+            assert!(
+                interval < self.intervals,
+                "count_row: interval out of bounds"
+            );
+            age_if_saturated(counters, interval);
+            counters[interval] += 1;
+            counted += 1;
+        }
+        assert_eq!(counted, self.len(), "count_row: one interval per position");
+    }
+
+    /// Sets every position's mode to the argmax of its counters, the lowest
+    /// interval on ties.
+    pub fn settle_modes(&mut self) {
+        for (mode, counters) in self
+            .modes
+            .iter_mut()
+            .zip(self.counts.chunks_exact(self.intervals))
+        {
+            let mut best = 0;
+            for (interval, &c) in counters.iter().enumerate() {
+                if c > counters[best] {
+                    best = interval;
+                }
+            }
+            *mode = best as u8;
+        }
+    }
+
     /// Iterator over all current modes, position order.
     pub fn iter_modes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.modes.iter().copied()
+        self.modes.iter().map(|&m| usize::from(m))
     }
 }
 
@@ -266,6 +313,43 @@ mod tests {
         assert_eq!(t.mode(0), 1);
         assert_eq!(t.mode(1), 2);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn counted_rows_settle_to_the_argmax() {
+        let mut t = ModeTracker::new(3);
+        t.push_position();
+        t.push_position();
+        t.count_row([2, 1]);
+        t.count_row([2, 0]);
+        t.count_row([1, 0]);
+        // Counting never moves a mode; settling sets the argmax.
+        assert_eq!((t.mode(0), t.mode(1)), (0, 0));
+        t.count_row([1, 1]);
+        t.settle_modes();
+        assert_eq!(t.counts(0), &[0, 2, 2]);
+        assert_eq!(t.counts(1), &[2, 2, 0]);
+        // Ties go to the lowest interval.
+        assert_eq!((t.mode(0), t.mode(1)), (1, 0));
+        // The settled mode is what `record` compares against.
+        assert!(!t.record(1, 2));
+        assert!(t.record(1, 1));
+        assert_eq!(t.mode(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one interval per position")]
+    fn count_row_needs_every_position() {
+        let mut t = ModeTracker::new(3);
+        t.push_position();
+        t.push_position();
+        t.count_row([1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 intervals")]
+    fn more_than_256_intervals_rejected() {
+        ModeTracker::new(257);
     }
 
     #[test]

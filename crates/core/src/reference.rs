@@ -36,12 +36,9 @@ pub fn exact_attention(q: &[f32], kv: &KvCache) -> Vec<f32> {
     exact_attention_scored(q, kv, false).0
 }
 
-/// [`exact_attention`], also returning the softmax shift `m = maxᵢ sᵢ` and,
-/// when `record_scores` is set, the shifted scores `sᵢ − m`: one metered
-/// sweep over the keys, one over the values. The weights `exp(sᵢ − m)`
-/// overwrite the score buffer, and the denominator and every output column
-/// sum them in ascending position order, so the output is the same under
-/// either kernel.
+/// [`exact_attention`], also returning the shifted scores `sᵢ − m` when
+/// `record_scores` is set: one metered sweep over the keys, then
+/// [`softmax_read`]'s one over the values.
 ///
 /// # Panics
 ///
@@ -50,24 +47,33 @@ pub fn exact_attention_scored(
     q: &[f32],
     kv: &KvCache,
     record_scores: bool,
-) -> (Vec<f32>, f64, Option<Vec<f64>>) {
+) -> (Vec<f32>, Option<Vec<f64>>) {
     assert!(!kv.is_empty(), "exact_attention: empty KV cache");
     assert_eq!(q.len(), kv.dim(), "exact_attention: query dim mismatch");
     let mut weights = scores(q, kv);
     let m = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let shifted = record_scores.then(|| weights.iter().map(|s| s - m).collect());
+    (softmax_read(&mut weights, m, kv), shifted)
+}
+
+/// The value half of [`exact_attention`], on the scores `sᵢ` of every
+/// cached position (oldest first) and their maximum `m`: the weights
+/// `exp(sᵢ − m)` overwrite the scores, and the denominator and every output
+/// column sum them in ascending position order, so the output is the same
+/// under either kernel. One metered sweep over the values.
+///
+/// # Panics
+///
+/// Panics if `weights.len() != kv.len()`.
+pub fn softmax_read(weights: &mut [f64], m: f64, kv: &KvCache) -> Vec<f32> {
     let mut den = 0.0f64;
-    for w in &mut weights {
+    for w in weights.iter_mut() {
         *w = (*w - m).exp();
         den += *w;
     }
     let mut num = vec![0.0f64; kv.dim()];
-    kv.values_weighted_into(&weights, &mut num);
-    (
-        num.into_iter().map(|x| (x / den) as f32).collect(),
-        m,
-        shifted,
-    )
+    kv.values_weighted_into(weights, &mut num);
+    num.into_iter().map(|x| (x / den) as f32).collect()
 }
 
 /// Direct piecewise-linear attention (paper Eq. 3): every position weighted

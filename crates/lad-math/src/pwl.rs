@@ -188,20 +188,54 @@ impl PwlExp {
 
     /// Index of the interval containing `x` (`x` is clamped into `(-inf, 0]`:
     /// scores above the running maximum cannot occur, but fp slack maps to the
-    /// last interval).
+    /// last interval). A boundary belongs to the interval above it.
+    ///
+    /// This is the number of boundaries `<= x`, capped at the last interval:
+    /// a fixed-trip count over every boundary, with no data-dependent
+    /// branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN.
+    #[inline]
     pub fn interval_of(&self, x: f64) -> usize {
-        if x >= 0.0 {
-            return self.segments.len() - 1;
+        assert!(!x.is_nan(), "interval_of: score must not be NaN");
+        let below: usize = self.boundaries.iter().map(|&b| usize::from(b <= x)).sum();
+        below.min(self.boundaries.len() - 1)
+    }
+
+    /// [`PwlExp::interval_of`] of `xs[i] - shift` into `out[i]`, for every
+    /// `i`: the same count, with the compares run across scores (eight per
+    /// step under [`crate::simd::Kernel::Simd`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != xs.len()`, the partition has more than 256
+    /// intervals, or any `xs[i] - shift` is NaN.
+    pub fn intervals_of(&self, xs: &[f64], shift: f64, out: &mut [u8]) {
+        assert_eq!(out.len(), xs.len(), "intervals_of: one slot per score");
+        assert!(
+            self.boundaries.len() <= 256,
+            "intervals_of: at most 256 intervals"
+        );
+        #[cfg(target_arch = "x86_64")]
+        let done = if crate::simd::active_kernel() == crate::simd::Kernel::Simd {
+            let body = xs.len() - xs.len() % 8;
+            // SAFETY: Kernel::Simd is only active when AVX2 is present, and
+            // both slices hold `body` elements.
+            let nan = unsafe {
+                intervals_of_avx2(&self.boundaries, &xs[..body], shift, &mut out[..body])
+            };
+            assert!(!nan, "intervals_of: score must not be NaN");
+            body
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        for (slot, &s) in out[done..].iter_mut().zip(&xs[done..]) {
+            *slot = self.interval_of(s - shift) as u8;
         }
-        // boundaries are sorted ascending; find the first boundary >= x.
-        match self
-            .boundaries
-            .binary_search_by(|b| b.partial_cmp(&x).expect("finite"))
-        {
-            Ok(idx) => idx + 1.min(self.segments.len() - 1 - idx),
-            Err(idx) => idx,
-        }
-        .min(self.segments.len() - 1)
     }
 
     /// Linear coefficients `(a, b)` of interval `index`.
@@ -241,6 +275,42 @@ impl PwlExp {
         }
         acc / samples as f64
     }
+}
+
+/// [`PwlExp::intervals_of`]'s count on AVX2, for `xs.len()` a multiple of
+/// eight: eight scores per step in two `f64x4` registers, each boundary
+/// one broadcast compare per register whose all-ones lanes subtract one
+/// from the lane's count. Returns whether any shifted score was NaN.
+///
+/// # Safety
+///
+/// AVX2 must be available, `out.len() == xs.len()`, and `xs.len() % 8 == 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn intervals_of_avx2(boundaries: &[f64], xs: &[f64], shift: f64, out: &mut [u8]) -> bool {
+    use std::arch::x86_64::*;
+
+    let last = boundaries.len() as i64 - 1;
+    let shift_v = _mm256_set1_pd(shift);
+    let mut nan = _mm256_setzero_pd();
+    let mut counts = [0i64; 8];
+    for i in (0..xs.len()).step_by(8) {
+        let x0 = _mm256_sub_pd(_mm256_loadu_pd(xs.as_ptr().add(i)), shift_v);
+        let x1 = _mm256_sub_pd(_mm256_loadu_pd(xs.as_ptr().add(i + 4)), shift_v);
+        nan = _mm256_or_pd(nan, _mm256_cmp_pd::<_CMP_UNORD_Q>(x0, x1));
+        let (mut c0, mut c1) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        for &b in boundaries {
+            let b = _mm256_set1_pd(b);
+            c0 = _mm256_sub_epi64(c0, _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(b, x0)));
+            c1 = _mm256_sub_epi64(c1, _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(b, x1)));
+        }
+        _mm256_storeu_si256(counts.as_mut_ptr().cast(), c0);
+        _mm256_storeu_si256(counts.as_mut_ptr().add(4).cast(), c1);
+        for (slot, &count) in out[i..i + 8].iter_mut().zip(&counts) {
+            *slot = count.min(last) as u8;
+        }
+    }
+    _mm256_movemask_pd(nan) != 0
 }
 
 #[cfg(test)]

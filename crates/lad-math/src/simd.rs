@@ -40,6 +40,13 @@
 //! transposed in-register, and each value column adds its products in listed
 //! order.
 //!
+//! The two-query forms ([`dot_rows2_f32`], [`dot_gather2_f32`]) score the same
+//! keys against two queries from one transposed tile: one register of
+//! accumulators per query, each lane still one key in ascending element
+//! order, so every dot equals the single-query kernel's. LAD uses them to
+//! read each key once for its attention scores and for Alg. 1's
+//! new-key-against-center dot products.
+//!
 //! Dispatch is three-tiered: a process-wide default from `LAD_GEMM_KERNEL`
 //! (`scalar` forces the reference path, `simd`/`auto` use the widest
 //! bit-exact kernel the CPU has), a thread-local scoped override
@@ -496,15 +503,141 @@ pub fn dot_gather_f32_scalar(qs: &[f32], keys: &[f32], idx: &[usize], out: &mut 
     }
 }
 
+/// Scores every key against two queries from one read of the keys:
+/// `out0[i] = q0 · kᵢ` and `out1[i] = q1 · kᵢ`, with `kᵢ = keys[i·d..(i+1)·d]`,
+/// `d = q0.len()` and `n = out0.len()` keys. Dispatched through
+/// [`active_kernel`].
+///
+/// Each output is bit-identical to a [`dot_rows_f32`] call with its query
+/// (and to [`dot_rows2_f32_scalar`]): the AVX2 kernel transposes each
+/// 8-key tile once and adds it into one accumulator register per query,
+/// every lane in ascending element order from `-0.0`.
+///
+/// # Panics
+///
+/// Panics if `q1.len() != q0.len()`, `out1.len() != out0.len()`, or
+/// `keys.len() != out0.len() * q0.len()`.
+pub fn dot_rows2_f32(q0: &[f32], q1: &[f32], keys: &[f32], out0: &mut [f64], out1: &mut [f64]) {
+    assert_pair("dot_rows2_f32", q0, q1, out0, out1);
+    assert_eq!(
+        keys.len(),
+        out0.len() * q0.len(),
+        "dot_rows2_f32: keys must hold out0.len() rows of q0.len()"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; the
+        // lengths were asserted above.
+        unsafe { dot_rows2_f32_avx2(q0, q1, keys, out0, out1) };
+        return;
+    }
+    dot_rows2_f32_scalar(q0, q1, keys, out0, out1);
+}
+
+/// Reference two-query key scoring: [`dot_rows_f32_scalar`] once per query.
+///
+/// # Panics
+///
+/// As [`dot_rows2_f32`].
+pub fn dot_rows2_f32_scalar(
+    q0: &[f32],
+    q1: &[f32],
+    keys: &[f32],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    assert_pair("dot_rows2_f32", q0, q1, out0, out1);
+    dot_rows_f32_scalar(q0, keys, out0);
+    dot_rows_f32_scalar(q1, keys, out1);
+}
+
+/// Scores a listed subset of keys against two queries from one read of
+/// them: `out0[k] = q0 · k_{idx[k]}` and `out1[k] = q1 · k_{idx[k]}`, with
+/// `d = q0.len()`. `idx` may be in any order and repeat; its entries are
+/// `u32`, the width LAD's center book stores positions at. Dispatched
+/// through [`active_kernel`].
+///
+/// Each output is bit-identical to a [`dot_gather_f32`] call with its query
+/// (and to [`dot_gather2_f32_scalar`]): [`dot_rows2_f32`]'s kernel with the
+/// eight lanes fed from eight listed rows.
+///
+/// # Panics
+///
+/// Panics if `q0` is empty, `q1.len() != q0.len()`, `out0.len()` or
+/// `out1.len()` differs from `idx.len()`, or any listed index is
+/// `>= keys.len() / q0.len()`.
+pub fn dot_gather2_f32(
+    q0: &[f32],
+    q1: &[f32],
+    keys: &[f32],
+    idx: &[u32],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    assert_pair("dot_gather2_f32", q0, q1, out0, out1);
+    assert_gather("dot_gather2_f32", q0.len(), keys.len(), idx, out0.len());
+    #[cfg(target_arch = "x86_64")]
+    if active_kernel() == Kernel::Simd {
+        // SAFETY: Kernel::Simd is only active when AVX2 is present; every
+        // listed row lies inside `keys` and both outputs have one slot per
+        // index, as asserted above.
+        unsafe { dot_gather2_f32_avx2(q0, q1, keys, idx, out0, out1) };
+        return;
+    }
+    dot_gather2_f32_scalar(q0, q1, keys, idx, out0, out1);
+}
+
+/// Reference two-query gathered key scoring: one sequential
+/// [`crate::vector::dot`] per listed key and query.
+///
+/// # Panics
+///
+/// As [`dot_gather2_f32`].
+pub fn dot_gather2_f32_scalar(
+    q0: &[f32],
+    q1: &[f32],
+    keys: &[f32],
+    idx: &[u32],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    assert_pair("dot_gather2_f32", q0, q1, out0, out1);
+    assert_gather("dot_gather2_f32", q0.len(), keys.len(), idx, out0.len());
+    let d = q0.len();
+    for ((s0, s1), &i) in out0.iter_mut().zip(out1.iter_mut()).zip(idx) {
+        let key = &keys[i as usize * d..(i as usize + 1) * d];
+        *s0 = f64::from(crate::vector::dot(q0, key));
+        *s1 = f64::from(crate::vector::dot(q1, key));
+    }
+}
+
+/// Checks a two-query read's pairing: queries of one width, outputs of one
+/// length.
+fn assert_pair(name: &str, q0: &[f32], q1: &[f32], out0: &[f64], out1: &[f64]) {
+    assert_eq!(q0.len(), q1.len(), "{name}: queries must share a width");
+    assert_eq!(
+        out0.len(),
+        out1.len(),
+        "{name}: one slot per key in each output"
+    );
+}
+
 /// Checks a gathered read's shape: a non-empty row width `d`, one output
 /// (or weight) per listed index, and every index a whole row of the arena.
 /// The AVX2 gathers rely on exactly these conditions.
-fn assert_gather(name: &str, d: usize, arena_len: usize, idx: &[usize], per_index: usize) {
+fn assert_gather<I: Copy + TryInto<usize>>(
+    name: &str,
+    d: usize,
+    arena_len: usize,
+    idx: &[I],
+    per_index: usize,
+) {
     assert!(d > 0, "{name}: rows must be non-empty");
     assert_eq!(per_index, idx.len(), "{name}: one slot per listed index");
     let rows = arena_len / d;
     assert!(
-        idx.iter().all(|&i| i < rows),
+        idx.iter()
+            .all(|&i| i.try_into().is_ok_and(|i: usize| i < rows)),
         "{name}: listed index out of range ({rows} rows)"
     );
 }
@@ -719,41 +852,52 @@ unsafe fn accumulate_tile(
     acc
 }
 
-/// Scores the eight keys `keys[start(r)..][..d]` (lane `r` = key `r`) into
-/// `out[..8]`: each lane accumulates its key in ascending element order from
-/// `-0.0`, the `d % 8` tail in scalar order, then widens to `f64`. `start`
-/// is a closure so the consecutive-rows caller keeps its strided
-/// addressing after inlining.
+/// Scores the eight keys `keys[start(r)..][..d]` (lane `r` = key `r`)
+/// against each of the `Q` queries `qs[j]`, into `outs[j][..8]`. Each tile
+/// is transposed once and added into one accumulator register per query;
+/// each lane accumulates its key in ascending element order from `-0.0`,
+/// the `d % 8` tail in scalar order, then widens to `f64`. `start` is a
+/// closure so the consecutive-rows caller keeps its strided addressing
+/// after inlining.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, `out.len() == 8`, and
-/// `start(r) + qs.len() <= keys.len()` for every `r < 8`.
+/// AVX2 must be available, every query and every `outs[j]` of lengths
+/// `d` and 8, and `start(r) + d <= keys.len()` for every `r < 8`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn dot_keys8(qs: &[f32], keys: &[f32], start: impl Fn(usize) -> usize, out: &mut [f64]) {
+unsafe fn dot_keys8<const Q: usize>(
+    qs: [&[f32]; Q],
+    keys: &[f32],
+    start: impl Fn(usize) -> usize,
+    outs: [&mut [f64]; Q],
+) {
     use std::arch::x86_64::*;
 
-    let d = qs.len();
+    let d = qs[0].len();
     let body = d - d % 8;
     let p = keys.as_ptr();
-    let q = qs.as_ptr();
-    let mut acc = _mm256_set1_ps(-0.0);
+    let mut acc = [_mm256_set1_ps(-0.0); Q];
     let mut e = 0;
     // Every tile read covers elements e..e + 8 <= body <= d of each key,
     // inside `keys` by the caller's contract.
     while e < body {
-        acc = accumulate_tile(acc, &transpose_keys8(p, &start, e), q.add(e));
+        let tile = transpose_keys8(p, &start, e);
+        for (a, q) in acc.iter_mut().zip(qs) {
+            *a = accumulate_tile(*a, &tile, q.as_ptr().add(e));
+        }
         e += 8;
     }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    for (r, (slot, mut sum)) in out.iter_mut().zip(lanes).enumerate() {
-        for e in body..d {
-            sum += qs[e] * keys[start(r) + e];
+    for ((a, q), out) in acc.into_iter().zip(qs).zip(outs) {
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), a);
+        for (r, (slot, mut sum)) in out.iter_mut().zip(lanes).enumerate() {
+            for e in body..d {
+                sum += q[e] * keys[start(r) + e];
+            }
+            *slot = f64::from(sum);
         }
-        *slot = f64::from(sum);
     }
 }
 
@@ -769,10 +913,37 @@ unsafe fn dot_rows_f32_avx2(qs: &[f32], keys: &[f32], out: &mut [f64]) {
     let n = out.len();
     let mut i = 0;
     while i + 8 <= n {
-        dot_keys8(qs, &keys[i * d..], |r| r * d, &mut out[i..i + 8]);
+        dot_keys8([qs], &keys[i * d..], |r| r * d, [&mut out[i..i + 8]]);
         i += 8;
     }
     dot_rows_f32_scalar(qs, &keys[i * d..], &mut out[i..]);
+}
+
+/// [`dot_rows2_f32`] on AVX2: blocks of eight keys through [`dot_keys8`]
+/// with both queries, the last `n % 8` keys through the scalar twin.
+///
+/// # Safety
+///
+/// AVX2 must be available, `q1.len() == q0.len()`,
+/// `out1.len() == out0.len()`, and `keys.len() == out0.len() * q0.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_rows2_f32_avx2(
+    q0: &[f32],
+    q1: &[f32],
+    keys: &[f32],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    let d = q0.len();
+    let n = out0.len();
+    let mut i = 0;
+    while i + 8 <= n {
+        let outs = [&mut out0[i..i + 8], &mut out1[i..i + 8]];
+        dot_keys8([q0, q1], &keys[i * d..], |r| r * d, outs);
+        i += 8;
+    }
+    dot_rows2_f32_scalar(q0, q1, &keys[i * d..], &mut out0[i..], &mut out1[i..]);
 }
 
 /// [`dot_gather_f32`] on AVX2: groups of eight listed keys through
@@ -792,9 +963,47 @@ unsafe fn dot_gather_f32_avx2(qs: &[f32], keys: &[f32], idx: &[usize], out: &mut
         .zip(out[..groups].chunks_exact_mut(8))
     {
         let rows: [usize; 8] = std::array::from_fn(|r| ids[r] * d);
-        dot_keys8(qs, keys, |r| rows[r], slots);
+        dot_keys8([qs], keys, |r| rows[r], [slots]);
     }
     dot_gather_f32_scalar(qs, keys, &idx[groups..], &mut out[groups..]);
+}
+
+/// [`dot_gather2_f32`] on AVX2: groups of eight listed keys through
+/// [`dot_keys8`] with both queries, the last `idx.len() % 8` through the
+/// scalar twin.
+///
+/// # Safety
+///
+/// AVX2 must be available, `q1.len() == q0.len()`, both outputs of length
+/// `idx.len()`, and `(i + 1) * q0.len() <= keys.len()` for every listed `i`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_gather2_f32_avx2(
+    q0: &[f32],
+    q1: &[f32],
+    keys: &[f32],
+    idx: &[u32],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    let d = q0.len();
+    let groups = idx.len() / 8 * 8;
+    for ((ids, s0), s1) in idx[..groups]
+        .chunks_exact(8)
+        .zip(out0[..groups].chunks_exact_mut(8))
+        .zip(out1[..groups].chunks_exact_mut(8))
+    {
+        let rows: [usize; 8] = std::array::from_fn(|r| ids[r] as usize * d);
+        dot_keys8([q0, q1], keys, |r| rows[r], [s0, s1]);
+    }
+    dot_gather2_f32_scalar(
+        q0,
+        q1,
+        keys,
+        &idx[groups..],
+        &mut out0[groups..],
+        &mut out1[groups..],
+    );
 }
 
 /// The AVX2 weighted value sum over columns `0..d - d % 4`, with

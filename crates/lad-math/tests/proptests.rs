@@ -258,6 +258,97 @@ proptest! {
         prop_assert_eq!(bits(&simd), bits(&reference));
     }
 
+    /// Both two-query kernels equal their scalar twins and two single-query
+    /// calls bit for bit: contiguous rows over every `d % 8` element tail
+    /// and `n % 8` key tail, gathered rows over unsorted lists with repeats
+    /// (and empty ones), on inputs with ±0.0, subnormals and overflowing
+    /// products.
+    #[test]
+    fn two_query_key_scores_equal_two_single_query_reads(
+        d in 1usize..=130,
+        n in 1usize..=40,
+        len in 0usize..=40,
+        seed in 0u64..1000,
+    ) {
+        use lad_math::simd::{
+            dot_gather2_f32, dot_gather2_f32_scalar, dot_gather_f32, dot_rows2_f32,
+            dot_rows2_f32_scalar, dot_rows_f32,
+        };
+        use lad_math::{with_kernel, Kernel};
+        let mut rng = lad_math::Rng::new(seed);
+        let q0: Vec<f32> = (0..d).map(|_| awkward_f32(&mut rng)).collect();
+        let q1: Vec<f32> = (0..d).map(|_| awkward_f32(&mut rng)).collect();
+        let keys: Vec<f32> = (0..n * d).map(|_| awkward_f32(&mut rng)).collect();
+        let idx: Vec<u32> = (0..len).map(|_| rng.next_below(n as u64) as u32).collect();
+        let wide: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            let (mut one0, mut one1) = (vec![0.0; n], vec![0.0; n]);
+            let (mut two0, mut two1) = (vec![0.0; n], vec![0.0; n]);
+            let (mut twin0, mut twin1) = (vec![0.0; n], vec![0.0; n]);
+            with_kernel(kernel, || {
+                dot_rows_f32(&q0, &keys, &mut one0);
+                dot_rows_f32(&q1, &keys, &mut one1);
+                dot_rows2_f32(&q0, &q1, &keys, &mut two0, &mut two1);
+            });
+            dot_rows2_f32_scalar(&q0, &q1, &keys, &mut twin0, &mut twin1);
+            prop_assert_eq!(bits(&two0), bits(&one0));
+            prop_assert_eq!(bits(&two1), bits(&one1));
+            prop_assert_eq!(bits(&twin0), bits(&one0));
+            prop_assert_eq!(bits(&twin1), bits(&one1));
+
+            let (mut one0, mut one1) = (vec![0.0; len], vec![0.0; len]);
+            let (mut two0, mut two1) = (vec![0.0; len], vec![0.0; len]);
+            let (mut twin0, mut twin1) = (vec![0.0; len], vec![0.0; len]);
+            with_kernel(kernel, || {
+                dot_gather_f32(&q0, &keys, &wide, &mut one0);
+                dot_gather_f32(&q1, &keys, &wide, &mut one1);
+                dot_gather2_f32(&q0, &q1, &keys, &idx, &mut two0, &mut two1);
+            });
+            dot_gather2_f32_scalar(&q0, &q1, &keys, &idx, &mut twin0, &mut twin1);
+            prop_assert_eq!(bits(&two0), bits(&one0));
+            prop_assert_eq!(bits(&two1), bits(&one1));
+            prop_assert_eq!(bits(&twin0), bits(&one0));
+            prop_assert_eq!(bits(&twin1), bits(&one1));
+        }
+    }
+
+    /// The branch-free `interval_of`, and its bulk form `intervals_of`, equal
+    /// the binary search it replaced on random partitions, at random points,
+    /// exactly on every boundary, and at ±0.0 and ±inf.
+    #[test]
+    fn interval_of_equals_the_binary_search(
+        intervals in 1usize..=24,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = lad_math::Rng::new(seed);
+        let mut bounds = vec![0.0f64];
+        for _ in 1..intervals {
+            let next = bounds[0] - (1e-3 + 5.0 * rng.next_f64());
+            bounds.insert(0, next);
+        }
+        let pwl = PwlExp::with_boundaries(&bounds).expect("valid partition");
+        let mut points = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        points.extend(&bounds);
+        points.extend(bounds.iter().map(|b| b - 1e-9));
+        points.extend((0..64).map(|_| (bounds[0] - 2.0) * rng.next_f64() + 1.0));
+        for &x in &points {
+            let (got, want) = (pwl.interval_of(x), interval_of_binary_search(&bounds, x));
+            prop_assert!(got == want, "x = {x}: {got} != {want}");
+        }
+        // The bulk form agrees under both kernels, shifted or not.
+        for kernel in [lad_math::Kernel::Scalar, lad_math::Kernel::Simd] {
+            for shift in [0.0, -0.75] {
+                let mut bulk = vec![0u8; points.len()];
+                lad_math::with_kernel(kernel, || pwl.intervals_of(&points, shift, &mut bulk));
+                for (&x, &got) in points.iter().zip(&bulk) {
+                    let want = interval_of_binary_search(&bounds, x - shift);
+                    prop_assert!(usize::from(got) == want, "x = {x} - {shift}: {got} != {want}");
+                }
+            }
+        }
+    }
+
     /// Matrix::matmul (through the blocked kernel) equals a locally computed
     /// naive ascending-k product bit-for-bit.
     #[test]
@@ -315,6 +406,20 @@ proptest! {
             }
         }
     }
+}
+
+/// `PwlExp::interval_of` as a binary search over the boundaries, the form
+/// it had before the branch-free search: kept as the test oracle.
+fn interval_of_binary_search(boundaries: &[f64], x: f64) -> usize {
+    let last = boundaries.len() - 1;
+    if x >= 0.0 {
+        return last;
+    }
+    match boundaries.binary_search_by(|b| b.partial_cmp(&x).expect("finite")) {
+        Ok(idx) => idx + 1.min(last - idx),
+        Err(idx) => idx,
+    }
+    .min(last)
 }
 
 /// A mostly-normal `f32` that is, one draw in eight each, ±0.0, a subnormal,
@@ -392,4 +497,66 @@ fn gathered_weighted_values_reject_out_of_range_index() {
     with_kernel(Kernel::Simd, || {
         weighted_gather_f64(&[2, 3], &[1.0, 1.0], &values, &mut acc)
     });
+}
+
+/// A NaN score has no interval: the search panics, as the binary search did.
+#[test]
+#[should_panic(expected = "NaN")]
+fn interval_of_rejects_nan() {
+    PwlExp::accurate_default().interval_of(f64::NAN);
+}
+
+/// A listed index past the arena is refused by the two-query gather before
+/// the SIMD kernel's unchecked loads run.
+#[test]
+#[should_panic(expected = "listed index out of range")]
+fn two_query_gather_rejects_out_of_range_index() {
+    use lad_math::simd::dot_gather2_f32;
+    use lad_math::{with_kernel, Kernel};
+    let keys = vec![1.0f32; 9 * 8];
+    let idx = [0u32, 1, 2, 3, 4, 5, 6, 9];
+    let (mut out0, mut out1) = ([0.0f64; 8], [0.0f64; 8]);
+    with_kernel(Kernel::Simd, || {
+        dot_gather2_f32(&[1.0; 8], &[2.0; 8], &keys, &idx, &mut out0, &mut out1)
+    });
+}
+
+/// Two-query reads refuse mismatched pairs before any key is read.
+#[test]
+#[should_panic(expected = "queries must share a width")]
+fn two_query_rows_reject_mismatched_queries() {
+    use lad_math::simd::dot_rows2_f32;
+    let keys = vec![1.0f32; 2 * 8];
+    let (mut out0, mut out1) = ([0.0f64; 2], [0.0f64; 2]);
+    dot_rows2_f32(&[1.0; 8], &[1.0; 7], &keys, &mut out0, &mut out1);
+}
+
+/// Two-query reads refuse a key arena that is not `n` whole rows.
+#[test]
+#[should_panic(expected = "keys must hold")]
+fn two_query_rows_reject_short_arena() {
+    use lad_math::simd::dot_rows2_f32;
+    use lad_math::{with_kernel, Kernel};
+    let keys = vec![1.0f32; 9 * 8 - 1];
+    let (mut out0, mut out1) = ([0.0f64; 9], [0.0f64; 9]);
+    with_kernel(Kernel::Simd, || {
+        dot_rows2_f32(&[1.0; 8], &[1.0; 8], &keys, &mut out0, &mut out1)
+    });
+}
+
+/// A NaN score has no interval in the bulk form either, under both kernels.
+#[test]
+fn intervals_of_rejects_nan() {
+    let pwl = PwlExp::accurate_default();
+    for kernel in [lad_math::Kernel::Scalar, lad_math::Kernel::Simd] {
+        for at in [3usize, 11] {
+            let mut xs = vec![-1.0f64; 12];
+            xs[at] = f64::NAN;
+            let mut out = vec![0u8; 12];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                lad_math::with_kernel(kernel, || pwl.intervals_of(&xs, 0.0, &mut out))
+            }));
+            assert!(caught.is_err(), "{} NaN at {at} passed", kernel.name());
+        }
+    }
 }

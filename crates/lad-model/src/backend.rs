@@ -376,7 +376,7 @@ impl HeadState {
                 kv.push(k, v);
                 let n = kv.len();
                 let bpe = kv.precision().bytes_per_element();
-                let (output, _, shifted_scores) =
+                let (output, shifted_scores) =
                     reference::exact_attention_scored(q, kv, record_scores);
                 HeadStepOutput {
                     output,
