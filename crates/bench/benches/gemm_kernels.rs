@@ -31,6 +31,14 @@
 //!   panel, so the ratio sits well under the 2x of two 8-row passes; the
 //!   row carries a **ceiling**, not a floor.
 //!
+//! One more reading is recorded but gated by nothing: `gemm_f32_streamed`,
+//! at m = 4, 10 and 16, times the SIMD GEMM over the serving ledger model's
+//! whole projection sequence (about 42 MB, each matrix once, so the weights
+//! stream from L3 or DRAM) against 512 x 512 GEMMs on one matrix that stays
+//! in L2, per flop, and records both GFLOP/s rates and the streamed weight
+//! GB/s (`lad_bench::gates::streamed_point`). It shows how far the served
+//! GEMM falls from its in-cache rate.
+//!
 //! Each row's floor or ceiling comes from `lad_bench::gates::GATES`. The
 //! header names the GEMM panel widths this host runs. The run is written to
 //! `BENCH_kernels.json` at the repo root as the committed baseline. On a
@@ -43,7 +51,8 @@
 //! ```
 
 use lad_bench::gates::{
-    self, kernel_point, Bound, Row, GATES, KERNELS_FILE, KERNEL_ITERS, KERNEL_PAIRS,
+    self, kernel_point, streamed_point, Bound, Row, GATES, KERNELS_FILE, KERNEL_ITERS,
+    KERNEL_PAIRS, STREAMED_ROWS,
 };
 use lad_bench::{print_table, section};
 
@@ -110,11 +119,52 @@ fn main() {
         );
         return;
     }
+
+    section("gemm_kernels: served weights streamed vs one matrix in L2 (SIMD, ungated)");
+    let mut table = Vec::new();
+    for m in STREAMED_ROWS {
+        let p = streamed_point(m).expect("AVX2+F16C checked above");
+        table.push(vec![
+            m.to_string(),
+            format!("{:.1}", p.hot_us),
+            format!("{:.1}", p.streamed_us),
+            format!("{:.1}", p.hot_gflops),
+            format!("{:.1}", p.streamed_gflops),
+            format!("{:.2}", p.weight_gb_per_s),
+            format!("{:.2}x", p.ratio),
+        ]);
+        rows.push(format!(
+            "{{\"kind\": \"gemm_f32_streamed\", \"rows\": {m}, \"shape\": \"{}\", \
+             \"baseline_us\": {:.3}, \"variant_us\": {:.3}, \"ratio\": {:.3}, \
+             \"hot_gflops\": {:.2}, \"streamed_gflops\": {:.2}, \
+             \"weight_gb_per_s\": {:.3}, \"bit_exact\": 1}}",
+            p.shape,
+            p.hot_us,
+            p.streamed_us,
+            p.ratio,
+            p.hot_gflops,
+            p.streamed_gflops,
+            p.weight_gb_per_s,
+        ));
+    }
+    print_table(
+        &[
+            "m",
+            "hot us",
+            "streamed us",
+            "hot GFLOP/s",
+            "streamed GFLOP/s",
+            "weight GB/s",
+            "streamed/hot",
+        ],
+        &table,
+    );
     gates::write_baseline(
         KERNELS_FILE,
         "gemm_kernels/scalar_vs_simd",
         "microkernel shapes (MLP GEMM m=8 n=512 k=256; KV read d=64 n=4096; \
-         exact head read d=64 n=1024; row staircase n=512 k=512)",
+         exact head read d=64 n=1024; row staircase n=512 k=512; ledger projections \
+         streamed at m=4/10/16)",
         &[
             ("pairs", KERNEL_PAIRS.to_string()),
             ("iters_per_side", KERNEL_ITERS.to_string()),

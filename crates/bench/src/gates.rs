@@ -845,6 +845,120 @@ pub fn kernel_point(kind: &str) -> Option<KernelPoint> {
     Some(point)
 }
 
+/// The served model's projections, `(n, k, count)`: per layer of the 4-layer,
+/// 512-hidden serving-ledger model, q, k, v and out (512 × 512), gate and up
+/// (1024 × 512) and down (512 × 1024), then the 256 × 512 unembedding. About
+/// 42 MB of f32 weights, far past L2.
+const SERVED_PROJECTIONS: [(usize, usize, usize); 4] = [
+    (512, 512, 16),
+    (1024, 512, 8),
+    (512, 1024, 4),
+    (256, 512, 1),
+];
+
+/// Row counts of the streamed-weights reading: a decode tick of 4 rows, one
+/// of 10 (an 8-row panel plus a tail, or one 16-row panel) and a full
+/// 16-row tick.
+pub const STREAMED_ROWS: [usize; 3] = [4, 10, 16];
+
+/// Interleaved pairs of the streamed-weights reading.
+const STREAMED_PAIRS: usize = 21;
+
+/// The SIMD f32 GEMM with its weights streamed against the same GEMM on one
+/// cache-resident matrix. Recorded, not gated.
+pub struct StreamedPoint {
+    /// Shape label written to the baseline.
+    pub shape: String,
+    /// Microseconds the sequence's flops take at the cache-resident rate.
+    pub hot_us: f64,
+    /// Median microseconds per pass over the whole sequence.
+    pub streamed_us: f64,
+    /// GFLOP/s on the cache-resident matrix.
+    pub hot_gflops: f64,
+    /// GFLOP/s over the streamed sequence.
+    pub streamed_gflops: f64,
+    /// Weight bytes per second over the streamed sequence, in GB/s.
+    pub weight_gb_per_s: f64,
+    /// Median per-pair streamed ÷ hot time for the same flops.
+    pub ratio: f64,
+}
+
+/// Times `m` rows through every served projection once, each on its own
+/// weight matrix (`SERVED_PROJECTIONS`, so the weights come from L3 or
+/// DRAM), against 512 × 512 GEMMs of the same `m` on one matrix that stays
+/// in L2, `STREAMED_PAIRS` interleaved pairs compared per flop. Asserts
+/// the streamed outputs bit-identical to the scalar kernel's. `None` on a
+/// host without AVX2+F16C.
+pub fn streamed_point(m: usize) -> Option<StreamedPoint> {
+    if !Kernel::Simd.available() {
+        return None;
+    }
+    let mut rng = Rng::new(0x5e);
+    let shapes: Vec<(usize, usize)> = SERVED_PROJECTIONS
+        .iter()
+        .flat_map(|&(n, k, count)| std::iter::repeat_n((n, k), count))
+        .collect();
+    let weights: Vec<Vec<f32>> = shapes
+        .iter()
+        .map(|&(n, k)| rng.normal_vec(n * k, 1.0))
+        .collect();
+    let a = rng.normal_vec(m * 1024, 1.0);
+    let mut outs: Vec<Vec<f32>> = shapes.iter().map(|&(n, _)| vec![0.0; m * n]).collect();
+    let mut scratch = GemmScratch::default();
+    let stream = |outs: &mut [Vec<f32>], scratch: &mut GemmScratch| {
+        for ((&(n, k), w), c) in shapes.iter().zip(&weights).zip(outs.iter_mut()) {
+            gemm_bt_into(m, n, k, &a[..m * k], w, c, scratch);
+        }
+    };
+    let (hot_nk, hot_calls) = (ROWS_NK, 40);
+    let hot_w = rng.normal_vec(hot_nk * hot_nk, 1.0);
+    let mut hot_c = vec![0.0f32; m * hot_nk];
+    let mut hot_scratch = GemmScratch::default();
+    let flops = |nk: usize| 2.0 * (m * nk) as f64;
+    let streamed_flops: f64 = shapes.iter().map(|&(n, k)| flops(n * k)).sum();
+    let hot_flops = flops(hot_nk * hot_nk) * hot_calls as f64;
+    let p = with_kernel(Kernel::Simd, || {
+        interleaved_ratio(
+            || {
+                time_per_call(hot_calls, || {
+                    gemm_bt_into(
+                        m,
+                        hot_nk,
+                        hot_nk,
+                        &a[..m * hot_nk],
+                        &hot_w,
+                        &mut hot_c,
+                        &mut hot_scratch,
+                    )
+                }) * hot_calls as f64
+                    / hot_flops
+            },
+            || time_per_call(1, || stream(&mut outs, &mut scratch)) / streamed_flops,
+            STREAMED_PAIRS,
+        )
+    });
+    let mut scalar_outs = outs.clone();
+    with_kernel(Kernel::Scalar, || stream(&mut scalar_outs, &mut scratch));
+    assert_eq!(
+        outs, scalar_outs,
+        "streamed SIMD f32 GEMMs must be bit-identical to scalar"
+    );
+    let weight_bytes: usize = shapes.iter().map(|&(n, k)| n * k * 4).sum();
+    let streamed_s = p.variant * streamed_flops;
+    Some(StreamedPoint {
+        shape: format!(
+            "m={m} ledger projections {:.1} MB vs m={m} n={hot_nk} k={hot_nk} in L2",
+            weight_bytes as f64 / 1e6
+        ),
+        hot_us: p.baseline * streamed_flops * 1e6,
+        streamed_us: streamed_s * 1e6,
+        hot_gflops: 1e-9 / p.baseline,
+        streamed_gflops: 1e-9 / p.variant,
+        weight_gb_per_s: weight_bytes as f64 / streamed_s / 1e9,
+        ratio: 1.0 / p.speedup,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Baselines
 // ---------------------------------------------------------------------------

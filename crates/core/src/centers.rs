@@ -17,6 +17,10 @@ use lad_math::vector;
 /// The paper's empirical collinearity threshold.
 pub const DEFAULT_COLLINEARITY_THRESHOLD: f64 = 0.98;
 
+/// Centers per chunk of [`CenterBook::admit`]'s selection scan; a power of
+/// two, for the chunk's max tree.
+const COS_LANES: usize = 8;
+
 /// Book-keeping for directional centers over a growing key sequence.
 ///
 /// # Example
@@ -145,18 +149,40 @@ impl CenterBook {
         let new_norm = f64::from(vector::norm(key));
         self.norm.push(new_norm);
 
-        let mut max_cos = 0.0f64;
-        let mut max_pos = 0u32;
+        // The first center of largest |cos| wins; a NaN cosine never does.
+        // The scan runs COS_LANES centers at a time: each chunk's largest
+        // |cos| comes from a max tree (`f64::max` drops NaN), and only a
+        // chunk that beats the running maximum is searched, for its first
+        // lane that reaches it. A one-center-at-a-time scan carries the
+        // running maximum through a compare-and-select on every center,
+        // which bounds it, not the division. A zero-norm center gets dot 0
+        // and norm 1: its cosine is 0, which never beats the running
+        // maximum, exactly as skipping it did.
+        let (mut max_abs, mut max_cos, mut max_pos) = (0.0f64, 0.0f64, 0u32);
         if new_norm > 0.0 {
-            for (k, &c) in self.centers.iter().enumerate() {
-                let center_norm = self.norm[c as usize];
-                if center_norm == 0.0 {
-                    continue;
+            for (chunk_idx, chunk) in self.centers.chunks(COS_LANES).enumerate() {
+                let mut cos = [0.0f64; COS_LANES];
+                for (i, (&c, out)) in chunk.iter().zip(&mut cos).enumerate() {
+                    let center_norm = self.norm[c as usize];
+                    let (d, norm) = if center_norm != 0.0 {
+                        (dot(chunk_idx * COS_LANES + i, c as usize), center_norm)
+                    } else {
+                        (0.0, 1.0)
+                    };
+                    *out = d / (new_norm * norm);
                 }
-                let cos = dot(k, c as usize) / (new_norm * center_norm);
-                if cos.abs() > max_cos.abs() {
-                    max_cos = cos;
-                    max_pos = c;
+                let mut abs = cos.map(f64::abs);
+                let mut width = COS_LANES;
+                while width > 1 {
+                    width /= 2;
+                    for i in 0..width {
+                        abs[i] = abs[i].max(abs[i + width]);
+                    }
+                }
+                if abs[0] > max_abs {
+                    if let Some(i) = cos.iter().position(|x| x.abs() == abs[0]) {
+                        (max_abs, max_cos, max_pos) = (abs[0], cos[i], chunk[i]);
+                    }
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! Property-based tests of the LAD core invariants.
 
 use lad_core::cache::IntermediateCache;
+use lad_core::centers::CenterBook;
 use lad_core::decoder::{LadAttention, LadConfig};
 use lad_core::kv::KvCache;
 use lad_core::modes::ModeTracker;
@@ -9,7 +10,97 @@ use lad_math::pwl::PwlExp;
 use lad_math::{vector, Rng};
 use proptest::prelude::*;
 
+/// Alg. 1 as one scalar pass over the centers: the selection
+/// `CenterBook::admit` must reproduce bit for bit.
+struct ScalarBook {
+    threshold: f64,
+    cid: Vec<usize>,
+    norm: Vec<f64>,
+    dnorm: Vec<f64>,
+    centers: Vec<usize>,
+}
+
+impl ScalarBook {
+    fn admit(&mut self, key: &[f32], dot: impl Fn(usize, usize) -> f64) {
+        let n = self.norm.len();
+        let new_norm = f64::from(vector::norm(key));
+        self.norm.push(new_norm);
+        let (mut max_cos, mut max_pos) = (0.0f64, 0usize);
+        if new_norm > 0.0 {
+            for (k, &c) in self.centers.iter().enumerate() {
+                if self.norm[c] == 0.0 {
+                    continue;
+                }
+                let cos = dot(k, c) / (new_norm * self.norm[c]);
+                if cos.abs() > max_cos.abs() {
+                    max_cos = cos;
+                    max_pos = c;
+                }
+            }
+        }
+        if max_cos > self.threshold {
+            self.cid.push(max_pos);
+            self.dnorm.push(new_norm / self.norm[max_pos]);
+        } else if max_cos < -self.threshold {
+            self.cid.push(max_pos);
+            self.dnorm.push(-new_norm / self.norm[max_pos]);
+        } else {
+            self.cid.push(n);
+            self.dnorm.push(1.0);
+            self.centers.push(n);
+        }
+    }
+}
+
 proptest! {
+    /// `CenterBook::admit` selects the center the scalar Alg. 1 loop
+    /// selects, and records the same `cid`, norm and `dnorm` bits, on dots
+    /// full of exact ties (keys share norms and dots repeat), zero-norm keys
+    /// and centers, NaN, infinities and signed zeros, across many 8-center
+    /// chunks.
+    #[test]
+    fn admit_equals_the_scalar_selection_loop(
+        picks in prop::collection::vec(0usize..6, 1..120),
+        seed in 0u64..1000,
+        loose in 0usize..2,
+    ) {
+        let keys: [&[f32]; 6] = [
+            &[1.0, 0.0, 0.0],
+            &[0.0, 2.0, 0.0],
+            &[0.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0],
+            &[3.0, 0.0, 4.0],
+            &[1e-200f64 as f32, 0.0, 0.0],
+        ];
+        let palette = [
+            0.0, 0.0, -0.0, 0.5, -0.5, 0.99, -0.99, 1.0, -1.0, 2.5, f64::NAN, f64::INFINITY,
+            f64::NEG_INFINITY, 1e-300,
+        ];
+        let threshold = if loose == 1 { 0.4 } else { 0.98 };
+        let mut book = CenterBook::new(threshold);
+        let mut oracle = ScalarBook {
+            threshold,
+            cid: Vec::new(),
+            norm: Vec::new(),
+            dnorm: Vec::new(),
+            centers: Vec::new(),
+        };
+        let mut rng = Rng::new(seed);
+        for (i, &pick) in picks.iter().enumerate() {
+            // One dot per earlier position, scaled by the two norms so the
+            // palette's cosines (and their ties) survive the division.
+            let dots: Vec<f64> = (0..i)
+                .map(|c| palette[rng.index(palette.len())] * oracle.norm[c].max(1.0))
+                .collect();
+            book.admit(keys[pick], |_, c| dots[c]);
+            oracle.admit(keys[pick], |_, c| dots[c]);
+            prop_assert!(book.centers().eq(oracle.centers.iter().copied()), "row {}", i);
+            prop_assert_eq!(book.cid(i), oracle.cid[i]);
+            prop_assert_eq!(book.norm(i).to_bits(), oracle.norm[i].to_bits());
+            prop_assert_eq!(book.dnorm(i).to_bits(), oracle.dnorm[i].to_bits());
+        }
+    }
+
     /// The fundamental exactness invariant: with oracle identification, LAD's
     /// cached computation (Eq. 4) equals direct PWL attention (Eq. 3) at
     /// every step of any stream.

@@ -1,11 +1,23 @@
 //! Cache-blocked GEMM kernels with a bit-exact accumulation contract.
 //!
-//! Decoding is memory-bandwidth bound: a per-sample `matvec` streams the full
-//! weight matrix once per sample per step, so at batch `b` every linear layer
-//! pays `b×` the weight traffic for the same arithmetic per byte. These
-//! kernels compute whole `batch × out` panels per weight fetch instead — the
-//! step-synchronous batch engine stacks the per-sample activation vectors
-//! into an `m × k` matrix `A` and runs one `C = A · Bᵀ` product per layer.
+//! **The served memory regime.** Decoding is memory-bandwidth bound: a
+//! per-sample `matvec` streams the full weight matrix once per sample per
+//! step, so at batch `b` every linear layer pays `b×` the weight traffic for
+//! the same arithmetic per byte. These kernels compute whole `batch × out`
+//! panels per weight fetch instead — the step-synchronous batch engine
+//! stacks the per-sample activation vectors into an `m × k` matrix `A` and
+//! runs one `C = A · Bᵀ` product per layer. A served step then reads every
+//! weight matrix once per panel, and the model's weights together (42 MB on
+//! the serving ledger's 4-layer, 512-hidden model) are far larger than L2,
+//! so each GEMM's `B` comes from L3 or DRAM, not from cache. A `k = 512`
+//! weight row is 2 KB, so the four rows a column block walks side by side
+//! are four short streams that cross a 4 KB page every other row, where
+//! the hardware prefetchers, which track a stream within one page, likely
+//! have to start over. The SIMD microkernels
+//! therefore software-prefetch the next column block's rows while they
+//! compute the current one (see [`crate::simd`]); without that, a streamed
+//! projection sequence ran at about half its cache-resident GFLOP/s (the
+//! `gemm_f32_streamed` rows of `BENCH_kernels.json` record both rates).
 //!
 //! **Accumulation contract.** Every output element is a dot product
 //! accumulated *sequentially in ascending `k` order* into a single
@@ -235,7 +247,14 @@ mod tests {
         use crate::simd::{with_kernel, Kernel};
         // Shapes chosen to exercise every microkernel edge: partial MR and
         // MR_WIDE blocks, 16 + 1 / 16 + 8 / 16 + 16 + 1 / 16 + 16 + 8 row
-        // splits, NR tails, k = 1, and the MLP-dominant bench shape.
+        // splits, NR tails, k = 1, and the MLP-dominant bench shape. Then
+        // the serving ledger model's projections (q/k/v/out, gate/up, down,
+        // unembedding) at the row counts a tick runs, where each column
+        // block prefetches the next block's rows over many 16-step strides
+        // and the last block's clamp to the final row is reached.
+        let served = [(512, 512), (1024, 512), (512, 1024), (256, 512)]
+            .into_iter()
+            .flat_map(|(n, k)| [1, 4, 8, 10, 16, 20].map(|m| (m, n, k, (m + n + k) as u64)));
         for (m, n, k, seed) in [
             (1, 1, 1, 1u64),
             (3, 5, 7, 2),
@@ -249,7 +268,10 @@ mod tests {
             (24, 6, 17, 10),
             (33, 13, 5, 11),
             (40, 64, 96, 12),
-        ] {
+        ]
+        .into_iter()
+        .chain(served)
+        {
             let a = random(m * k, seed);
             let b_t = random(n * k, seed + 200);
             let mut scalar = vec![0.0; m * n];

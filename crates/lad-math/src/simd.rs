@@ -21,6 +21,11 @@
 //!   wide panel); a fused multiply-add would skip the intermediate rounding
 //!   and drift off the scalar path by an ULP at a time.
 //!
+//! Both GEMM kernels also prefetch the next column block's weight rows, one
+//! 64-byte line per row every 16 `l` steps, so a matrix streamed from L3 or
+//! DRAM arrives while the current block computes. A prefetch is a hint: it
+//! changes no result and its addresses stay inside `b_t`.
+//!
 //! The exact f32 KV read runs two more kernels on the same two rules, with
 //! other things in the lanes:
 //!
@@ -282,7 +287,9 @@ unsafe fn gemm_block_f32_avx2(
     let mut j = 0;
     // NR = 4 column block: four B rows stream against one panel walk, so each
     // packed load is reused four times. Per lane (= per output element) the
-    // operation sequence is still mul-then-add over ascending l.
+    // operation sequence is still mul-then-add over ascending l. Every
+    // PREFETCH_STRIDE steps the next block's four rows are prefetched one
+    // line each, so their stream from L3/DRAM overlaps this block's compute.
     while j + NR <= n {
         let b0 = b.add(j * k);
         let b1 = b.add((j + 1) * k);
@@ -292,12 +299,16 @@ unsafe fn gemm_block_f32_avx2(
         let mut acc1 = _mm256_setzero_ps();
         let mut acc2 = _mm256_setzero_ps();
         let mut acc3 = _mm256_setzero_ps();
-        for l in 0..k {
-            let a = _mm256_loadu_ps(p.add(l * MR));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a, _mm256_set1_ps(*b0.add(l))));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a, _mm256_set1_ps(*b1.add(l))));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(a, _mm256_set1_ps(*b2.add(l))));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(a, _mm256_set1_ps(*b3.add(l))));
+        let next = next_block(b, j, n, k);
+        for l0 in (0..k).step_by(PREFETCH_STRIDE) {
+            prefetch_lines(next, l0);
+            for l in l0..k.min(l0 + PREFETCH_STRIDE) {
+                let a = _mm256_loadu_ps(p.add(l * MR));
+                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a, _mm256_set1_ps(*b0.add(l))));
+                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a, _mm256_set1_ps(*b1.add(l))));
+                acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(a, _mm256_set1_ps(*b2.add(l))));
+                acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(a, _mm256_set1_ps(*b3.add(l))));
+            }
         }
         store_block(acc0, i0, mr, n, j, c);
         store_block(acc1, i0, mr, n, j + 1, c);
@@ -361,12 +372,16 @@ unsafe fn gemm_block_f32_avx512f(
         let mut acc1 = _mm512_setzero_ps();
         let mut acc2 = _mm512_setzero_ps();
         let mut acc3 = _mm512_setzero_ps();
-        for l in 0..k {
-            let a = _mm512_loadu_ps(p.add(l * MR_WIDE));
-            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(a, _mm512_set1_ps(*b0.add(l))));
-            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(a, _mm512_set1_ps(*b1.add(l))));
-            acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(a, _mm512_set1_ps(*b2.add(l))));
-            acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(a, _mm512_set1_ps(*b3.add(l))));
+        let next = next_block(b, j, n, k);
+        for l0 in (0..k).step_by(PREFETCH_STRIDE) {
+            prefetch_lines(next, l0);
+            for l in l0..k.min(l0 + PREFETCH_STRIDE) {
+                let a = _mm512_loadu_ps(p.add(l * MR_WIDE));
+                acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(a, _mm512_set1_ps(*b0.add(l))));
+                acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(a, _mm512_set1_ps(*b1.add(l))));
+                acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(a, _mm512_set1_ps(*b2.add(l))));
+                acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(a, _mm512_set1_ps(*b3.add(l))));
+            }
         }
         store_block_wide(acc0, i0, mr, n, j, c);
         store_block_wide(acc1, i0, mr, n, j + 1, c);
@@ -401,6 +416,40 @@ unsafe fn store_block_wide(
     let mut buf = [0.0f32; MR_WIDE];
     std::arch::x86_64::_mm512_storeu_ps(buf.as_mut_ptr(), acc);
     scatter_column(&buf[..mr], i0, n, j, c);
+}
+
+/// `l` steps between two prefetches of the next column block's weight rows:
+/// 16 f32s are one 64-byte line, so the kernels request one line of each
+/// next-block row per line of each current-block row they consume. The
+/// distance (the very next `NR` block, about `NR · k · 4` bytes ahead) and
+/// the `_MM_HINT_T1` hint (into L2, not L1) were chosen by measurement. At
+/// the served shapes (weights streamed from L3/DRAM, 2 KB rows at k = 512)
+/// two blocks ahead and `_MM_HINT_T0` were no faster. `_MM_HINT_T0` also
+/// raised the in-L2 `gemm_f32_rows16` ratio (a 16-row panel at k = 512 is
+/// 32 KB of a 48 KB L1, which lines pulled into L1 a block early evict),
+/// and `_MM_HINT_T1` left it where it was without the prefetch.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH_STRIDE: usize = 16;
+
+/// Row starts of the `NR`-row column block after the one at column `j`,
+/// each clamped to the last row of the `n × k` matrix at `b`, so the
+/// addresses stay inside it: the last full block prefetches the tail rows,
+/// or its own last row again when there is no tail.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn next_block(b: *const f32, j: usize, n: usize, k: usize) -> [*const f32; NR] {
+    std::array::from_fn(|r| b.add((j + NR + r).min(n - 1) * k))
+}
+
+/// Prefetches the line holding element `l` of each row in `rows` into L2.
+/// A prefetch is a hint: it never faults and changes no result.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn prefetch_lines(rows: [*const f32; NR], l: usize) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+    for row in rows {
+        _mm_prefetch::<_MM_HINT_T1>(row.add(l).cast());
+    }
 }
 
 /// Writes `lanes[ii]` to `c[(i0 + ii) * n + j]`: only the block's real rows,

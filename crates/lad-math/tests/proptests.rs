@@ -97,12 +97,14 @@ proptest! {
 
     /// The blocked GEMM kernel equals the naive triple loop bit-for-bit on
     /// arbitrary shapes, including ragged tails around the 8- and 16-row
-    /// panels (16 + 16 + 8 rows at m = 40).
+    /// panels (16 + 16 + 8 rows at m = 40), up to ten 4-column blocks (each
+    /// prefetching the next one's rows) plus a tail, and `k` past five
+    /// 16-step prefetch strides with a ragged remainder.
     #[test]
     fn blocked_gemm_equals_naive_exactly(
         m in 1usize..=40,
-        n in 1usize..20,
-        k in 1usize..48,
+        n in 1usize..=43,
+        k in 1usize..=90,
         seed in 0u64..1000,
     ) {
         let mut rng = lad_math::Rng::new(seed);
@@ -116,12 +118,13 @@ proptest! {
     }
 
     /// The scalar and SIMD kernels agree bit for bit on the same inputs,
-    /// whichever panel widths this host's SIMD path runs.
+    /// whichever panel widths this host's SIMD path runs, over the same
+    /// shapes as `blocked_gemm_equals_naive_exactly`.
     #[test]
     fn scalar_and_simd_gemm_are_bit_identical(
         m in 1usize..=40,
-        n in 1usize..20,
-        k in 1usize..48,
+        n in 1usize..=43,
+        k in 1usize..=90,
         seed in 0u64..1000,
     ) {
         use lad_math::{with_kernel, Kernel};
