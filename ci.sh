@@ -40,6 +40,10 @@ echo "== serving observability smoke (serve_trace example; span coverage,"
 echo "   request timelines, metrics exposition, flight-recorder incident)"
 cargo run --release --example serve_trace
 
+echo "== accelerator pricing smoke (hardware_pipeline example; a LAD head's decode"
+echo "   rows priced through Eq. 7, then the Fig. 6 step schedule)"
+cargo run --release --example hardware_pipeline
+
 echo "== bench regression gate (one loop over the gate table lad_bench::gates::GATES:"
 echo "   each committed BENCH_*.json row against its bound, then a quick re-measure,"
 echo "   every timed ratio the median of interleaved same-process pairs;"

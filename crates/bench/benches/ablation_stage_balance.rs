@@ -7,7 +7,7 @@
 //! sensitivity sweep.
 
 use lad_accel::config::AccelConfig;
-use lad_accel::pipeline::{attention_period, compute_stage_cycles, WINDOW_POSITIONS};
+use lad_accel::pipeline::{attention_period, stage_cycles, WINDOW_POSITIONS};
 use lad_accel::traffic::AttentionTraffic;
 use lad_accel::workload::workload_stats;
 use lad_bench::{kv_lengths, print_table, section};
@@ -20,26 +20,20 @@ fn main() {
     let mut rows = Vec::new();
     for n in kv_lengths() {
         let stats = workload_stats(n, 0x1ad);
-        let j = stats.mean_active + WINDOW_POSITIONS as f64;
-        let u = stats.mean_mode_updates + 1.0;
-        let eas = (2.0 * stats.mean_centers + n as f64 / 128.0 + stats.mean_large_mode) / 2.0;
-        let apid = n as f64 / 12.0;
-        let md = j / 2.0;
-        let ac = (d as f64 + j + u * d as f64 + 3.0 * u) / 3.0;
+        let stages = stage_cycles(&cfg, n, d, &stats);
         let traffic = AttentionTraffic::from_stats(&stats, n, d, WINDOW_POSITIONS, 0.0);
         let bpc = cfg.per_tile_bandwidth() / cfg.tile.clock_hz;
         let stage1 = traffic.stage1_bytes() / bpc;
         let stage4 = traffic.stage4_bytes() / bpc;
-        let compute = compute_stage_cycles(&cfg, n, d, &stats);
         rows.push(vec![
             format!("{n}"),
-            format!("{eas:.0}"),
-            format!("{apid:.0}"),
-            format!("{md:.0}"),
-            format!("{ac:.0}"),
+            format!("{:.0}", stages.eas),
+            format!("{:.0}", stages.apid),
+            format!("{:.0}", stages.md),
+            format!("{:.0}", stages.ac),
             format!("{stage1:.0}"),
             format!("{stage4:.0}"),
-            format!("{:.0}", compute.max(stage1).max(stage4)),
+            format!("{:.0}", stages.bottleneck().max(stage1).max(stage4)),
         ]);
     }
     print_table(

@@ -209,7 +209,8 @@ proptest! {
         }
     }
 
-    /// Step statistics are internally consistent on arbitrary streams.
+    /// Step statistics are internally consistent and outputs finite on
+    /// arbitrary streams, zero and outsized keys included.
     #[test]
     fn step_stats_are_consistent(seed in 0u64..100, window in 2usize..24) {
         let d = 6;
@@ -218,12 +219,16 @@ proptest! {
         let mut head = LadAttention::new(d, cfg);
         let mut rng = Rng::new(seed);
         let mut prev_n = 0;
-        for _ in 0..50 {
-            let out = head.step(
-                &rng.normal_vec(d, 1.0),
-                &rng.normal_vec(d, 1.0),
-                &rng.normal_vec(d, 1.0),
-            );
+        for row in 0..50 {
+            // Adversarial rows: a zero key every 7th, a 10x key every 5th,
+            // and values at 4x throughout.
+            let q = rng.normal_vec(d, 1.0);
+            let k = if row % 7 == 3 {
+                vec![0.0; d]
+            } else {
+                rng.normal_vec(d, if row % 5 == 0 { 10.0 } else { 1.0 })
+            };
+            let out = head.step(&q, &k, &rng.normal_vec(d, 4.0));
             let s = out.stats;
             prop_assert_eq!(s.n, prev_n + 1);
             prop_assert_eq!(s.window, s.n.min(window + 1));

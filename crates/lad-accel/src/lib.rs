@@ -3,17 +3,24 @@
 //! Models the LAD accelerator — six tiles with EAS/APID/MD/AC pipeline
 //! modules, VPUs and SRAM on a shared HBM2 stack — together with the GPU
 //! software baselines and the ideal accelerator the paper compares against.
+//! The tile runs the algorithm of [`lad_core::decoder::LadAttention`]; this
+//! crate prices it (Eq. 7 stage latencies, HBM traffic, energy) from the
+//! decoder's per-row counts ([`lad_core::stats::StepStats`]) rather than
+//! re-implementing it.
 //!
 //! | module | paper artefact |
 //! |---|---|
 //! | [`config`] | tile/accelerator configurations (LAD-1.5/2.5/3.5) |
 //! | [`hbm`] | HBM2 bandwidth + energy model (Ramulator substitute) |
+//! | [`hbm_sim`] | event-level HBM channel simulation |
 //! | [`asic`] | per-module area/power (Table III, DC+CACTI substitute) |
 //! | [`traffic`] | per-step HBM byte accounting (Fig. 8 left) |
-//! | [`pipeline`] | the 6-stage attention pipeline and Eq. 7 |
+//! | [`pipeline`] | the 6-stage attention pipeline; Eq. 7 ([`pipeline::stage_cycles`]) |
+//! | [`schedule`] | the end-to-end step schedule (Fig. 6) |
 //! | [`gpu`] | A100 rooflines: vLLM / Qserve / H2O / LAD-GPU |
 //! | [`workload`] | calibrated trace statistics per KV length |
 //! | [`perf`] | end-to-end evaluation: Fig. 7 / 8 / 9 / 10 |
+//! | [`paged`] | paged KV block pool (the vLLM baseline's allocator) |
 //!
 //! # Example
 //!
@@ -36,7 +43,6 @@ pub mod config;
 pub mod gpu;
 pub mod hbm;
 pub mod hbm_sim;
-pub mod modules;
 pub mod paged;
 pub mod perf;
 pub mod pipeline;

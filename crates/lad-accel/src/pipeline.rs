@@ -19,9 +19,32 @@ pub const WINDOW_POSITIONS: usize = 17;
 /// slices, the G tensor, intermediate caches and pipeline buffers).
 pub const SRAM_PREFETCH_FRACTION: f64 = 0.7;
 
-/// Cycles of the compute stages for one head-sample (paper Eq. 7):
-/// `max((2|C| + n/128 + |M|)/2, n/12, |J|/2, (d + |J| + |U|d + 3|U|)/3)`.
-pub fn compute_stage_cycles(cfg: &AccelConfig, n: usize, d: usize, stats: &StatsSummary) -> f64 {
+/// Cycles of the four compute stages for one head-sample (paper Eq. 7).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageCycles {
+    /// EAS: `(2|C| + n/128 + |M|) / 2`.
+    pub eas: f64,
+    /// APID: `n / 12`.
+    pub apid: f64,
+    /// MD: `|J| / 2`.
+    pub md: f64,
+    /// AC: `(d + |J| + |U|d + 3|U|) / 3`.
+    pub ac: f64,
+}
+
+impl StageCycles {
+    /// The pipeline's compute bottleneck: the slowest of the four stages.
+    pub fn bottleneck(&self) -> f64 {
+        self.eas.max(self.apid).max(self.md).max(self.ac)
+    }
+}
+
+/// Eq. 7's stage latencies for one head-sample at KV length `n` and head
+/// dimension `d`, the divisors being `cfg.tile`'s parallelism degrees
+/// (2/12/2/3 in the paper). Every term is linear in `stats`' means, so a
+/// summary prices the mean row; a single decode row `s` is priced as
+/// `stage_cycles(cfg, s.n, d, &StatsSummary::from_steps([&s]))`.
+pub fn stage_cycles(cfg: &AccelConfig, n: usize, d: usize, stats: &StatsSummary) -> StageCycles {
     let c = stats.mean_centers;
     let m = stats.mean_large_mode;
     // MD and AC process the active FIFO, which holds corrections plus the
@@ -31,11 +54,12 @@ pub fn compute_stage_cycles(cfg: &AccelConfig, n: usize, d: usize, stats: &Stats
     let u = stats.mean_mode_updates + 1.0;
     let n = n as f64;
     let d = d as f64;
-    let eas = (2.0 * c + n / 128.0 + m) / cfg.tile.eas_parallelism as f64;
-    let apid = n / cfg.tile.apid_parallelism as f64;
-    let md = j / cfg.tile.md_parallelism as f64;
-    let ac = (d + j + u * d + 3.0 * u) / cfg.tile.ac_parallelism as f64;
-    eas.max(apid).max(md).max(ac)
+    StageCycles {
+        eas: (2.0 * c + n / 128.0 + m) / cfg.tile.eas_parallelism as f64,
+        apid: n / cfg.tile.apid_parallelism as f64,
+        md: j / cfg.tile.md_parallelism as f64,
+        ac: (d + j + u * d + 3.0 * u) / cfg.tile.ac_parallelism as f64,
+    }
 }
 
 /// Result of modelling one attention period (one layer, all head-samples).
@@ -92,7 +116,7 @@ pub fn attention_period(
     let bytes_per_cycle = cfg.per_tile_bandwidth() / cfg.tile.clock_hz;
     let stage1 = traffic.stage1_bytes() / bytes_per_cycle;
     let stage4 = traffic.stage4_bytes() / bytes_per_cycle;
-    let compute = compute_stage_cycles(cfg, n, d, stats);
+    let compute = stage_cycles(cfg, n, d, stats).bottleneck();
     let bottleneck = stage1.max(stage4).max(compute);
 
     // -- Period time: head-samples stream through `tiles` parallel pipelines;
@@ -127,7 +151,7 @@ pub fn recommended_tiles(
     max_tiles: usize,
 ) -> usize {
     const MEMORY_SLACK: f64 = 2.0;
-    let compute = compute_stage_cycles(base, n, d, stats);
+    let compute = stage_cycles(base, n, d, stats).bottleneck();
     let traffic = AttentionTraffic::from_stats(stats, n, d, WINDOW_POSITIONS, 0.0);
     let stage_bytes = traffic.stage1_bytes().max(traffic.stage4_bytes());
     let bytes_per_cycle = base.hbm.total_bandwidth() / base.tile.clock_hz;
@@ -156,16 +180,24 @@ mod tests {
         let cfg = AccelConfig::lad_2_5();
         // Huge |C| makes EAS the bottleneck.
         let eas_heavy = stats(10_000.0, 0.0, 0.0, 0.0, 0.0);
-        let c = compute_stage_cycles(&cfg, 128, 128, &eas_heavy);
-        assert!((c - (2.0 * 10_000.0 + 1.0) / 2.0).abs() < 1.0);
+        let c = stage_cycles(&cfg, 128, 128, &eas_heavy);
+        assert_eq!(c.bottleneck(), c.eas);
+        assert!((c.eas - (2.0 * 10_000.0 + 1.0) / 2.0).abs() < 1e-9);
         // Huge n with tiny everything else makes APID dominate.
         let apid_heavy = stats(1.0, 0.0, 1.0, 0.0, 0.0);
-        let c = compute_stage_cycles(&cfg, 120_000, 128, &apid_heavy);
-        assert!((c - 10_000.0).abs() < 100.0);
+        let c = stage_cycles(&cfg, 120_000, 128, &apid_heavy);
+        assert_eq!(c.bottleneck(), c.apid);
+        assert_eq!(c.apid, 10_000.0);
+        // A huge active set with few updates makes MD dominate.
+        let md_heavy = stats(1.0, 0.0, 100_000.0, 0.0, 0.0);
+        let c = stage_cycles(&cfg, 128, 16, &md_heavy);
+        assert_eq!(c.bottleneck(), c.md);
+        assert_eq!(c.md, (100_000.0 + 17.0) / 2.0);
         // Huge |U| makes AC dominate (u·d term).
         let ac_heavy = stats(1.0, 0.0, 1.0, 0.0, 500.0);
-        let c = compute_stage_cycles(&cfg, 128, 128, &ac_heavy);
-        assert!(c > 500.0 * 128.0 / 3.0);
+        let c = stage_cycles(&cfg, 128, 128, &ac_heavy);
+        assert_eq!(c.bottleneck(), c.ac);
+        assert!(c.ac > 500.0 * 128.0 / 3.0);
     }
 
     #[test]

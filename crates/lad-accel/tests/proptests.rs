@@ -3,13 +3,10 @@
 use lad_accel::config::AccelConfig;
 use lad_accel::hbm::HbmConfig;
 use lad_accel::hbm_sim::{HbmSim, Request};
-use lad_accel::modules::{GTensor, TileEngine, Vpu};
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
-use lad_accel::pipeline::{attention_period, compute_stage_cycles};
+use lad_accel::pipeline::{attention_period, stage_cycles, StageCycles};
 use lad_accel::traffic::AttentionTraffic;
 use lad_core::stats::StatsSummary;
-use lad_math::pwl::PwlExp;
-use lad_math::Rng;
 use proptest::prelude::*;
 
 fn stats_strategy() -> impl Strategy<Value = StatsSummary> {
@@ -32,18 +29,24 @@ fn stats_strategy() -> impl Strategy<Value = StatsSummary> {
 }
 
 proptest! {
-    /// Eq.7 cycles are monotone in every workload quantity.
+    /// Every Eq.7 stage term is monotone in every workload quantity.
     #[test]
     fn eq7_is_monotone(stats in stats_strategy(), n in 64usize..8192) {
         let cfg = AccelConfig::lad_2_5();
-        let base = compute_stage_cycles(&cfg, n, 128, &stats);
+        let no_less = |a: StageCycles, b: StageCycles| {
+            a.eas >= b.eas && a.apid >= b.apid && a.md >= b.md && a.ac >= b.ac
+        };
+        let base = stage_cycles(&cfg, n, 128, &stats);
         let mut more_active = stats.clone();
         more_active.mean_active += 50.0;
-        prop_assert!(compute_stage_cycles(&cfg, n, 128, &more_active) >= base);
+        prop_assert!(no_less(stage_cycles(&cfg, n, 128, &more_active), base));
         let mut more_updates = stats.clone();
         more_updates.mean_mode_updates += 5.0;
-        prop_assert!(compute_stage_cycles(&cfg, n, 128, &more_updates) >= base);
-        prop_assert!(compute_stage_cycles(&cfg, n + 1024, 128, &stats) >= base);
+        prop_assert!(no_less(stage_cycles(&cfg, n, 128, &more_updates), base));
+        let mut more_centers = stats.clone();
+        more_centers.mean_centers += 10.0;
+        prop_assert!(no_less(stage_cycles(&cfg, n, 128, &more_centers), base));
+        prop_assert!(no_less(stage_cycles(&cfg, n + 1024, 128, &stats), base));
     }
 
     /// Traffic accounting conserves bytes and keeps the breakdown a
@@ -91,63 +94,6 @@ proptest! {
         prop_assert!(outcome.transferred_bytes >= outcome.useful_bytes);
         prop_assert!(outcome.seconds > 0.0);
         prop_assert!((0.0..=1.0).contains(&outcome.row_hit_ratio));
-    }
-
-    /// VPU operations match their mathematical definitions on arbitrary
-    /// vectors.
-    #[test]
-    fn vpu_semantics(seed in 0u64..1000, width in 1usize..32, scalar in -4.0f32..4.0) {
-        let mut rng = Rng::new(seed);
-        let a = rng.normal_vec(width, 1.0);
-        let b = rng.normal_vec(width, 1.0);
-        let mut vpu = Vpu::new(width);
-        vpu.load_vec1(&a);
-        let dot = vpu.dot(&b);
-        let want: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        prop_assert!((dot - want).abs() < 1e-3);
-        let em = vpu.elementwise(&b);
-        for ((x, y), z) in a.iter().zip(&b).zip(&em) {
-            prop_assert!((x * y - z).abs() < 1e-5);
-        }
-        let s = vpu.scale(scalar, &b);
-        for (y, z) in b.iter().zip(&s) {
-            prop_assert!((y * scalar - z).abs() < 1e-4);
-        }
-        prop_assert_eq!(vpu.cycles(), 3);
-    }
-
-    /// The tile engine stays finite and consistent on arbitrary short
-    /// streams (robustness / failure-injection style).
-    #[test]
-    fn tile_engine_is_robust(seed in 0u64..200) {
-        let d = 8;
-        let mut rng = Rng::new(seed);
-        let mut tile = TileEngine::new(d, PwlExp::accurate_default());
-        for step in 0..40 {
-            // Adversarial inputs: occasional zero keys and huge values.
-            let q = rng.normal_vec(d, 1.0);
-            let k = if step % 7 == 3 {
-                vec![0.0; d]
-            } else {
-                rng.normal_vec(d, if step % 5 == 0 { 10.0 } else { 1.0 })
-            };
-            let v = rng.normal_vec(d, 4.0);
-            let result = tile.step(&q, &k, &v);
-            prop_assert_eq!(result.n, step + 1);
-            prop_assert!(result.output.iter().all(|x| x.is_finite()),
-                "non-finite output at step {}", step);
-            prop_assert!(result.active <= result.n);
-        }
-    }
-
-    /// The G tensor's packed fields round-trip within fp16 precision.
-    #[test]
-    fn g_tensor_fp16_bounds(norm in 1e-3f32..1e3, dnorm in -100.0f32..100.0) {
-        let mut g = GTensor::new(16);
-        g.push(norm, 0, dnorm);
-        prop_assert!((g.norm(0) - norm).abs() <= norm * 2.0f32.powi(-10));
-        let bound = dnorm.abs().max(1e-3) * 2.0f32.powi(-10);
-        prop_assert!((g.dnorm(0) - dnorm).abs() <= bound);
     }
 
     /// The paged block pool stays consistent with a naive shadow recount

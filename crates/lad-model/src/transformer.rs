@@ -313,7 +313,7 @@ impl<'m> Session<'m> {
 
     /// Enables recording of every head's per-step `(q, k, v)` triples
     /// (post-RoPE, as the attention backend sees them). The streams feed the
-    /// error audit ([`lad_core::audit`]) and the hardware tile engine with
+    /// error audit ([`lad_core::audit`]) and the tile's Eq. 7 pricing with
     /// *real* transformer traffic.
     pub fn record_qkv(&mut self) {
         let count = self.model.cfg.layers * self.model.cfg.heads;
