@@ -1,6 +1,6 @@
 //! Scalar vs SIMD microkernel sweep over the hot decode kernels.
 //!
-//! Five ratios, each the median of interleaved baseline/variant pairs in one
+//! Three ratios, each the median of interleaved baseline/variant pairs in one
 //! process (`lad_bench::gates::kernel_point`, which also holds the shapes):
 //!
 //! * `gemm_f32`: the packed-panel f32 GEMM on the dominant MLP shape of the
@@ -8,18 +8,6 @@
 //!   microkernel vs the AVX2 one. The two are required to be **bit
 //!   identical** (the SIMD kernel vectorises across packed rows, never
 //!   across `k`).
-//! * `kv_read_f16`: the attention score read `q . k_i` over a 4096-position
-//!   head-dim-64 cache, f32 arenas (sequential exact dot, the scalar
-//!   kernel) vs fp16 arenas (F16C convert + mul). Half the key bytes,
-//!   bounded error. The SIMD f32 read (`kv_read_f32`'s score half) is
-//!   compute-bound at about the fp16 read's speed, so fp16 storage buys no
-//!   read speed over it at this cache-resident size.
-//! * `gemm_i8`: the same MLP shape through the int8-weight kernel vs the f32
-//!   SIMD kernel. Int8 quarters weight *bytes* (the win at memory-bound
-//!   sizes); at this cache-resident shape with a single 8-row panel the
-//!   widen-to-f32 pass cannot amortise, so the gate only guards against a
-//!   pathological slowdown (the first kernel cut measured 0.42x from
-//!   `vcvtsi2ss` dependency stalls, which this catches).
 //! * `kv_read_f32`: the whole exact head read (`reference::exact_attention`:
 //!   scores, max, `exp`, weighted value sum) over a 1024-position
 //!   head-dim-64 f32 cache, scalar kernels vs SIMD ones (keys in the score
@@ -42,7 +30,7 @@
 //! Each row's floor or ceiling comes from `lad_bench::gates::GATES`. The
 //! header names the GEMM panel widths this host runs. The run is written to
 //! `BENCH_kernels.json` at the repo root as the committed baseline. On a
-//! host without AVX2+F16C, or without AVX-512F (no `gemm_f32_rows16`), the
+//! host without AVX2, or without AVX-512F (no `gemm_f32_rows16`), the
 //! bench prints a notice and leaves the baseline untouched, since the
 //! committed file must keep every row.
 //!
@@ -114,7 +102,7 @@ fn main() {
     );
     if !missing.is_empty() {
         println!(
-            "\n{missing:?}: this host lacks the ISA (AVX2+F16C, AVX-512F for \
+            "\n{missing:?}: this host lacks the ISA (AVX2, AVX-512F for \
              gemm_f32_rows16); SKIPPED, {KERNELS_FILE} left untouched"
         );
         return;
@@ -123,7 +111,7 @@ fn main() {
     section("gemm_kernels: served weights streamed vs one matrix in L2 (SIMD, ungated)");
     let mut table = Vec::new();
     for m in STREAMED_ROWS {
-        let p = streamed_point(m).expect("AVX2+F16C checked above");
+        let p = streamed_point(m).expect("AVX2 checked above");
         table.push(vec![
             m.to_string(),
             format!("{:.1}", p.hot_us),
@@ -162,9 +150,8 @@ fn main() {
     gates::write_baseline(
         KERNELS_FILE,
         "gemm_kernels/scalar_vs_simd",
-        "microkernel shapes (MLP GEMM m=8 n=512 k=256; KV read d=64 n=4096; \
-         exact head read d=64 n=1024; row staircase n=512 k=512; ledger projections \
-         streamed at m=4/10/16)",
+        "microkernel shapes (MLP GEMM m=8 n=512 k=256; exact head read d=64 n=1024; \
+         row staircase n=512 k=512; ledger projections streamed at m=4/10/16)",
         &[
             ("pairs", KERNEL_PAIRS.to_string()),
             ("iters_per_side", KERNEL_ITERS.to_string()),

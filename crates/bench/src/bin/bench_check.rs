@@ -16,7 +16,7 @@
 //!   draft tokens, not just the bonus token);
 //! * `BENCH_kernels.json`: the scalar-vs-SIMD microkernel ratios and the
 //!   16-row GEMM panel's staircase ceiling. Re-measurement is skipped on
-//!   hosts without AVX2+F16C (the staircase without AVX-512F), where only
+//!   hosts without AVX2 (the staircase without AVX-512F), where only
 //!   the committed rows are checked;
 //! * `BENCH_obs.json`: the enabled-recorder serving overhead;
 //! * `BENCH_backends.json`: quality per KV byte moved of the sparse backend

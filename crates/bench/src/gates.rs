@@ -16,13 +16,12 @@
 
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_core::decoder::LadConfig;
-use lad_core::kv::{KvCache, KvPrecision};
+use lad_core::kv::KvCache;
 use lad_core::reference;
 use lad_eval::backends::backend_quality_report;
 use lad_eval::datasets::alpaca_shaped;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
-use lad_math::quant::gemm_bt_q8_into;
-use lad_math::{with_kernel, Kernel, Matrix, Q8Matrix, Rng};
+use lad_math::{with_kernel, Kernel, Rng};
 use lad_model::backend::AttentionKind;
 use lad_model::config::ModelConfig;
 use lad_model::spec::SpecConfig;
@@ -192,7 +191,7 @@ mod best {
 /// bound, bit_exact, measure). A `BENCH_*.json` at the repo root that no
 /// gate names fails `bench_check`.
 #[rustfmt::skip]
-pub static GATES: [Gate; 12] = [
+pub static GATES: [Gate; 10] = [
     Gate { file: GEMM_FILE, row: Row::Batch("exact", 8), metric: "speedup", bound: AtLeast(1.3), bit_exact: false,
         measure: Some(|| Some(batch_point(&bench_model(), &AttentionKind::Exact, 8, 16, 5).speedup)) },
     Gate { file: SPEC_FILE, row: best::SPEC, metric: "speedup_vs_plain", bound: AtLeast(1.0), bit_exact: false,
@@ -201,10 +200,6 @@ pub static GATES: [Gate; 12] = [
         measure: Some(|| Some(quick_spec().1)) },
     Gate { file: KERNELS_FILE, row: Row::Kind("gemm_f32"), metric: "speedup", bound: AtLeast(1.5), bit_exact: true,
         measure: Some(|| kernel_point("gemm_f32").map(|p| p.speedup)) },
-    Gate { file: KERNELS_FILE, row: Row::Kind("kv_read_f16"), metric: "speedup", bound: AtLeast(1.2), bit_exact: false,
-        measure: Some(|| kernel_point("kv_read_f16").map(|p| p.speedup)) },
-    Gate { file: KERNELS_FILE, row: Row::Kind("gemm_i8"), metric: "speedup", bound: AtLeast(0.7), bit_exact: false,
-        measure: None },
     Gate { file: KERNELS_FILE, row: Row::Kind("kv_read_f32"), metric: "speedup", bound: AtLeast(1.3), bit_exact: true,
         measure: Some(|| kernel_point("kv_read_f32").map(|p| p.speedup)) },
     Gate { file: KERNELS_FILE, row: Row::Kind("gemm_f32_rows16"), metric: "ratio", bound: AtMost(1.6), bit_exact: true,
@@ -685,10 +680,8 @@ const N: usize = 512;
 const K: usize = 256;
 /// Row staircase shape: a square 512 x 512 projection at 8 and 16 rows.
 const ROWS_NK: usize = 512;
-/// Head dim of the KV reads; positions of the fp16 score read (paper
-/// group-2 length) and of the exact head read (`long_context` prompt).
+/// Head dim and positions of the exact head read (`long_context` prompt).
 const KV_DIM: usize = 64;
-const F16_POSITIONS: usize = 4096;
 const READ_POSITIONS: usize = 1024;
 
 /// Times `baseline` under `kernels.0` against `variant` under `kernels.1`.
@@ -711,27 +704,22 @@ fn kernel_pair(
     }
 }
 
-/// A filled f32 cache (and its fp16 copy) of `positions` random keys/values.
-fn kv_caches(rng: &mut Rng, positions: usize) -> (KvCache, KvCache) {
-    let mut kv32 = KvCache::new(KV_DIM);
-    let mut kv16 = KvCache::with_precision(KV_DIM, KvPrecision::F16);
+/// A filled cache of `positions` random keys/values.
+fn kv_cache(rng: &mut Rng, positions: usize) -> KvCache {
+    let mut kv = KvCache::new(KV_DIM);
     for _ in 0..positions {
         let (k, v) = (rng.normal_vec(KV_DIM, 1.0), rng.normal_vec(KV_DIM, 1.0));
-        kv32.push(&k, &v);
-        kv16.push(&k, &v);
+        kv.push(&k, &v);
     }
-    (kv32, kv16)
+    kv
 }
 
 /// Measures the `BENCH_kernels.json` row `kind`, asserting its correctness
-/// contract. `None` on a host without AVX2+F16C, and for
+/// contract. `None` on a host without AVX2, and for
 /// `gemm_f32_rows16` without AVX-512F, where the 16-row panel does not
 /// exist.
 ///
 /// * `gemm_f32`: the MLP GEMM, scalar vs SIMD microkernel, bit-identical.
-/// * `kv_read_f16`: the score read over f32 keys on the sequential scalar
-///   dot vs fp16 keys on F16C, bounded error.
-/// * `gemm_i8`: the MLP GEMM, f32 SIMD vs int8 weights, bounded error.
 /// * `kv_read_f32`: the whole exact head read (`reference::exact_attention`),
 ///   scalar vs SIMD kernels, bit-identical.
 /// * `gemm_f32_rows16`: the SIMD GEMM at m = 8 vs m = 16, with the m = 16
@@ -756,53 +744,8 @@ pub fn kernel_point(kind: &str) -> Option<KernelPoint> {
             assert_eq!(c1, c2, "SIMD f32 GEMM must be bit-identical to scalar");
             point
         }
-        "kv_read_f16" => {
-            let (kv32, kv16) = kv_caches(&mut rng, F16_POSITIONS);
-            let q = rng.normal_vec(KV_DIM, 1.0);
-            let (mut s32, mut s16) = (Vec::new(), Vec::new());
-            let point = kernel_pair(
-                format!("dim={KV_DIM} positions={F16_POSITIONS}"),
-                (scalar, simd),
-                || {
-                    s32.clear();
-                    kv32.score_keys_into(&q, &mut s32);
-                },
-                || {
-                    s16.clear();
-                    kv16.score_keys_into(&q, &mut s16);
-                },
-            );
-            // fp16 keys carry 11 significant bits.
-            let worst = s32
-                .iter()
-                .zip(&s16)
-                .map(|(a, b)| (a - b).abs() / a.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            assert!(worst < 1e-2, "fp16 score drift {worst} out of bounds");
-            point
-        }
-        "gemm_i8" => {
-            let a = rng.normal_vec(M * K, 1.0);
-            let w = Matrix::from_flat(N, K, rng.normal_vec(N * K, 0.1));
-            let q8 = Q8Matrix::quantize(&w);
-            let (mut c1, mut c2) = (vec![0.0f32; M * N], vec![0.0f32; M * N]);
-            let point = kernel_pair(
-                format!("m={M} n={N} k={K}"),
-                (simd, simd),
-                || gemm_bt_into(M, N, K, &a, w.as_slice(), &mut c1, &mut s1),
-                || gemm_bt_q8_into(M, &a, &q8, &mut c2, &mut s2),
-            );
-            // Int8 approximates the weights, not the arithmetic.
-            let worst = c1
-                .iter()
-                .zip(&c2)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max);
-            assert!(worst < 0.5, "int8 GEMM drift {worst} out of bounds");
-            point
-        }
         "kv_read_f32" => {
-            let (kv, _) = kv_caches(&mut rng, READ_POSITIONS);
+            let kv = kv_cache(&mut rng, READ_POSITIONS);
             let q = rng.normal_vec(KV_DIM, 1.0);
             let (mut out1, mut out2) = (Vec::new(), Vec::new());
             let point = kernel_pair(
@@ -888,7 +831,7 @@ pub struct StreamedPoint {
 /// DRAM), against 512 × 512 GEMMs of the same `m` on one matrix that stays
 /// in L2, `STREAMED_PAIRS` interleaved pairs compared per flop. Asserts
 /// the streamed outputs bit-identical to the scalar kernel's. `None` on a
-/// host without AVX2+F16C.
+/// host without AVX2.
 pub fn streamed_point(m: usize) -> Option<StreamedPoint> {
     if !Kernel::Simd.available() {
         return None;
@@ -1087,26 +1030,26 @@ mod tests {
         }
         let rows: Vec<Value> = [
             r#"{"kind": "gemm_f32", "speedup": 2.0, "floor": 1.5, "bit_exact": 1}"#,
-            r#"{"kind": "kv_read_f16", "speedup": 1.1, "floor": 1.0, "bit_exact": 0}"#,
-            r#"{"kind": "kv_read_f32", "speedup": 2.0, "floor": 1.3, "bit_exact": 0}"#,
+            r#"{"kind": "kv_read_f32", "speedup": 2.0, "floor": 1.0, "bit_exact": 1}"#,
+            r#"{"kind": "gemm_f32_rows16", "ratio": 1.2, "ceiling": 1.6, "bit_exact": 0}"#,
         ]
         .iter()
         .map(|r| json::parse(r).unwrap())
         .collect();
         let gate = |kind| GATES.iter().find(|g| g.row == Row::Kind(kind)).unwrap();
         assert_eq!(gate("gemm_f32").recorded(&rows), Ok(2.0));
-        assert!(gate("kv_read_f16")
-            .recorded(&rows)
-            .unwrap_err()
-            .contains("floor"));
         assert!(gate("kv_read_f32")
             .recorded(&rows)
             .unwrap_err()
-            .contains("bit_exact"));
-        assert!(gate("gemm_i8")
+            .contains("floor"));
+        assert!(gate("gemm_f32_rows16")
             .recorded(&rows)
             .unwrap_err()
-            .contains("no gemm_i8 row"));
+            .contains("bit_exact"));
+        assert!(gate("kv_read_f32")
+            .recorded(&rows[..1])
+            .unwrap_err()
+            .contains("no kv_read_f32 row"));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 
 use crate::cache::IntermediateCache;
 use crate::centers::{CenterBook, DEFAULT_COLLINEARITY_THRESHOLD};
-use crate::kv::KvCache;
+use crate::kv::{KvCache, ELEMENT_BYTES};
 use crate::modes::ModeTracker;
 use crate::reference;
 use crate::stats::StepStats;
@@ -363,7 +363,7 @@ impl LadAttention {
                 n,
                 keys_scored: n,
                 keys_read: n,
-                bytes_moved: 2 * n * d * self.kv.precision().bytes_per_element(),
+                bytes_moved: 2 * n * d * ELEMENT_BYTES,
                 ..StepStats::default()
             },
         }
@@ -710,9 +710,7 @@ impl LadAttention {
                 // only `keys_read` of them cost arena bandwidth.
                 keys_scored: n,
                 keys_read: keys_fetched,
-                bytes_moved: (keys_fetched + values_fetched)
-                    * d
-                    * self.kv.precision().bytes_per_element(),
+                bytes_moved: (keys_fetched + values_fetched) * d * ELEMENT_BYTES,
                 evictions: 0,
                 // Scheduling metadata: the session that fanned this head out
                 // (if any) overwrites it with the scheduled width.

@@ -18,8 +18,7 @@ pub fn scale_query(q: &[f32]) -> Vec<f32> {
 }
 
 /// Raw scaled scores `q·kᵢ / √d` for every cached position, read through the
-/// cache's precision-aware score kernel: bit-identical to the historic
-/// sequential-dot path on `f32` caches, half the key traffic on fp16 ones.
+/// cache's score kernel: bit-identical to the sequential-dot path.
 pub fn scores(q: &[f32], kv: &KvCache) -> Vec<f64> {
     let qs = scale_query(q);
     let mut out = Vec::with_capacity(kv.len());
@@ -199,51 +198,5 @@ mod tests {
     #[should_panic(expected = "empty KV cache")]
     fn empty_cache_panics() {
         exact_attention(&[1.0], &KvCache::new(1));
-    }
-
-    #[test]
-    fn f16_cache_attention_is_close_to_f32() {
-        use crate::kv::KvPrecision;
-        let mut rng = Rng::new(77);
-        for _ in 0..10 {
-            let d = 16;
-            let mut kv32 = KvCache::new(d);
-            let mut kv16 = KvCache::with_precision(d, KvPrecision::F16);
-            for _ in 0..40 {
-                let k = rng.normal_vec(d, 1.0);
-                let v = rng.normal_vec(d, 1.0);
-                kv32.push(&k, &v);
-                kv16.push(&k, &v);
-            }
-            let q = rng.normal_vec(d, 1.0);
-            let exact = exact_attention(&q, &kv32);
-            let half = exact_attention(&q, &kv16);
-            // fp16 carries 11 significant bits; keys and values each
-            // contribute ≤ 2^-11 relative, softmax re-normalisation keeps the
-            // output a convex combination of (quantised) values.
-            let rel = vector::relative_l2(&half, &exact);
-            assert!(rel < 5e-3, "relative error {rel}");
-        }
-    }
-
-    #[test]
-    fn f16_attention_is_deterministic_across_kernels() {
-        use crate::kv::KvPrecision;
-        use lad_math::{with_kernel, Kernel};
-        let mut rng = Rng::new(78);
-        let d = 16;
-        let mut kv = KvCache::with_precision(d, KvPrecision::F16);
-        for _ in 0..33 {
-            let k = rng.normal_vec(d, 1.0);
-            let v = rng.normal_vec(d, 1.0);
-            kv.push(&k, &v);
-        }
-        let q = rng.normal_vec(d, 1.0);
-        let scalar = with_kernel(Kernel::Scalar, || exact_attention(&q, &kv));
-        let simd = with_kernel(Kernel::Simd, || exact_attention(&q, &kv));
-        // The SIMD fp16 dot reorders the in-dot sum: outputs agree to
-        // rounding, not necessarily bit-for-bit.
-        let rel = vector::relative_l2(&simd, &scalar);
-        assert!(rel < 1e-5, "relative error {rel}");
     }
 }

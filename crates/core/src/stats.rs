@@ -42,8 +42,8 @@ pub struct StepStats {
     /// actually spends; center-book internal maintenance reads are modelled
     /// by `centers` and excluded here.
     pub keys_read: usize,
-    /// KV arena bytes fetched this step (keys and values, at the arena's
-    /// storage precision) — the quality-per-byte-moved denominator. Matches
+    /// KV arena bytes fetched this step (keys and values, `f32` elements) —
+    /// the quality-per-byte-moved denominator. Matches
     /// the [`crate::kv`] traffic meter for every backend.
     pub bytes_moved: usize,
     /// Positions evicted (masked dead) by the backend this step; 0 for

@@ -65,15 +65,6 @@ impl HbmConfig {
         (bursts * self.burst_bytes * count) as f64 / self.total_bandwidth()
     }
 
-    /// Seconds to stream `bytes` contiguously at a bandwidth share
-    /// (`share_bytes_per_s`, e.g. one tile's slice).
-    pub fn stream_seconds_at(&self, bytes: f64, share_bytes_per_s: f64) -> f64 {
-        if bytes <= 0.0 {
-            return 0.0;
-        }
-        bytes / share_bytes_per_s
-    }
-
     /// Energy in joules to move `bytes` (useful bytes; burst padding also
     /// burns energy, so pass padded counts for scattered accesses).
     pub fn energy_joules(&self, bytes: f64) -> f64 {

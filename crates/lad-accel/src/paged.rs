@@ -337,14 +337,6 @@ impl BlockPool {
         self.publish_gauges();
     }
 
-    /// Releases every block of all sequences (end of a batch).
-    pub fn release_all(&mut self) {
-        self.free_blocks = self.total_blocks;
-        self.slots.clear();
-        self.free_ids.clear();
-        self.publish_gauges();
-    }
-
     /// Bytes wasted to last-block internal fragmentation right now.
     pub fn fragmentation_bytes(&self) -> usize {
         self.slots
@@ -551,15 +543,6 @@ mod tests {
         assert_eq!(p.max_batch(2048), 0, "40 free blocks cannot host 128");
         p.release(b);
         assert_eq!(p.max_batch(2048), 1);
-    }
-
-    #[test]
-    fn release_returns_everything() {
-        let mut p = pool(64);
-        p.admit(100).unwrap();
-        p.release_all();
-        assert_eq!(p.free_blocks(), p.total_blocks());
-        assert_eq!(p.live_sequences(), 0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! deterministic.
 
 use lad_core::stats::StatsSummary;
-use lad_math::pwl::PwlExp;
 use lad_trace::{analyze, AnalysisConfig, ScoreTrace, TraceConfig};
 
 /// Steps generated per workload point (the last half is summarised).
@@ -54,11 +53,6 @@ pub fn workload_stats_with(
     let stats = analyze(&trace, &pwl, &AnalysisConfig::new(&pwl));
     // Skip the mode-learning transient: summarise the second half.
     StatsSummary::from_steps(&stats[stats.len() / 2..])
-}
-
-/// The default interval partition used by workload generation.
-pub fn default_partition() -> PwlExp {
-    PwlExp::accurate_default()
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! Quality-per-byte-moved harness for the sparse-attention backend zoo.
 //!
-//! Where [`crate::precision`] compares *representations* (f32 vs f16 KV, f32
-//! vs int8 weights) on bytes *held*, this module compares *attention
-//! policies* — exact, LAD, top-k selection, H2O eviction — on bytes
-//! **moved**: the KV traffic the backend actually streams per decode,
+//! This module compares *attention policies* — exact, LAD, top-k selection,
+//! H2O eviction — on bytes **moved**: the KV traffic the backend actually streams per decode,
 //! straight from the [`StepStats`] traffic counters every backend reports
 //! (and which `tests/differential.rs` pins to a thread-local byte meter).
 //! Each backend's greedy-decode agreement with the exact reference is

@@ -3,8 +3,6 @@
 //! * [`rouge`] — ROUGE-1/2/L/Lsum over token sequences (paper Table I).
 //! * [`quality`] — perplexity, multiple-choice accuracy and generation
 //!   fidelity harnesses (paper Tables I and II).
-//! * [`precision`] — quality-per-byte scorecards for the reduced-precision
-//!   decode paths (fp16 KV arenas, int8 projection weights).
 //! * [`backends`] — quality-per-byte-**moved** scorecards for the sparse
 //!   attention backend zoo (exact, LAD, top-k, H2O) from the per-step
 //!   traffic counters.
@@ -26,14 +24,12 @@
 
 pub mod backends;
 pub mod datasets;
-pub mod precision;
 pub mod quality;
 pub mod report;
 pub mod rouge;
 
 pub use backends::{backend_quality_report, backend_zoo, BackendQualityRow};
 pub use datasets::{ChoiceTask, PromptSet, TokenSampler};
-pub use precision::{precision_quality_report, PrecisionVariant};
 pub use quality::{choice_accuracy, generation_fidelity, mean_nll, perplexity};
 pub use report::Table;
 pub use rouge::RougeScores;

@@ -55,7 +55,7 @@
 
 use crate::simd::{self, Kernel};
 
-/// Rows per packed panel of the 8-lane kernels (scalar, AVX2, int8): the
+/// Rows per packed panel of the 8-lane kernels (scalar, AVX2): the
 /// micro-kernel keeps `MR` accumulators live and re-reads each `B` row once
 /// per panel, so a batch of ≤ `MR` samples streams the weights exactly once.
 pub const MR: usize = 8;

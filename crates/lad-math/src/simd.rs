@@ -56,16 +56,14 @@
 //! (`scalar` forces the reference path, `simd`/`auto` use the widest
 //! bit-exact kernel the CPU has), a thread-local scoped override
 //! ([`with_kernel`]) for tests and benches, and runtime CPUID checks, cached
-//! once per process: [`simd_supported`] (AVX2 + F16C, else scalar) and
-//! [`avx512_supported`] (AVX-512F, which adds the 16-row panel). The f16 dot
-//! kernel ([`dot_f16`]) reorders its accumulation for throughput and is
-//! therefore *bounded-error*, not bit-exact — its reference semantics are
-//! [`dot_f16_scalar`].
+//! once per process: [`simd_supported`] (AVX2, else scalar) and
+//! [`avx512_supported`] (AVX-512F, which adds the 16-row panel). Every kernel
+//! here is bit-identical to its scalar twin, so the choice never moves an
+//! output.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use crate::f16::F16;
 use crate::gemm::{MR, MR_WIDE};
 
 /// Column-block width of the SIMD microkernel: four `B` rows share each packed
@@ -80,9 +78,9 @@ pub enum Kernel {
     /// bit-exactness oracle for the SIMD f32 path.
     Scalar,
     /// The widest bit-exact SIMD kernel this CPU has: the AVX2 `f32x8`
-    /// microkernel (plus F16C for fp16 KV reads), and on AVX-512F hosts the
-    /// `f32x16` one for GEMM blocks of more than `MR` rows. Requests degrade
-    /// to [`Kernel::Scalar`] when the CPU lacks AVX2 + F16C.
+    /// microkernel and KV reads, and on AVX-512F hosts the `f32x16` one for
+    /// GEMM blocks of more than `MR` rows. Requests degrade to
+    /// [`Kernel::Scalar`] when the CPU lacks AVX2.
     Simd,
 }
 
@@ -104,12 +102,12 @@ impl Kernel {
     }
 }
 
-/// Runtime CPU check for the SIMD path (AVX2 + F16C on x86-64), cached after
+/// Runtime CPU check for the SIMD path (AVX2 on x86-64), cached after
 /// the first query.
 #[cfg(target_arch = "x86_64")]
 pub fn simd_supported() -> bool {
     static SUPPORTED: OnceLock<bool> = OnceLock::new();
-    *SUPPORTED.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c"))
+    *SUPPORTED.get_or_init(|| is_x86_feature_detected!("avx2"))
 }
 
 /// Runtime CPU check for the SIMD path — always `false` off x86-64.
@@ -1120,91 +1118,9 @@ unsafe fn weighted_block_avx2<const R: usize>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// f16 KV dot kernels
-// ---------------------------------------------------------------------------
-
-/// Dot product of an `f32` query against an fp16-encoded key, dispatched
-/// through [`active_kernel`].
-///
-/// The SIMD path converts eight halves at a time with F16C and keeps four
-/// independent accumulators, so it **reorders the summation** relative to
-/// [`dot_f16_scalar`] — this kernel is *bounded-error* (see the error-bound
-/// tests), not bit-exact. The scalar path is the reference semantics.
-///
-/// # Panics
-///
-/// Panics if `q.len() != bits.len()`.
-pub fn dot_f16(q: &[f32], bits: &[u16]) -> f32 {
-    assert_eq!(q.len(), bits.len(), "dot_f16: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if active_kernel() == Kernel::Simd {
-        // SAFETY: Kernel::Simd is only active when AVX2+F16C are present.
-        return unsafe { dot_f16_avx2(q, bits) };
-    }
-    dot_f16_scalar(q, bits)
-}
-
-/// Reference fp16 dot: decode each half exactly to `f32`, then multiply-add
-/// sequentially in ascending index order — the same shape as
-/// [`crate::vector::dot`] over a decoded key.
-///
-/// # Panics
-///
-/// Panics if `q.len() != bits.len()`.
-pub fn dot_f16_scalar(q: &[f32], bits: &[u16]) -> f32 {
-    assert_eq!(q.len(), bits.len(), "dot_f16: length mismatch");
-    let mut acc = 0.0f32;
-    for (&x, &b) in q.iter().zip(bits) {
-        acc += x * F16::from_bits(b).to_f32();
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-unsafe fn dot_f16_avx2(q: &[f32], bits: &[u16]) -> f32 {
-    use std::arch::x86_64::*;
-
-    let n = q.len();
-    let qp = q.as_ptr();
-    let bp = bits.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 32 <= n {
-        let h0 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i).cast()));
-        let h1 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i + 8).cast()));
-        let h2 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i + 16).cast()));
-        let h3 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i + 24).cast()));
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(h0, _mm256_loadu_ps(qp.add(i))));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(h1, _mm256_loadu_ps(qp.add(i + 8))));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(h2, _mm256_loadu_ps(qp.add(i + 16))));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(h3, _mm256_loadu_ps(qp.add(i + 24))));
-        i += 32;
-    }
-    let mut acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-    while i + 8 <= n {
-        let h = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i).cast()));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(h, _mm256_loadu_ps(qp.add(i))));
-        i += 8;
-    }
-    let mut buf = [0.0f32; 8];
-    _mm256_storeu_ps(buf.as_mut_ptr(), acc);
-    let mut sum = buf.iter().sum::<f32>();
-    while i < n {
-        sum += *qp.add(i) * F16::from_bits(*bp.add(i)).to_f32();
-        i += 1;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
 
     #[test]
     fn kernel_names_and_availability() {
@@ -1237,47 +1153,5 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_eq!(active_kernel(), outer);
-    }
-
-    #[test]
-    fn f16_dot_simd_is_close_to_scalar() {
-        let mut rng = Rng::new(41);
-        for n in [0usize, 1, 7, 8, 31, 32, 33, 64, 257] {
-            let q = rng.normal_vec(n, 1.0);
-            let key = rng.normal_vec(n, 1.0);
-            let bits: Vec<u16> = key.iter().map(|&v| F16::from_f32(v).to_bits()).collect();
-            let reference = dot_f16_scalar(&q, &bits);
-            let simd = with_kernel(Kernel::Simd, || dot_f16(&q, &bits));
-            let scalar = with_kernel(Kernel::Scalar, || dot_f16(&q, &bits));
-            assert_eq!(scalar, reference, "scalar dispatch must be the reference");
-            // Reordered f32 summation over n terms: bound the drift by a
-            // generous multiple of n * eps * sum(|terms|).
-            let magnitude: f32 = q
-                .iter()
-                .zip(&bits)
-                .map(|(&x, &b)| (x * F16::from_bits(b).to_f32()).abs())
-                .sum();
-            let bound = f32::EPSILON * (n as f32 + 1.0) * (magnitude + 1.0);
-            assert!(
-                (simd - reference).abs() <= bound,
-                "n={n} simd={simd} ref={reference} bound={bound}"
-            );
-        }
-    }
-
-    #[test]
-    fn f16_dot_decodes_exact_values() {
-        // Powers of two and small integers are exact in fp16, and summation
-        // of exact small integers is exact in f32 in any order: both kernels
-        // must agree exactly here.
-        let q: Vec<f32> = (0..100).map(|i| (i % 7) as f32).collect();
-        let bits: Vec<u16> = (0..100)
-            .map(|i| F16::from_f32((i % 5) as f32).to_bits())
-            .collect();
-        let reference = dot_f16_scalar(&q, &bits);
-        for kernel in [Kernel::Scalar, Kernel::Simd] {
-            let got = with_kernel(kernel, || dot_f16(&q, &bits));
-            assert_eq!(got, reference, "{}", kernel.name());
-        }
     }
 }

@@ -66,13 +66,6 @@ pub fn scale(x: &[f32], factor: f32) -> Vec<f32> {
     x.iter().map(|v| v * factor).collect()
 }
 
-/// In-place `x *= factor`.
-pub fn scale_in_place(x: &mut [f32], factor: f32) {
-    for v in x.iter_mut() {
-        *v *= factor;
-    }
-}
-
 /// Element-wise sum into a fresh vector.
 ///
 /// # Panics
@@ -163,9 +156,6 @@ mod tests {
     fn elementwise_and_scale() {
         assert_eq!(elementwise_mul(&[1.0, 2.0], &[3.0, 4.0]), vec![3.0, 8.0]);
         assert_eq!(scale(&[1.0, -2.0], 0.5), vec![0.5, -1.0]);
-        let mut v = vec![2.0, 4.0];
-        scale_in_place(&mut v, 0.25);
-        assert_eq!(v, vec![0.5, 1.0]);
     }
 
     #[test]

@@ -2,34 +2,10 @@
 
 use lad_math::pwl::{fit_exp_segment, PwlExp};
 use lad_math::softmax::{mse, softmax, softmax_pwl};
-use lad_math::{Matrix, F16};
+use lad_math::Matrix;
 use proptest::prelude::*;
 
 proptest! {
-    /// Finite f32 values convert to f16 with bounded error: half-ULP
-    /// relative for normals, absolute 2^-25 for the subnormal range.
-    #[test]
-    fn f16_conversion_error_is_bounded(x in -60000.0f32..60000.0) {
-        let h = F16::from_f32(x).to_f32();
-        let bound = (x.abs() * 2.0f32.powi(-11)).max(2.0f32.powi(-25));
-        prop_assert!((h - x).abs() <= bound, "x={x} h={h}");
-    }
-
-    /// f16 -> f32 -> f16 is the identity on non-NaN bit patterns.
-    #[test]
-    fn f16_roundtrip_identity(bits in 0u16..=u16::MAX) {
-        let h = F16::from_bits(bits);
-        prop_assume!(!h.is_nan());
-        prop_assert_eq!(F16::from_f32(h.to_f32()).to_bits(), bits);
-    }
-
-    /// f16 conversion is monotone: x <= y implies f16(x) <= f16(y).
-    #[test]
-    fn f16_conversion_is_monotone(x in -1e4f32..1e4, y in -1e4f32..1e4) {
-        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        prop_assert!(F16::from_f32(lo).to_f32() <= F16::from_f32(hi).to_f32());
-    }
-
     /// Least-squares exp fits have residuals bounded by the interval width
     /// squared times the curvature at the right edge.
     #[test]

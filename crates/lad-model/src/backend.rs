@@ -4,8 +4,7 @@
 //! mirroring the paper's comparison set (Sec. V-A) plus the sparse-attention
 //! families it implicitly argues with:
 //!
-//! * [`AttentionKind::Exact`] — the original model (vLLM baseline), and
-//!   [`AttentionKind::ExactF16`], the same algorithm over fp16 KV arenas.
+//! * [`AttentionKind::Exact`] — the original model (vLLM baseline).
 //! * [`AttentionKind::Lad`] — LAD attention ([`lad_core`]).
 //! * [`AttentionKind::QserveKv4`] — Qserve's A16W16KV4 configuration: the KV
 //!   cache is quantised to 4 bits, everything else fp16.
@@ -24,7 +23,7 @@
 //! the full checkpoint/rollback contract speculative decoding relies on.
 
 use lad_core::decoder::{LadAttention, LadCheckpoint, LadConfig};
-use lad_core::kv::{KvCache, KvPrecision};
+use lad_core::kv::{KvCache, ELEMENT_BYTES};
 use lad_core::reference;
 use lad_core::stats::StepStats;
 use lad_math::vector;
@@ -34,13 +33,6 @@ use lad_math::vector;
 pub enum AttentionKind {
     /// Exact softmax attention over the full KV cache.
     Exact,
-    /// Exact softmax attention over an fp16-stored KV cache: the same
-    /// algorithm as [`AttentionKind::Exact`], but keys/values are rounded to
-    /// IEEE binary16 on write and stream at half the bytes through the
-    /// precision-aware read kernels ([`lad_core::kv::KvPrecision::F16`]).
-    /// Bounded-error, not bit-exact — the fp16 analogue of the accelerator's
-    /// on-chip number format (paper Sec. V-A).
-    ExactF16,
     /// LAD attention with the given configuration.
     Lad(LadConfig),
     /// Qserve-style 4-bit KV-cache quantisation (per-vector asymmetric).
@@ -163,8 +155,7 @@ pub struct HeadStepOutput {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum HeadState {
-    /// Full-cache exact softmax ([`AttentionKind::Exact`] on an f32 arena,
-    /// [`AttentionKind::ExactF16`] on an fp16 one).
+    /// Full-cache exact softmax ([`AttentionKind::Exact`]).
     Exact {
         /// The head's KV cache.
         kv: KvCache,
@@ -236,9 +227,6 @@ impl HeadState {
             AttentionKind::Exact => HeadState::Exact {
                 kv: KvCache::new(dim),
             },
-            AttentionKind::ExactF16 => HeadState::Exact {
-                kv: KvCache::with_precision(dim, KvPrecision::F16),
-            },
             AttentionKind::Lad(cfg) => HeadState::Lad(LadAttention::new(dim, cfg.clone())),
             AttentionKind::QserveKv4 => HeadState::Qserve {
                 kv: KvCache::new(dim),
@@ -291,10 +279,9 @@ impl HeadState {
         }
     }
 
-    /// Bytes this head's KV arenas occupy right now (fp16 caches count two
-    /// bytes per element, f32 four). Qserve stores *dequantised* f32 copies,
-    /// so its in-memory footprint is the f32 one even though the modelled
-    /// accelerator format is 4-bit.
+    /// Bytes this head's KV arenas occupy right now. Qserve stores
+    /// *dequantised* f32 copies, so its in-memory footprint is the f32 one
+    /// even though the modelled accelerator format is 4-bit.
     pub fn kv_bytes(&self) -> usize {
         match self {
             HeadState::Exact { kv } | HeadState::Qserve { kv } | HeadState::TopK { kv, .. } => {
@@ -369,18 +356,14 @@ impl HeadState {
     ) -> HeadStepOutput {
         match self {
             HeadState::Exact { kv } => {
-                let _kv_span = lad_obs::span(match kv.precision() {
-                    KvPrecision::F32 => "kernel.kv_read_f32",
-                    KvPrecision::F16 => "kernel.kv_read_f16",
-                });
+                let _kv_span = lad_obs::span("kernel.kv_read_f32");
                 kv.push(k, v);
                 let n = kv.len();
-                let bpe = kv.precision().bytes_per_element();
                 let (output, shifted_scores) =
                     reference::exact_attention_scored(q, kv, record_scores);
                 HeadStepOutput {
                     output,
-                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * bpe, 0)),
+                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0)),
                     shifted_scores,
                 }
             }
@@ -400,7 +383,7 @@ impl HeadState {
                 let n = kv.len();
                 HeadStepOutput {
                     output: reference::exact_attention(q, kv),
-                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * 4, 0)),
+                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0)),
                     shifted_scores: None,
                 }
             }
@@ -408,7 +391,6 @@ impl HeadState {
                 kv.push(k, v);
                 let n = kv.len();
                 let d = kv.dim();
-                let bpe = kv.precision().bytes_per_element();
                 let scores = reference::scores(q, kv);
                 let m = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 // Selection: highest score first, ties broken by lowest
@@ -445,7 +427,7 @@ impl HeadState {
                         n,
                         n,
                         n,
-                        n * d * bpe + selected.len() * d * bpe,
+                        (n + selected.len()) * d * ELEMENT_BYTES,
                         0,
                     )),
                     shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
@@ -492,21 +474,15 @@ impl H2oState {
         self.alive.push(true);
         let n = self.kv.len();
         let d = self.kv.dim();
-        let bpe = self.kv.precision().bytes_per_element();
         let qs = reference::scale_query(q);
 
-        // Scores over live positions only, read per-key through the
-        // precision-aware decode. On f32 arenas each dot is bit-identical to
-        // the bulk score sweep Exact runs, so until the first eviction the
-        // whole step mirrors exact attention bit-for-bit.
+        // Scores over live positions only, read key by key. Each dot is
+        // bit-identical to the bulk score sweep Exact runs, so until the
+        // first eviction the whole step mirrors exact attention bit-for-bit.
         let live: Vec<usize> = (0..n).filter(|&i| self.alive[i]).collect();
-        let mut key_buf = vec![0.0f32; d];
         let scores: Vec<f64> = live
             .iter()
-            .map(|&i| {
-                self.kv.key_into(i, &mut key_buf);
-                f64::from(vector::dot(&qs, &key_buf))
-            })
+            .map(|&i| f64::from(vector::dot(&qs, self.kv.key(i))))
             .collect();
         let m = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut num = vec![0.0f64; d];
@@ -550,7 +526,7 @@ impl H2oState {
                 n,
                 live.len(),
                 live.len(),
-                2 * live.len() * d * bpe,
+                2 * live.len() * d * ELEMENT_BYTES,
                 evictions,
             )),
             shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
@@ -647,31 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_f16_backend_is_close_to_exact_and_cheaper() {
-        let mut rng = Rng::new(52);
-        let d = 8;
-        let mut exact = HeadState::new(d, &AttentionKind::Exact);
-        let mut half = HeadState::new(d, &AttentionKind::ExactF16);
-        let mut worst = 0.0f32;
-        for _ in 0..60 {
-            let (q, k, v) = (
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-                rng.normal_vec(d, 1.0),
-            );
-            let e = exact.step(&q, &k, &v, RowKind::Decode, true);
-            let h = half.step(&q, &k, &v, RowKind::Decode, true);
-            worst = worst.max(vector::relative_l2(&h.output, &e.output));
-            assert!(h.shifted_scores.is_some(), "f16 backend records scores");
-        }
-        // fp16 must perturb (it quantises) but stay within its 2^-11-per-
-        // element budget after softmax normalisation.
-        assert!(worst > 1e-7, "fp16 should actually quantise");
-        assert!(worst < 5e-3, "fp16 error unreasonably large: {worst}");
-        assert_eq!(half.kv_bytes() * 2, exact.kv_bytes());
-    }
-
-    #[test]
     fn qserve_backend_injects_bounded_error() {
         let mut rng = Rng::new(44);
         let d = 8;
@@ -736,7 +687,6 @@ mod tests {
         let d = 8;
         let kinds = [
             AttentionKind::Exact,
-            AttentionKind::ExactF16,
             AttentionKind::Lad(LadConfig::default()),
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
@@ -914,7 +864,6 @@ mod tests {
         let d = 8;
         let kinds = [
             AttentionKind::Exact,
-            AttentionKind::ExactF16,
             AttentionKind::Lad(LadConfig::default()),
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
@@ -947,7 +896,6 @@ mod tests {
         let d = 8;
         let kinds = [
             AttentionKind::Exact,
-            AttentionKind::ExactF16,
             AttentionKind::QserveKv4,
             AttentionKind::h2o_default(),
             AttentionKind::topk(4),

@@ -6,9 +6,8 @@
 //! projections.
 
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
-use lad_math::quant::{gemm_bt_q8_into, matvec_q8_into};
 use lad_math::simd::{active_kernel, Kernel};
-use lad_math::{vector, Matrix, Q8Matrix, Rng};
+use lad_math::{Matrix, Rng};
 
 /// LayerNorm with learned scale (`gamma`) and shift (`beta`).
 #[derive(Debug, Clone, PartialEq)]
@@ -117,18 +116,11 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// A dense projection `y = W · x` (no bias; row-major `out × in` weight).
-///
-/// Optionally carries an int8 per-output-row-scaled copy of the weights
-/// ([`Linear::quantize_int8`]); once present, every forward variant runs the
-/// `W8A32` kernels of [`lad_math::quant`] instead — quartering weight bytes
-/// moved at a bounded error (`|w − s·q| ≤ s/2` per weight). The per-sample
-/// and batched quantised paths stay bit-identical to each other, so the
-/// batch-vs-solo differential contract survives quantisation.
+/// A dense projection `y = W · x` (no bias; row-major `out × in` `f32`
+/// weight).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Matrix,
-    q8: Option<Q8Matrix>,
 }
 
 impl Linear {
@@ -139,39 +131,12 @@ impl Linear {
         let data = rng.normal_vec(out_dim * in_dim, scale);
         Linear {
             weight: Matrix::from_flat(out_dim, in_dim, data),
-            q8: None,
         }
     }
 
-    /// Wraps an explicit weight matrix.
-    pub fn from_matrix(weight: Matrix) -> Linear {
-        Linear { weight, q8: None }
-    }
-
-    /// Quantises the weights to int8 with per-output-row scales; subsequent
-    /// forwards run the quantised kernels. The f32 weights are retained as
-    /// the reference (and for [`Linear::dequantize_int8`] round-trips).
-    pub fn quantize_int8(&mut self) {
-        self.q8 = Some(Q8Matrix::quantize(&self.weight));
-    }
-
-    /// Drops the int8 copy, returning to the exact f32 path.
-    pub fn dequantize_int8(&mut self) {
-        self.q8 = None;
-    }
-
-    /// `true` when forwards run the int8 kernels.
-    pub fn is_quantized(&self) -> bool {
-        self.q8.is_some()
-    }
-
-    /// Bytes of weight data a forward pass streams: the int8 copy when
-    /// quantised, the f32 matrix otherwise.
+    /// Bytes of weight data a forward pass streams: the `f32` matrix.
     pub fn weight_bytes(&self) -> usize {
-        match &self.q8 {
-            Some(q) => q.bytes(),
-            None => 4 * self.weight.rows() * self.weight.cols(),
-        }
+        std::mem::size_of::<f32>() * self.weight.rows() * self.weight.cols()
     }
 
     /// Output dimension.
@@ -202,10 +167,7 @@ impl Linear {
     ///
     /// Panics if `x.len() != in_dim()` or `out.len() != out_dim()`.
     pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
-        match &self.q8 {
-            Some(q) => matvec_q8_into(q, x, out),
-            None => self.weight.matvec_into(x, out),
-        }
+        self.weight.matvec_into(x, out);
     }
 
     /// Cross-sample batched projection: treats `x` as a row-major
@@ -226,30 +188,25 @@ impl Linear {
         out: &mut [f32],
         scratch: &mut GemmScratch,
     ) {
-        let _span = lad_obs::span(gemm_variant_span(self.q8.is_some()));
-        match &self.q8 {
-            Some(q) => gemm_bt_q8_into(batch, x, q, out, scratch),
-            None => gemm_bt_into(
-                batch,
-                self.out_dim(),
-                self.in_dim(),
-                x,
-                self.weight.as_slice(),
-                out,
-                scratch,
-            ),
-        }
+        let _span = lad_obs::span(gemm_kernel_span());
+        gemm_bt_into(
+            batch,
+            self.out_dim(),
+            self.in_dim(),
+            x,
+            self.weight.as_slice(),
+            out,
+            scratch,
+        );
     }
 }
 
 /// Static span name for the microkernel a batched projection will actually
-/// run, so traces attribute GEMM time to the (precision, kernel) pair taken.
-fn gemm_variant_span(quantized: bool) -> &'static str {
-    match (quantized, active_kernel()) {
-        (false, Kernel::Scalar) => "kernel.gemm_f32_scalar",
-        (false, Kernel::Simd) => "kernel.gemm_f32_simd",
-        (true, Kernel::Scalar) => "kernel.gemm_i8_scalar",
-        (true, Kernel::Simd) => "kernel.gemm_i8_simd",
+/// run, so traces attribute GEMM time to the kernel taken.
+fn gemm_kernel_span() -> &'static str {
+    match active_kernel() {
+        Kernel::Scalar => "kernel.gemm_f32_scalar",
+        Kernel::Simd => "kernel.gemm_f32_simd",
     }
 }
 
@@ -288,15 +245,6 @@ pub fn rope_in_place(x: &mut [f32], position: usize, base: f32) {
 
 /// Standard RoPE base.
 pub const ROPE_BASE: f32 = 10_000.0;
-
-/// Element-wise residual add.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn residual_add(x: &mut [f32], delta: &[f32]) {
-    vector::axpy(x, 1.0, delta);
-}
 
 #[cfg(test)]
 mod tests {
@@ -383,50 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_linear_is_close_and_streams_fewer_bytes() {
-        let mut rng = Rng::new(23);
-        let mut lin = Linear::random(24, 32, &mut rng);
-        let x = rng.normal_vec(32, 1.0);
-        let exact = lin.forward(&x);
-        let f32_bytes = lin.weight_bytes();
-        assert_eq!(f32_bytes, 4 * 24 * 32);
-        lin.quantize_int8();
-        assert!(lin.is_quantized());
-        assert!(lin.weight_bytes() * 3 < f32_bytes, "int8 ~4x smaller");
-        let quant = lin.forward(&x);
-        let a_l1: f32 = x.iter().map(|v| v.abs()).sum();
-        for (j, (&q, &e)) in quant.iter().zip(&exact).enumerate() {
-            // |c_q - c| ≤ (s_j/2)·Σ|x| + slack; scales are private here so
-            // bound via the row absmax the scale derives from.
-            assert!((q - e).abs() <= a_l1 * 0.01 + 1e-4, "row {j}: {q} vs {e}");
-        }
-        lin.dequantize_int8();
-        assert_eq!(lin.forward(&x), exact, "dequantize restores the f32 path");
-    }
-
-    #[test]
-    fn quantized_batch_rows_match_per_sample_forward_bitwise() {
-        let mut rng = Rng::new(24);
-        let mut lin = Linear::random(7, 12, &mut rng);
-        lin.quantize_int8();
-        let batch = 5;
-        let x = rng.normal_vec(batch * 12, 1.0);
-        for kernel in [lad_math::Kernel::Scalar, lad_math::Kernel::Simd] {
-            let mut out = vec![0.0f32; batch * 7];
-            lad_math::with_kernel(kernel, || {
-                lin.forward_batch_into(batch, &x, &mut out, &mut GemmScratch::default());
-            });
-            for s in 0..batch {
-                assert_eq!(
-                    &out[s * 7..(s + 1) * 7],
-                    &lin.forward(&x[s * 12..(s + 1) * 12])[..],
-                    "sample {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn rope_preserves_norm() {
         let x = vec![1.0, 2.0, -0.5, 0.25];
         let y = rope(&x, 17, ROPE_BASE);
@@ -461,12 +365,5 @@ mod tests {
         let d1 = dot(&rope(&q, 10, ROPE_BASE), &rope(&k, 7, ROPE_BASE));
         let d2 = dot(&rope(&q, 23, ROPE_BASE), &rope(&k, 20, ROPE_BASE));
         assert!((d1 - d2).abs() < 1e-4);
-    }
-
-    #[test]
-    fn residual_add_accumulates() {
-        let mut x = vec![1.0, 2.0];
-        residual_add(&mut x, &[0.5, -0.5]);
-        assert_eq!(x, vec![1.5, 1.5]);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Provides a from-scratch transformer ([`transformer::Model`]) with seeded
 //! random weights and a per-sample decode [`transformer::Session`] whose
-//! attention heads run one of six pluggable backends
-//! ([`backend::AttentionKind`]): exact softmax (f32 or fp16 KV), LAD,
-//! Qserve-KV4, top-k and H2O. Exact, LAD, Qserve-KV4 and H2O are the
+//! attention heads run one of five pluggable backends
+//! ([`backend::AttentionKind`]): exact softmax, LAD, Qserve-KV4, top-k and
+//! H2O. Exact, LAD, Qserve-KV4 and H2O are the
 //! paper's comparison set.
 //!
 //! Config presets ([`config::ModelConfig`]) carry the real dimensions of the

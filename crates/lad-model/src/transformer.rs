@@ -218,38 +218,8 @@ impl Model {
         &self.cfg
     }
 
-    /// Quantises the MLP and attention-output projections (`wo`, `w_up`,
-    /// `w_down`, `w_gate`) of every block to int8 with per-row scales — the
-    /// GEMMs the traces say dominate step time. `wq`/`wk`/`wv` and the tied
-    /// embedding stay f32: they feed RoPE and the attention state, where
-    /// quantisation error would compound through the KV cache rather than
-    /// wash out in a single projection.
-    pub fn quantize_int8_weights(&mut self) {
-        for block in &mut self.blocks {
-            block.wo.quantize_int8();
-            block.w_up.quantize_int8();
-            block.w_down.quantize_int8();
-            if let Some(gate) = block.w_gate.as_mut() {
-                gate.quantize_int8();
-            }
-        }
-    }
-
-    /// Drops every int8 weight copy, returning all projections to f32.
-    pub fn dequantize_int8_weights(&mut self) {
-        for block in &mut self.blocks {
-            block.wo.dequantize_int8();
-            block.w_up.dequantize_int8();
-            block.w_down.dequantize_int8();
-            if let Some(gate) = block.w_gate.as_mut() {
-                gate.dequantize_int8();
-            }
-        }
-    }
-
-    /// Bytes of projection weights one decode step streams per sample
-    /// (all block projections at their current precision plus the f32
-    /// embedding/unembedding) — the denominator of quality-per-byte.
+    /// Bytes of projection weights one decode step streams per sample: every
+    /// block projection plus the tied embedding/unembedding, all `f32`.
     pub fn projection_weight_bytes(&self) -> usize {
         let mut bytes = 4 * self.cfg.vocab * self.cfg.hidden;
         for block in &self.blocks {
@@ -522,6 +492,33 @@ mod tests {
 
     fn tiny_model() -> Model {
         Model::random(ModelConfig::tiny("test", 2, 32, 2), 11)
+    }
+
+    #[test]
+    fn projection_weight_bytes_counts_four_bytes_per_element() {
+        for cfg in [
+            ModelConfig::tiny("swiglu", 2, 32, 2),
+            ModelConfig::tiny_opt("gelu", 2, 32, 2),
+        ] {
+            let model = Model::random(cfg.clone(), 5);
+            let (h, inter) = (cfg.hidden, cfg.intermediate);
+            // wq, wk, wv and wo hold h · h elements each; w_up, w_down and
+            // (SwiGLU only) w_gate hold h · inter each.
+            let mlp_mats = match cfg.mlp {
+                MlpKind::SwiGlu => 3,
+                MlpKind::Gelu => 2,
+            };
+            for block in &model.blocks {
+                assert_eq!(block.w_gate.is_some(), mlp_mats == 3, "{}", cfg.name);
+            }
+            let elements = cfg.vocab * h + cfg.layers * (4 * h * h + mlp_mats * h * inter);
+            assert_eq!(
+                model.projection_weight_bytes(),
+                4 * elements,
+                "{}",
+                cfg.name
+            );
+        }
     }
 
     #[test]

@@ -87,7 +87,6 @@ impl EngineObs {
 fn traffic_counter(kind: &AttentionKind) -> Counter {
     metrics::counter(match kind {
         AttentionKind::Exact => "serve.bytes_moved.exact",
-        AttentionKind::ExactF16 => "serve.bytes_moved.exact_f16",
         AttentionKind::Lad(_) => "serve.bytes_moved.lad",
         AttentionKind::QserveKv4 => "serve.bytes_moved.qserve_kv4",
         AttentionKind::TopK { .. } => "serve.bytes_moved.topk",

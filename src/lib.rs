@@ -3,7 +3,7 @@
 //! Re-exports the workspace crates under one roof so examples and downstream
 //! users can depend on a single crate:
 //!
-//! * [`math`] — numerical substrate (fp16, PWL exp, linear algebra).
+//! * [`math`] — numerical substrate (linear algebra, SIMD kernels, PWL exp).
 //! * [`core`] — the LAD attention algorithm itself.
 //! * [`model`] — the transformer substrate with pluggable attention backends.
 //! * [`trace`] — synthetic attention-trace generation and statistics.

@@ -619,7 +619,7 @@ fn speculative_decode_matches_greedy_grid() {
 /// * the exact read's weighted value sum (`Exact`), whose lanes are value
 ///   columns, each accumulated in ascending position order.
 ///
-/// On hosts without AVX2+F16C `Kernel::Simd` degrades to scalar and the leg
+/// On hosts without AVX2 `Kernel::Simd` degrades to scalar and the leg
 /// passes vacuously (the bit-exactness claim is about the SIMD box CI runs
 /// on). Kernel overrides are thread-local: the engine runs its GEMMs on the
 /// stepping thread, and pool tasks run under their spawner's kernel, so the
@@ -629,7 +629,7 @@ fn speculative_decode_matches_greedy_grid() {
 fn simd_kernel_matches_scalar_on_grid() {
     use lad::math::{with_kernel, Kernel};
     if !Kernel::Simd.available() {
-        eprintln!("simd_kernel_matches_scalar_on_grid: no AVX2+F16C; leg is vacuous");
+        eprintln!("simd_kernel_matches_scalar_on_grid: no AVX2; leg is vacuous");
     }
     let grid = default_grid();
     assert!(grid.len() >= 16, "grid shrank below the acceptance floor");
