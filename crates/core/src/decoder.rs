@@ -77,12 +77,6 @@ pub struct LadConfig {
     pub window: usize,
     /// `|cos|` threshold for directional-center grouping (Alg. 1).
     pub collinearity_threshold: f64,
-    /// Score positions whose mode is `>= large_mode_min_index` exactly
-    /// (Sec. III-F: intervals near 0 are short, so approximating scores there
-    /// easily misidentifies).
-    pub exact_large_modes: bool,
-    /// Threshold index for "larger modes"; defaults to the top two intervals.
-    pub large_mode_min_index: usize,
     /// Identification strategy.
     pub identification: Identification,
     /// When `true`, each step also runs oracle identification to fill the
@@ -93,13 +87,10 @@ pub struct LadConfig {
 impl LadConfig {
     /// Paper-default configuration on the given partition.
     pub fn new(pwl: PwlExp) -> LadConfig {
-        let large = pwl.num_intervals().saturating_sub(2);
         LadConfig {
             pwl,
             window: DEFAULT_WINDOW,
             collinearity_threshold: DEFAULT_COLLINEARITY_THRESHOLD,
-            exact_large_modes: true,
-            large_mode_min_index: large,
             identification: Identification::Approximate,
             diagnostics: false,
         }
@@ -487,14 +478,15 @@ impl LadAttention {
                         scores[i] = scores[self.centers.cid(i)] * self.centers.dnorm(i);
                     }
                 }
-                // EAS.3: exact scores for large-mode cached positions.
-                if self.cfg.exact_large_modes {
+                // EAS.3: exact scores for cached positions in the top two
+                // intervals (Sec. III-F: intervals near 0 are short, so
+                // approximating scores there easily misidentifies).
+                {
                     let _large_mode_span = lad_obs::span("lad.large_mode_exact");
+                    let large = self.cfg.pwl.num_intervals().saturating_sub(2);
                     gather.clear();
                     gather.extend((0..n).filter(|&i| {
-                        !exact[i]
-                            && self.cached_mode[i].is_some()
-                            && self.tracker.mode(i) >= self.cfg.large_mode_min_index
+                        !exact[i] && self.cached_mode[i].is_some() && self.tracker.mode(i) >= large
                     }));
                     score_listed(&self.kv, q_scaled, gather, gathered, scores, exact);
                     large_mode_exact = gather.len();
@@ -712,9 +704,6 @@ impl LadAttention {
                 keys_read: keys_fetched,
                 bytes_moved: (keys_fetched + values_fetched) * d * ELEMENT_BYTES,
                 evictions: 0,
-                // Scheduling metadata: the session that fanned this head out
-                // (if any) overwrites it with the scheduled width.
-                fanout_width: 0,
             },
         }
     }

@@ -49,11 +49,6 @@ pub struct StepStats {
     /// Positions evicted (masked dead) by the backend this step; 0 for
     /// non-evicting backends.
     pub evictions: usize,
-    /// Width of the sample-chunk fan-out the step that ran this head was
-    /// scheduled with (1 = inline, >1 = shared-pool fan-out under the batch
-    /// engine, 0 = head stepped outside a session). Scheduling metadata
-    /// only — see [`StepStats::algorithmic`].
-    pub fanout_width: usize,
 }
 
 impl StepStats {
@@ -79,16 +74,6 @@ impl StepStats {
             return 0.0;
         }
         self.active as f64 / cached as f64
-    }
-
-    /// The scheduling-independent view of this step: every field the LAD
-    /// algorithm itself determines, with scheduling metadata (the fan-out
-    /// width) zeroed. Two decodes of the same stream must agree on this view
-    /// *exactly*, whatever pool/parallelism they ran under — the invariant
-    /// the differential harness asserts.
-    pub fn algorithmic(mut self) -> StepStats {
-        self.fanout_width = 0;
-        self
     }
 }
 
@@ -127,8 +112,6 @@ pub struct StatsSummary {
     pub total_bytes_moved: usize,
     /// Total positions evicted across the aggregated steps — a *sum*.
     pub total_evictions: usize,
-    /// Mean scheduled fan-out width.
-    pub mean_fanout_width: f64,
 }
 
 impl StatsSummary {
@@ -151,7 +134,6 @@ impl StatsSummary {
             sum.mean_keys_read += s.keys_read as f64;
             sum.total_bytes_moved += s.bytes_moved;
             sum.total_evictions += s.evictions;
-            sum.mean_fanout_width += s.fanout_width as f64;
         }
         if sum.steps > 0 {
             let n = sum.steps as f64;
@@ -166,7 +148,6 @@ impl StatsSummary {
             sum.mean_kv_reads /= n;
             sum.mean_keys_scored /= n;
             sum.mean_keys_read /= n;
-            sum.mean_fanout_width /= n;
         }
         sum
     }
@@ -193,7 +174,6 @@ mod tests {
             keys_read: 27,
             bytes_moved: 4_320,
             evictions: 0,
-            fanout_width: 1,
         };
         assert_eq!(s.kv_reads(), 27);
         assert!((s.hit_ratio() - 0.8).abs() < 1e-12);
@@ -251,7 +231,6 @@ mod tests {
             den_fallbacks: 1,
             false_positives: 2,
             false_negatives: 1,
-            fanout_width: 4,
             ..StepStats::default()
         };
         let b = StepStats {
@@ -259,7 +238,6 @@ mod tests {
             active: 1,
             window: 5,
             den_fallbacks: 1,
-            fanout_width: 2,
             ..StepStats::default()
         };
         let sum = StatsSummary::from_steps([&a, &b]);
@@ -269,29 +247,6 @@ mod tests {
             "false_positives dropped"
         );
         assert!((sum.mean_kv_reads - 7.0).abs() < 1e-12, "kv_reads dropped");
-        assert!((sum.mean_fanout_width - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn algorithmic_view_strips_scheduling_fields_only() {
-        let s = StepStats {
-            n: 9,
-            active: 2,
-            window: 3,
-            den_fallbacks: 1,
-            fanout_width: 8,
-            ..StepStats::default()
-        };
-        let algo = s.algorithmic();
-        assert_eq!(algo.fanout_width, 0);
-        assert_eq!(
-            StepStats {
-                fanout_width: 8,
-                ..algo
-            },
-            s,
-            "algorithmic() must not touch algorithm fields"
-        );
     }
 
     #[test]
@@ -320,77 +275,37 @@ mod tests {
     }
 
     /// Stats-field audit: every field of [`StepStats`] and [`StatsSummary`]
-    /// must be explicitly classified below as **algorithmic** (determined by
-    /// the LAD algorithm alone — must survive `algorithmic()` untouched and
-    /// match bit-exactly across schedules) or **metadata**
-    /// (scheduling/timing — must be stripped by `algorithmic()` or live
-    /// outside `StepStats` entirely). The exhaustive destructurings have no
-    /// `..` rest pattern on purpose: adding a field without extending this
-    /// test is a compile error, not a silently unclassified field.
+    /// must be determined by the attention algorithm alone, so two decodes
+    /// of one stream match bit-exactly under any schedule; scheduling and
+    /// timing metadata live outside these structs. The exhaustive
+    /// destructurings have no `..` rest pattern on purpose: adding a field
+    /// without extending this test is a compile error, not a silently
+    /// unclassified field.
     #[test]
     fn every_stats_field_is_classified() {
-        let step = StepStats {
-            n: 1,
-            centers: 2,
-            large_mode_exact: 3,
-            active: 4,
-            window: 5,
-            mode_updates: 6,
-            new_active: 7,
-            false_negatives: 8,
-            false_positives: 9,
-            den_fallbacks: 10,
-            keys_scored: 12,
-            keys_read: 13,
-            bytes_moved: 14,
-            evictions: 15,
-            fanout_width: 11,
-        };
         let StepStats {
-            // Algorithmic fields: `algorithmic()` must preserve them.
-            n,
-            centers,
-            large_mode_exact,
-            active,
-            window,
-            mode_updates,
-            new_active,
-            false_negatives,
-            false_positives,
-            den_fallbacks,
+            // LAD's identification/correction counters.
+            n: _,
+            centers: _,
+            large_mode_exact: _,
+            active: _,
+            window: _,
+            mode_updates: _,
+            new_active: _,
+            false_negatives: _,
+            false_positives: _,
+            den_fallbacks: _,
             // Traffic counters: determined by the backend's read policy
-            // alone, so they are algorithmic — the differential harness pins
-            // them across schedules for every backend.
-            keys_scored,
-            keys_read,
-            bytes_moved,
-            evictions,
-            // Metadata fields: `algorithmic()` must zero them.
-            fanout_width,
-        } = step.algorithmic();
-        assert_eq!(
-            (n, centers, large_mode_exact, active, window),
-            (1, 2, 3, 4, 5)
-        );
-        assert_eq!(
-            (
-                mode_updates,
-                new_active,
-                false_negatives,
-                false_positives,
-                den_fallbacks
-            ),
-            (6, 7, 8, 9, 10)
-        );
-        assert_eq!(
-            (keys_scored, keys_read, bytes_moved, evictions),
-            (12, 13, 14, 15)
-        );
-        assert_eq!(fanout_width, 0, "metadata must not survive algorithmic()");
+            // alone — the differential harness pins them across schedules
+            // for every backend.
+            keys_scored: _,
+            keys_read: _,
+            bytes_moved: _,
+            evictions: _,
+        } = StepStats::default();
 
         let StatsSummary {
-            // Algorithmic aggregates (means/sums of algorithmic StepStats
-            // fields): compared across schedules by the differential tests.
+            // Means/sums of the StepStats fields above.
             steps: _,
             mean_centers: _,
             mean_large_mode: _,
@@ -406,8 +321,6 @@ mod tests {
             mean_keys_read: _,
             total_bytes_moved: _,
             total_evictions: _,
-            // Scheduling metadata: aggregated from StepStats metadata.
-            mean_fanout_width: _,
         } = StatsSummary::default();
     }
 }

@@ -141,7 +141,7 @@ pub struct HeadStepOutput {
     /// counters (`n`, `keys_scored`, `keys_read`, `bytes_moved`,
     /// `evictions`); the LAD backend additionally fills its
     /// identification/correction fields.
-    pub stats: Option<StepStats>,
+    pub stats: StepStats,
     /// Shifted scores (`sᵢ − m`) when recording was requested and the backend
     /// computes dense scores.
     pub shifted_scores: Option<Vec<f64>>,
@@ -363,7 +363,7 @@ impl HeadState {
                     reference::exact_attention_scored(q, kv, record_scores);
                 HeadStepOutput {
                     output,
-                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0)),
+                    stats: traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0),
                     shifted_scores,
                 }
             }
@@ -374,7 +374,7 @@ impl HeadState {
                 };
                 HeadStepOutput {
                     output: step.output,
-                    stats: Some(step.stats),
+                    stats: step.stats,
                     shifted_scores: None,
                 }
             }
@@ -383,7 +383,7 @@ impl HeadState {
                 let n = kv.len();
                 HeadStepOutput {
                     output: reference::exact_attention(q, kv),
-                    stats: Some(traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0)),
+                    stats: traffic_stats(n, n, n, 2 * n * kv.dim() * ELEMENT_BYTES, 0),
                     shifted_scores: None,
                 }
             }
@@ -423,13 +423,7 @@ impl HeadState {
                 let output = num.into_iter().map(|x| (x / den) as f32).collect();
                 HeadStepOutput {
                     output,
-                    stats: Some(traffic_stats(
-                        n,
-                        n,
-                        n,
-                        (n + selected.len()) * d * ELEMENT_BYTES,
-                        0,
-                    )),
+                    stats: traffic_stats(n, n, n, (n + selected.len()) * d * ELEMENT_BYTES, 0),
                     shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
                 }
             }
@@ -463,7 +457,6 @@ fn traffic_stats(
         keys_read,
         bytes_moved,
         evictions,
-        fanout_width: 0,
     }
 }
 
@@ -522,13 +515,13 @@ impl H2oState {
 
         HeadStepOutput {
             output,
-            stats: Some(traffic_stats(
+            stats: traffic_stats(
                 n,
                 live.len(),
                 live.len(),
                 2 * live.len() * d * ELEMENT_BYTES,
                 evictions,
-            )),
+            ),
             shifted_scores: record_scores.then(|| scores.iter().map(|s| s - m).collect()),
         }
     }
@@ -616,7 +609,7 @@ mod tests {
                 RowKind::Decode,
                 false,
             );
-            let stats = out.stats.expect("lad backend reports stats");
+            let stats = out.stats;
             assert_eq!(stats.n, i + 1);
         }
         assert_eq!(head.live_len(), 30);
@@ -805,7 +798,7 @@ mod tests {
                 RowKind::Decode,
                 false,
             );
-            total_evictions += out.stats.expect("h2o reports stats").evictions;
+            total_evictions += out.stats.evictions;
         }
         assert_eq!(head.live_len(), 12, "live set must sit at budget + recent");
         assert_eq!(total_evictions, 88, "every dead position is one eviction");
@@ -881,7 +874,7 @@ mod tests {
                     RowKind::Decode,
                     false,
                 );
-                let stats = out.stats.unwrap_or_else(|| panic!("{kind:?}: no stats"));
+                let stats = out.stats;
                 assert_eq!(stats.n, i + 1, "{kind:?}");
                 assert!(stats.keys_scored >= 1, "{kind:?}");
                 assert!(stats.keys_read >= 1, "{kind:?}");
@@ -920,7 +913,7 @@ mod tests {
                 };
                 reset_traffic_bytes();
                 let out = head.step(&q, &k, &v, row, false);
-                let stats = out.stats.expect("stats present");
+                let stats = out.stats;
                 assert_eq!(
                     traffic_bytes(),
                     stats.bytes_moved as u64,

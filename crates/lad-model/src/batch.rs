@@ -19,7 +19,7 @@
 //! stats against solo [`Session`](crate::transformer::Session) decodes, the
 //! sequential reference.
 
-use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, HeadStepOutput, RowKind};
+use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, RowKind};
 use crate::config::{MlpKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, ROPE_BASE};
 use crate::transformer::Model;
@@ -150,8 +150,69 @@ struct SampleCheckpoints {
     /// least this many rows.
     first_row: usize,
     /// Head state before each rollback-able row, indexed
-    /// `((row - first_row) * layers + layer) * heads + head`.
+    /// `(layer * drafts + row - first_row) * heads + head`, so each layer's
+    /// checkpoints are one contiguous slice.
     heads: Vec<Option<HeadCheckpoint>>,
+}
+
+/// One run's share of a layer's attention fan-out: the sample's heads of
+/// that layer, the run's rows of the q/k/v and attention-output matrices,
+/// and the slots its (row, head) stats and draft-row checkpoints land in.
+struct RunWork<'a> {
+    run: Run<'a>,
+    heads: &'a mut [HeadState],
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    attn: &'a mut [f32],
+    /// This layer's `rows × heads` stats, (row, head) order.
+    stats: &'a mut [StepStats],
+    /// This layer's `drafts × heads` checkpoints, (row, head) order; empty
+    /// for a run without drafts.
+    ckpts: &'a mut [Option<HeadCheckpoint>],
+}
+
+impl RunWork<'_> {
+    /// Steps every head over the run's rows (the first [`Run::prompt`] as
+    /// prompt rows), snapshotting each head before its draft rows. Each head
+    /// consumes its rows oldest-first, so row `r` attends over exactly the
+    /// KV state rows `< r` left behind — the sequential semantics prompt
+    /// chunks and speculative verification rely on.
+    fn step(&mut self, d: usize) {
+        let heads_n = self.heads.len();
+        let hidden = heads_n * d;
+        let len = self.run.tokens.len();
+        let first_draft = len - self.run.drafts;
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            for r in 0..len {
+                let kind = if r < self.run.prompt {
+                    RowKind::Prompt
+                } else {
+                    RowKind::Decode
+                };
+                let span = r * hidden + h * d..r * hidden + (h + 1) * d;
+                if r >= first_draft {
+                    self.ckpts[(r - first_draft) * heads_n + h] = Some(head.checkpoint());
+                }
+                let out = head.step(
+                    &self.q[span.clone()],
+                    &self.k[span.clone()],
+                    &self.v[span.clone()],
+                    kind,
+                    false,
+                );
+                self.attn[span].copy_from_slice(&out.output);
+                self.stats[r * heads_n + h] = out.stats;
+            }
+        }
+    }
+}
+
+/// Steps a pool task's chunk of runs.
+fn step_chunk(work: &mut [RunWork<'_>], d: usize) {
+    for w in work {
+        w.step(d);
+    }
 }
 
 /// Step-synchronous batched decode session (the cross-sample GEMM engine).
@@ -162,13 +223,18 @@ struct SampleCheckpoints {
 /// vectors are stacked into a `batch × hidden` matrix and every linear layer
 /// runs as *one* matrix-matrix product ([`lad_math::gemm`]) — the weights
 /// stream once per step, not once per sample. The attention heads, which own
-/// per-sample state, fan out as one pool task per (sample-chunk, layer) on
+/// per-sample state, fan out as one pool task per (run-chunk, layer) on
 /// the process-global [`WorkerPool`].
 ///
 /// The GEMM kernel's ascending-`k` accumulation contract makes every row of
 /// a batched projection bit-identical to the per-sample `matvec`, so tokens
-/// and algorithmic stats are exactly those of a solo `Session`;
+/// and stats are exactly those of a solo `Session`;
 /// `tests/differential.rs` pins this down.
+///
+/// The activation matrices and the GEMM packing panel are reused across
+/// steps, so the projections allocate nothing after the first step. Each
+/// step still allocates small lists (the one-token runs [`BatchSession::step`]
+/// builds, each layer's run work items) and every head step its output row.
 ///
 /// # Dynamic membership
 ///
@@ -193,7 +259,7 @@ pub struct BatchSession<'m> {
     live: Vec<bool>,
     /// Slots freed by [`BatchSession::remove_sample`], ready for reuse.
     free_slots: Vec<usize>,
-    /// Fan-out width of the per-layer sample-chunk scheduling.
+    /// Fan-out width of the per-layer run-chunk scheduling.
     parallelism: usize,
     /// Per-sample statistics from each sample's latest step: one entry per
     /// (layer, row, head) in that order, so `layers × rows × heads` entries
@@ -201,14 +267,6 @@ pub struct BatchSession<'m> {
     /// (layer, head) order after a one-row step.
     last_stats: Vec<Vec<StepStats>>,
     scratch: BatchScratch,
-    /// Run descriptors of the in-flight step (samples, run lengths, prompt
-    /// rows, draft rows, tokens run-major) — reused scratch so stepping
-    /// stays allocation-free.
-    run_samples: Vec<usize>,
-    run_lens: Vec<usize>,
-    run_prompt: Vec<usize>,
-    run_drafts: Vec<usize>,
-    run_tokens: Vec<u32>,
     /// Rollback checkpoints from the latest step's runs with drafts
     /// (invalidated by the next step).
     ckpts: Vec<SampleCheckpoints>,
@@ -272,11 +330,6 @@ impl<'m> BatchSession<'m> {
             parallelism,
             last_stats: vec![Vec::new(); batch],
             scratch: BatchScratch::default(),
-            run_samples: Vec::new(),
-            run_lens: Vec::new(),
-            run_prompt: Vec::new(),
-            run_drafts: Vec::new(),
-            run_tokens: Vec::new(),
             ckpts: Vec::new(),
         }
     }
@@ -413,19 +466,11 @@ impl<'m> BatchSession<'m> {
     /// not live, a token outside the vocabulary, or a sample past the
     /// model's maximum sequence length.
     pub fn step(&mut self, tokens: &[(usize, u32)]) -> StepOutcome {
-        self.run_samples.clear();
-        self.run_lens.clear();
-        self.run_prompt.clear();
-        self.run_drafts.clear();
-        self.run_tokens.clear();
-        for &(s, t) in tokens {
-            self.run_samples.push(s);
-            self.run_lens.push(1);
-            self.run_prompt.push(0);
-            self.run_drafts.push(0);
-            self.run_tokens.push(t);
-        }
-        self.step_flat()
+        let runs: Vec<Run<'_>> = tokens
+            .iter()
+            .map(|(s, t)| Run::new(*s, std::slice::from_ref(t)))
+            .collect();
+        self.step_runs(&runs)
     }
 
     /// Advances every listed sample by a *run* of consecutive tokens in one
@@ -456,121 +501,33 @@ impl<'m> BatchSession<'m> {
     /// the vocabulary, or a run overshooting the model's maximum sequence
     /// length.
     pub fn step_runs(&mut self, runs: &[Run<'_>]) -> StepOutcome {
-        self.run_samples.clear();
-        self.run_lens.clear();
-        self.run_prompt.clear();
-        self.run_drafts.clear();
-        self.run_tokens.clear();
-        for run in runs {
-            self.run_samples.push(run.sample);
-            self.run_lens.push(run.tokens.len());
-            self.run_prompt.push(run.prompt);
-            self.run_drafts.push(run.drafts);
-            self.run_tokens.extend_from_slice(run.tokens);
-        }
-        self.step_flat()
-    }
-
-    /// Unwinds sample `sample` to just after row `keep_rows` of its run in
-    /// the latest [`BatchSession::step_runs`] call: head states are restored
-    /// from the checkpoint taken before row `keep_rows` (KV arenas
-    /// truncated, in-place metadata rewound) and the sample's position is
-    /// reset, so subsequent steps are bit-identical to never having fed the
-    /// rejected rows. Only draft rows can be unwound: `keep_rows` ranges
-    /// from `run_len - drafts` to `run_len`, and `keep_rows == run_len` is a
-    /// no-op. Each run's checkpoints can be consumed once and are
-    /// invalidated by the next step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the latest step held no run with drafts for `sample` (or it
-    /// was already rolled back), or if `keep_rows` is outside the range
-    /// above.
-    pub fn rollback_sample(&mut self, sample: usize, keep_rows: usize) {
-        let _rollback_span = lad_obs::span("batch.rollback");
-        let idx = self
-            .ckpts
-            .iter()
-            .position(|c| c.sample == sample)
-            .unwrap_or_else(|| panic!("rollback_sample: no checkpointed run for sample {sample}"));
-        let ck = self.ckpts.swap_remove(idx);
-        assert!(
-            keep_rows <= ck.run_len,
-            "rollback_sample: keep_rows {keep_rows} exceeds run length {}",
-            ck.run_len
-        );
-        assert!(
-            keep_rows >= ck.first_row,
-            "rollback_sample: keep_rows {keep_rows} unwinds rows before the first draft row {}",
-            ck.first_row
-        );
-        if keep_rows == ck.run_len {
-            return;
-        }
-        let layers = self.model.cfg.layers;
-        let heads_n = self.model.cfg.heads;
-        for (layer, row) in self.heads[sample].iter_mut().enumerate() {
-            for (h, head) in row.iter_mut().enumerate() {
-                let slot = ((keep_rows - ck.first_row) * layers + layer) * heads_n + h;
-                let hc = ck.heads[slot].as_ref().expect("checkpoint recorded");
-                head.restore(hc);
-            }
-        }
-        self.pos[sample] = ck.pos_before + keep_rows;
-    }
-
-    /// The shared step body: consumes the run descriptors staged in
-    /// `run_samples` / `run_lens` / `run_prompt` / `run_drafts` /
-    /// `run_tokens`.
-    fn step_flat(&mut self) -> StepOutcome {
-        let samples = std::mem::take(&mut self.run_samples);
-        let lens = std::mem::take(&mut self.run_lens);
-        let prompt = std::mem::take(&mut self.run_prompt);
-        let drafts = std::mem::take(&mut self.run_drafts);
-        let toks = std::mem::take(&mut self.run_tokens);
-        let outcome = self.step_impl(&samples, &lens, &prompt, &drafts, &toks);
-        self.run_samples = samples;
-        self.run_lens = lens;
-        self.run_prompt = prompt;
-        self.run_drafts = drafts;
-        self.run_tokens = toks;
-        outcome
-    }
-
-    fn step_impl(
-        &mut self,
-        samples: &[usize],
-        lens: &[usize],
-        prompt: &[usize],
-        drafts: &[usize],
-        toks: &[u32],
-    ) -> StepOutcome {
-        if samples.is_empty() {
+        if runs.is_empty() {
             return StepOutcome::Idle;
         }
         let _step_span = lad_obs::span("batch.step");
-        let cfg = &self.model.cfg;
-        for pair in samples.windows(2) {
+        let model = self.model;
+        let cfg = &model.cfg;
+        for pair in runs.windows(2) {
             assert!(
-                pair[0] < pair[1],
+                pair[0].sample < pair[1].sample,
                 "BatchSession::step: sample indices must be strictly increasing"
             );
         }
-        for (((&s, &len), &p), &d) in samples.iter().zip(lens).zip(prompt).zip(drafts) {
+        for run in runs {
+            let (s, len) = (run.sample, run.tokens.len());
             assert!(len > 0, "BatchSession::step_runs: empty token run");
             assert!(
-                p + d <= len,
+                run.prompt + run.drafts <= len,
                 "BatchSession::step_runs: prompt rows overlap drafts"
             );
             assert!(s < self.pos.len(), "sample index out of range");
             assert!(self.live[s], "BatchSession::step: sample {s} is not live");
             assert!(self.pos[s] + len <= cfg.max_seq, "sequence length exceeded");
+            for &t in run.tokens {
+                assert!((t as usize) < cfg.vocab, "token out of vocabulary");
+            }
         }
-        for &t in toks {
-            assert!((t as usize) < cfg.vocab, "token out of vocabulary");
-        }
-        let n_runs = samples.len();
-        let rows = toks.len();
+        let rows: usize = runs.iter().map(|r| r.tokens.len()).sum();
         let hidden = cfg.hidden;
         let d = cfg.head_dim();
         let heads_n = cfg.heads;
@@ -578,29 +535,28 @@ impl<'m> BatchSession<'m> {
 
         // Rollback state: one checkpoint set per run with drafts, filled
         // layer by layer below. The previous step's checkpoints die here.
-        let mut ckpt_store = std::mem::take(&mut self.ckpts);
-        ckpt_store.clear();
-        // Run index -> index into `ckpt_store` (runs with drafts only).
-        let mut store_of_run: Vec<Option<usize>> = Vec::with_capacity(n_runs);
-        for ((&s, &len), &d) in samples.iter().zip(lens).zip(drafts) {
-            if d > 0 {
-                store_of_run.push(Some(ckpt_store.len()));
-                ckpt_store.push(SampleCheckpoints {
-                    sample: s,
-                    pos_before: self.pos[s],
-                    run_len: len,
-                    first_row: len - d,
-                    heads: std::iter::repeat_with(|| None)
-                        .take(d * layers_n * heads_n)
-                        .collect(),
-                });
-            } else {
-                store_of_run.push(None);
-            }
+        self.ckpts.clear();
+        for run in runs.iter().filter(|r| r.drafts > 0) {
+            let len = run.tokens.len();
+            self.ckpts.push(SampleCheckpoints {
+                sample: run.sample,
+                pos_before: self.pos[run.sample],
+                run_len: len,
+                first_row: len - run.drafts,
+                heads: std::iter::repeat_with(|| None)
+                    .take(run.drafts * layers_n * heads_n)
+                    .collect(),
+            });
+        }
+        for run in runs {
+            let stats = &mut self.last_stats[run.sample];
+            stats.clear();
+            stats.resize(layers_n * run.tokens.len() * heads_n, StepStats::default());
         }
 
-        let width = self.parallelism.min(n_runs).max(1);
+        let width = self.parallelism.min(runs.len());
         let pool = (width > 1).then(WorkerPool::global);
+        let chunk = runs.len().div_ceil(width);
 
         // The scratch matrices move out of `self` for the step so the head
         // states below can be borrowed mutably alongside them.
@@ -622,21 +578,19 @@ impl<'m> BatchSession<'m> {
         } = &mut scratch;
 
         let mut row0 = 0usize;
-        for (&s, &len) in samples.iter().zip(lens) {
-            for r in 0..len {
+        for run in runs {
+            let pos = self.pos[run.sample];
+            for (r, &t) in run.tokens.iter().enumerate() {
                 let row = &mut x[(row0 + r) * hidden..(row0 + r + 1) * hidden];
-                row.copy_from_slice(self.model.embed.row(toks[row0 + r] as usize));
-                if let Some(pos_embed) = &self.model.pos_embed {
-                    vector::axpy(row, 1.0, pos_embed.row(self.pos[s] + r));
+                row.copy_from_slice(model.embed.row(t as usize));
+                if let Some(pos_embed) = &model.pos_embed {
+                    vector::axpy(row, 1.0, pos_embed.row(pos + r));
                 }
             }
-            self.last_stats[s].clear();
-            row0 += len;
+            row0 += run.tokens.len();
         }
 
-        let mut slots: Vec<Option<HeadStepOutput>> = Vec::new();
-        let mut ck_slots: Vec<Option<HeadCheckpoint>> = Vec::new();
-        for (layer, block) in self.model.blocks.iter().enumerate() {
+        for (layer, block) in model.blocks.iter().enumerate() {
             let qkv_span = lad_obs::span("batch.qkv_gemm");
             for a in 0..rows {
                 block.norm1.forward_into(
@@ -653,132 +607,74 @@ impl<'m> BatchSession<'m> {
 
             if cfg.position == PositionKind::Rope {
                 let mut row0 = 0usize;
-                for (&s, &len) in samples.iter().zip(lens) {
-                    for r in 0..len {
+                for run in runs {
+                    let pos = self.pos[run.sample];
+                    for r in 0..run.tokens.len() {
                         for h in 0..heads_n {
                             let base = (row0 + r) * hidden;
                             let span = base + h * d..base + (h + 1) * d;
-                            rope_in_place(&mut q[span.clone()], self.pos[s] + r, ROPE_BASE);
-                            rope_in_place(&mut k[span], self.pos[s] + r, ROPE_BASE);
+                            rope_in_place(&mut q[span.clone()], pos + r, ROPE_BASE);
+                            rope_in_place(&mut k[span], pos + r, ROPE_BASE);
                         }
                     }
-                    row0 += len;
+                    row0 += run.tokens.len();
                 }
             }
 
-            // Gather each active sample's head row for this layer, in run
-            // order, so chunks of runs can fan out as pool tasks.
-            let mut layer_heads: Vec<&mut [HeadState]> = Vec::with_capacity(n_runs);
+            let attn_span = lad_obs::span("batch.attn_fanout");
             {
-                let mut head_rows = self.heads.iter_mut().enumerate();
-                for &s in samples {
-                    let row = loop {
-                        let (i, row) = head_rows.next().expect("sample index in range");
-                        if i == s {
-                            break row;
+                // One work item per run, in run order, so chunks of runs can
+                // fan out as pool tasks that write their results in place.
+                let mut work: Vec<RunWork<'_>> = Vec::with_capacity(runs.len());
+                let mut samples = self.heads.iter_mut().zip(&mut self.last_stats).enumerate();
+                let mut ckpts = self.ckpts.iter_mut();
+                let mut attn_rest = &mut attn[..];
+                let mut row0 = 0usize;
+                for run in runs {
+                    let (heads, stats) = loop {
+                        let (i, sample) = samples.next().expect("sample index in range");
+                        if i == run.sample {
+                            break sample;
                         }
                     };
-                    layer_heads.push(&mut row[layer][..]);
-                }
-            }
-
-            slots.clear();
-            slots.resize_with(rows * heads_n, || None);
-            ck_slots.clear();
-            ck_slots.resize_with(rows * heads_n, || None);
-            let attn_span = lad_obs::span("batch.attn_fanout");
-            match pool {
-                None => step_run_chunk(
-                    0,
-                    hidden,
-                    d,
-                    heads_n,
-                    &mut layer_heads,
-                    lens,
-                    prompt,
-                    drafts,
-                    &mut slots,
-                    &mut ck_slots,
-                    q,
-                    k,
-                    v,
-                ),
-                Some(pool) => {
-                    let chunk = n_runs.div_ceil(width);
-                    pool.scope(|scope| {
-                        // Split runs — and their (row-aligned) output and
-                        // checkpoint slots — at run boundaries.
-                        let mut heads_rest: &mut [&mut [HeadState]] = &mut layer_heads;
-                        let mut lens_rest: &[usize] = lens;
-                        let mut prompt_rest: &[usize] = prompt;
-                        let mut drafts_rest: &[usize] = drafts;
-                        let mut slots_rest: &mut [Option<HeadStepOutput>] = &mut slots;
-                        let mut ck_rest: &mut [Option<HeadCheckpoint>] = &mut ck_slots;
-                        let mut first_row = 0usize;
-                        let mut first_piece = None;
-                        let mut c = 0usize;
-                        while !lens_rest.is_empty() {
-                            let take = chunk.min(lens_rest.len());
-                            let rows_here: usize = lens_rest[..take].iter().sum();
-                            let (h_chunk, h_rest) = heads_rest.split_at_mut(take);
-                            let (l_chunk, l_rest) = lens_rest.split_at(take);
-                            let (p_chunk, p_rest) = prompt_rest.split_at(take);
-                            let (d_chunk, d_rest) = drafts_rest.split_at(take);
-                            let (s_chunk, s_rest) = slots_rest.split_at_mut(rows_here * heads_n);
-                            let (c_chunk, c_rest) = ck_rest.split_at_mut(rows_here * heads_n);
-                            heads_rest = h_rest;
-                            lens_rest = l_rest;
-                            prompt_rest = p_rest;
-                            drafts_rest = d_rest;
-                            slots_rest = s_rest;
-                            ck_rest = c_rest;
-                            if c == 0 {
-                                first_piece =
-                                    Some((h_chunk, l_chunk, p_chunk, d_chunk, s_chunk, c_chunk));
-                            } else {
-                                let (q, k, v) = (&q, &k, &v);
-                                let fr = first_row;
-                                scope.spawn(move || {
-                                    step_run_chunk(
-                                        fr, hidden, d, heads_n, h_chunk, l_chunk, p_chunk, d_chunk,
-                                        s_chunk, c_chunk, q, k, v,
-                                    );
-                                });
-                            }
-                            first_row += rows_here;
-                            c += 1;
-                        }
-                        if let Some((h, l, p, dr, s, ck)) = first_piece {
-                            step_run_chunk(0, hidden, d, heads_n, h, l, p, dr, s, ck, q, k, v);
-                        }
+                    let len = run.tokens.len();
+                    let (run_attn, rest) =
+                        std::mem::take(&mut attn_rest).split_at_mut(len * hidden);
+                    attn_rest = rest;
+                    let run_ckpts: &mut [Option<HeadCheckpoint>] = if run.drafts > 0 {
+                        let per_layer = run.drafts * heads_n;
+                        let ck = ckpts
+                            .next()
+                            .expect("one checkpoint set per run with drafts");
+                        &mut ck.heads[layer * per_layer..(layer + 1) * per_layer]
+                    } else {
+                        &mut []
+                    };
+                    let run_rows = row0 * hidden..(row0 + len) * hidden;
+                    let layer_stats = len * heads_n;
+                    work.push(RunWork {
+                        run: *run,
+                        heads: &mut heads[layer],
+                        q: &q[run_rows.clone()],
+                        k: &k[run_rows.clone()],
+                        v: &v[run_rows],
+                        attn: run_attn,
+                        stats: &mut stats[layer * layer_stats..(layer + 1) * layer_stats],
+                        ckpts: run_ckpts,
                     });
+                    row0 += len;
                 }
-            }
-
-            let mut row0 = 0usize;
-            for (i, (&s, &len)) in samples.iter().zip(lens).enumerate() {
-                let first_ck = len - drafts[i];
-                for r in 0..len {
-                    for h in 0..heads_n {
-                        let out = slots[(row0 + r) * heads_n + h]
-                            .take()
-                            .expect("every head ran");
-                        let base = (row0 + r) * hidden;
-                        attn[base + h * d..base + (h + 1) * d].copy_from_slice(&out.output);
-                        if let Some(mut stats) = out.stats {
-                            stats.fanout_width = width;
-                            self.last_stats[s].push(stats);
+                let mut chunks = work.chunks_mut(chunk);
+                let first = chunks.next().expect("a step has at least one run");
+                match pool {
+                    None => step_chunk(first, d),
+                    Some(pool) => pool.scope(|scope| {
+                        for rest in chunks {
+                            scope.spawn(move || step_chunk(rest, d));
                         }
-                        if let (Some(store), true) = (store_of_run[i], r >= first_ck) {
-                            let ck = ck_slots[(row0 + r) * heads_n + h]
-                                .take()
-                                .expect("draft row checkpointed");
-                            ckpt_store[store].heads
-                                [((r - first_ck) * layers_n + layer) * heads_n + h] = Some(ck);
-                        }
-                    }
+                        step_chunk(first, d);
+                    }),
                 }
-                row0 += len;
             }
             drop(attn_span);
 
@@ -833,7 +729,7 @@ impl<'m> BatchSession<'m> {
 
         let logits_span = lad_obs::span("batch.logits_gemm");
         for a in 0..rows {
-            self.model.final_norm.forward_into(
+            model.final_norm.forward_into(
                 &x[a * hidden..(a + 1) * hidden],
                 &mut final_h[a * hidden..(a + 1) * hidden],
             );
@@ -845,70 +741,65 @@ impl<'m> BatchSession<'m> {
             cfg.vocab,
             hidden,
             final_h,
-            self.model.embed.as_slice(),
+            model.embed.as_slice(),
             logits,
             gemm,
         );
         drop(logits_span);
 
-        for (&s, &len) in samples.iter().zip(lens) {
-            self.pos[s] += len;
+        for run in runs {
+            self.pos[run.sample] += run.tokens.len();
         }
         self.scratch = scratch;
-        self.ckpts = ckpt_store;
         StepOutcome::Advanced { active: rows }
     }
-}
 
-/// Steps every head of a contiguous chunk of runs whose first row sits at
-/// global row `first_row` (each run's first `run_prompt` rows as prompt
-/// rows), writing each (row, head) output — and, for the
-/// last `drafts` rows of each run, the head state *before* the row — into
-/// its pre-assigned slot (the pool-task body of the per-(run-chunk, layer)
-/// fan-out). Within a run each head consumes its rows oldest-first, so row
-/// `r` attends over exactly the KV state rows `< r` left behind — the
-/// sequential semantics prompt chunks and speculative verification rely on.
-#[allow(clippy::too_many_arguments)]
-fn step_run_chunk(
-    first_row: usize,
-    hidden: usize,
-    d: usize,
-    heads_n: usize,
-    runs: &mut [&mut [HeadState]],
-    run_lens: &[usize],
-    run_prompt: &[usize],
-    run_drafts: &[usize],
-    slots: &mut [Option<HeadStepOutput>],
-    ckpts: &mut [Option<HeadCheckpoint>],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-) {
-    let mut row = first_row;
-    for (((run_heads, &len), &prompt), &drafts) in runs
-        .iter_mut()
-        .zip(run_lens)
-        .zip(run_prompt)
-        .zip(run_drafts)
-    {
-        for (h, head) in run_heads.iter_mut().enumerate() {
-            for r in 0..len {
-                let kind = if r < prompt {
-                    RowKind::Prompt
-                } else {
-                    RowKind::Decode
-                };
-                let base = (row + r) * hidden;
-                let span = base + h * d..base + (h + 1) * d;
-                let slot = (row + r - first_row) * heads_n + h;
-                if r >= len - drafts {
-                    ckpts[slot] = Some(head.checkpoint());
-                }
-                slots[slot] =
-                    Some(head.step(&q[span.clone()], &k[span.clone()], &v[span], kind, false));
+    /// Unwinds sample `sample` to just after row `keep_rows` of its run in
+    /// the latest [`BatchSession::step_runs`] call: head states are restored
+    /// from the checkpoint taken before row `keep_rows` (KV arenas
+    /// truncated, in-place metadata rewound) and the sample's position is
+    /// reset, so subsequent steps are bit-identical to never having fed the
+    /// rejected rows. Only draft rows can be unwound: `keep_rows` ranges
+    /// from `run_len - drafts` to `run_len`, and `keep_rows == run_len` is a
+    /// no-op. Each run's checkpoints can be consumed once and are
+    /// invalidated by the next step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the latest step held no run with drafts for `sample` (or it
+    /// was already rolled back), or if `keep_rows` is outside the range
+    /// above.
+    pub fn rollback_sample(&mut self, sample: usize, keep_rows: usize) {
+        let _rollback_span = lad_obs::span("batch.rollback");
+        let idx = self
+            .ckpts
+            .iter()
+            .position(|c| c.sample == sample)
+            .unwrap_or_else(|| panic!("rollback_sample: no checkpointed run for sample {sample}"));
+        let ck = self.ckpts.swap_remove(idx);
+        assert!(
+            keep_rows <= ck.run_len,
+            "rollback_sample: keep_rows {keep_rows} exceeds run length {}",
+            ck.run_len
+        );
+        assert!(
+            keep_rows >= ck.first_row,
+            "rollback_sample: keep_rows {keep_rows} unwinds rows before the first draft row {}",
+            ck.first_row
+        );
+        if keep_rows == ck.run_len {
+            return;
+        }
+        let drafts = ck.run_len - ck.first_row;
+        let heads_n = self.model.cfg.heads;
+        for (layer, row) in self.heads[sample].iter_mut().enumerate() {
+            for (h, head) in row.iter_mut().enumerate() {
+                let slot = (layer * drafts + keep_rows - ck.first_row) * heads_n + h;
+                let hc = ck.heads[slot].as_ref().expect("checkpoint recorded");
+                head.restore(hc);
             }
         }
-        row += len;
+        self.pos[sample] = ck.pos_before + keep_rows;
     }
 }
 
@@ -1176,29 +1067,52 @@ mod tests {
 
     #[test]
     fn step_runs_fanout_matches_inline() {
-        // Mixed multi-row + plain runs under pool fan-out must be
-        // bit-identical to the inline path.
+        // Prompt chunks, verify runs and one-row runs under pool fan-out
+        // must match the inline path bit for bit: logits, per-sample stats,
+        // and the step after rolling back drafts. Five runs at widths 2, 3
+        // and 4 split into uneven chunks of one to three runs.
         let model = model();
-        let kind = AttentionKind::Lad(LadConfig::default());
-        let mut inline = BatchSession::new(&model, &kind, 3, 1);
-        let mut fanned = BatchSession::new(&model, &kind, 3, 4);
-        for session in [&mut inline, &mut fanned] {
-            session.step(&[(0, 1), (1, 2), (2, 3)]);
-            session.step_runs(&[
-                Run::verify(0, &[4u32, 5, 6]),
-                Run::new(1, &[7u32]),
-                Run::new(2, &[8u32, 9]),
-            ]);
-        }
-        for r in 0..6 {
-            assert_eq!(inline.logits(r), fanned.logits(r), "row {r} diverged");
-        }
-        inline.rollback_sample(0, 1);
-        fanned.rollback_sample(0, 1);
-        inline.step(&[(0, 40), (1, 41), (2, 42)]);
-        fanned.step(&[(0, 40), (1, 41), (2, 42)]);
-        for r in 0..3 {
-            assert_eq!(inline.logits(r), fanned.logits(r), "post-rollback row {r}");
+        let kind = AttentionKind::Lad(LadConfig {
+            window: 4,
+            ..LadConfig::default()
+        });
+        let prompts: Vec<Vec<u32>> = (0..5u32).map(|s| vec![s + 1, s + 9, 3, 5]).collect();
+        let runs = [
+            Run::verify(0, &[4u32, 5, 6]),
+            Run::prompt(1, &[7u32, 8, 9, 10]),
+            Run::new(2, &[11u32]),
+            Run::verify(3, &[12u32, 13]),
+            Run::new(4, &[14u32, 15]),
+        ];
+        let rows: usize = runs.iter().map(|r| r.tokens.len()).sum();
+        let next: Vec<(usize, u32)> = (0..5).map(|s| (s, 40 + s as u32)).collect();
+        let drive = |width: usize| {
+            let mut session = BatchSession::new(&model, &kind, 5, width);
+            let warm: Vec<Run<'_>> = prompts
+                .iter()
+                .enumerate()
+                .map(|(s, p)| Run::prompt(s, p))
+                .collect();
+            session.step_runs(&warm);
+            session.step_runs(&runs);
+            let logits: Vec<Vec<f32>> = (0..rows).map(|r| session.logits(r).to_vec()).collect();
+            let stats: Vec<Vec<StepStats>> =
+                (0..5).map(|s| session.last_stats(s).to_vec()).collect();
+            session.rollback_sample(0, 1);
+            session.rollback_sample(3, 1);
+            session.step(&next);
+            let after: Vec<Vec<f32>> = (0..5).map(|r| session.logits(r).to_vec()).collect();
+            (logits, stats, after)
+        };
+        let (logits, stats, after) = drive(1);
+        for width in [2, 3, 4] {
+            let fanned = drive(width);
+            assert_eq!(fanned.0, logits, "width {width}: logits diverged");
+            assert_eq!(fanned.1, stats, "width {width}: stats diverged");
+            assert_eq!(
+                fanned.2, after,
+                "width {width}: post-rollback step diverged"
+            );
         }
     }
 

@@ -34,13 +34,11 @@ pub mod backend;
 pub mod batch;
 pub mod config;
 pub mod layers;
-pub mod sampling;
 pub mod spec;
 pub mod transformer;
 
 pub use backend::{AttentionKind, HeadState, HeadStepOutput};
 pub use batch::{BatchSession, Run, StepOutcome};
 pub use config::{MlpKind, ModelConfig, NormKind, PositionKind};
-pub use sampling::{generate, Sampler};
 pub use spec::{DraftPolicy, Drafter, SpecConfig};
 pub use transformer::{argmax, log_prob, Model, Session};

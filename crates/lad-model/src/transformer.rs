@@ -402,10 +402,7 @@ impl<'m> Session<'m> {
                     ));
                 }
                 attn[span].copy_from_slice(&out.output);
-                if let Some(mut stats) = out.stats {
-                    stats.fanout_width = 1;
-                    self.last_stats.push(stats);
-                }
+                self.last_stats.push(out.stats);
                 if let (Some(analyzers), Some(scores)) =
                     (self.analyzers.as_mut(), out.shifted_scores)
                 {

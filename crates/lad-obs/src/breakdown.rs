@@ -2,10 +2,8 @@
 //!
 //! A [`StageBreakdown`] folds the raw span streams from [`crate::drain`]
 //! into one log-bucket [`Histogram`] per span name ("stage"), merged across
-//! every thread. This is the bridge between the event recorder and
-//! `StatsSummary`: the decoder records spans while running, and the summary
-//! carries the resulting breakdown so per-stage p50/p95/p99 are available
-//! without re-parsing a trace file.
+//! every thread, so per-stage p50/p95/p99 are available without
+//! re-parsing a trace file.
 
 use crate::histogram::Histogram;
 use crate::{EventKind, ThreadEvents};

@@ -160,13 +160,10 @@ pub struct Engine<'m> {
     step: usize,
     // Report accumulators.
     outcomes: Vec<crate::RequestOutcome>,
-    ttft: Histogram,
-    itl: Histogram,
     idle_steps: usize,
     admissions: usize,
     preemptions: usize,
     accepted_len: Histogram,
-    acceptance_pct: Histogram,
     spec_drafted: usize,
     spec_accepted: usize,
     incidents: Vec<Incident>,
@@ -198,13 +195,10 @@ impl<'m> Engine<'m> {
             active: Vec::new(),
             step: 0,
             outcomes: Vec::new(),
-            ttft: Histogram::new(),
-            itl: Histogram::new(),
             idle_steps: 0,
             admissions: 0,
             preemptions: 0,
             accepted_len: Histogram::new(),
-            acceptance_pct: Histogram::new(),
             spec_drafted: 0,
             spec_accepted: 0,
             incidents: Vec::new(),
@@ -298,10 +292,7 @@ impl<'m> Engine<'m> {
             admissions: self.admissions,
             preemptions: self.preemptions,
             wall: started.elapsed(),
-            ttft: std::mem::replace(&mut self.ttft, Histogram::new()),
-            itl: std::mem::replace(&mut self.itl, Histogram::new()),
             accepted_len: std::mem::replace(&mut self.accepted_len, Histogram::new()),
-            acceptance_pct: std::mem::replace(&mut self.acceptance_pct, Histogram::new()),
             spec_drafted: std::mem::take(&mut self.spec_drafted),
             spec_accepted: std::mem::take(&mut self.spec_accepted),
             incidents: std::mem::take(&mut self.incidents),
@@ -656,7 +647,7 @@ impl<'m> Engine<'m> {
             let mut finish = None;
             loop {
                 let next = argmax(self.session.logits(first_row + matched));
-                a.state.record_token(now, &mut self.ttft, &mut self.itl);
+                a.state.record_token(now);
                 a.generated.push(next);
                 if let Some(d) = a.drafter.as_mut() {
                     d.observe(next);
@@ -682,10 +673,6 @@ impl<'m> Engine<'m> {
                 self.spec_drafted += drafts.len();
                 self.spec_accepted += matched;
                 self.accepted_len.record(committed as u64);
-                if !drafts.is_empty() {
-                    self.acceptance_pct
-                        .record((100 * matched / drafts.len()) as u64);
-                }
             }
             if !drafts.is_empty() {
                 timeline::record(
@@ -878,8 +865,7 @@ mod tests {
         );
         let total: usize = specs.iter().map(|&(_, _, max, _)| max).sum();
         assert_eq!(report.total_tokens(), total);
-        assert_eq!(report.ttft.count(), specs.len() as u64);
-        assert_eq!(report.itl.count(), (total - specs.len()) as u64);
+        assert!(report.outcomes.iter().all(|o| o.ttft <= o.e2e));
     }
 
     #[test]
@@ -1136,7 +1122,6 @@ mod tests {
         // One prefill tick yields the first token, then one tick per token.
         assert_eq!(report.steps, 12);
         assert_eq!(report.spec_drafted, 0);
-        assert_eq!(report.acceptance_pct.count(), 0);
         assert!((report.mean_accepted_len() - 1.0).abs() < 1e-12);
     }
 

@@ -24,9 +24,9 @@
 //!
 //! Every phase is instrumented with `lad-obs` spans (`serve.admit`,
 //! `serve.prefill_chunk`, `serve.decode_step`, `serve.retire`,
-//! `serve.preempt`), and the engine feeds time-to-first-token and
-//! inter-token latencies into [`lad_obs::Histogram`]s, so p50/p95/p99
-//! tables fall out of the existing machinery.
+//! `serve.preempt`). Each [`RequestOutcome`] carries its time to first
+//! token and end-to-end latency, which the engine also records into the
+//! `serve.ttft_ns` / `serve.e2e_ns` metric histograms.
 //!
 //! Correctness is pinned the repo's usual way: `tests/serving.rs` proves
 //! every request's token stream under continuous batching — across
@@ -282,16 +282,9 @@ pub struct ServeReport {
     pub preemptions: usize,
     /// End-to-end wall time of the run.
     pub wall: Duration,
-    /// Time-to-first-token distribution (nanoseconds).
-    pub ttft: Histogram,
-    /// Inter-token latency distribution (nanoseconds).
-    pub itl: Histogram,
     /// Tokens committed per speculative verify round (empty when no request
     /// opted into speculation; every sample is >= 1 — the bonus token).
     pub accepted_len: Histogram,
-    /// Percentage of draft tokens accepted per verify round that proposed at
-    /// least one draft (0–100).
-    pub acceptance_pct: Histogram,
     /// Draft tokens proposed across all speculative rounds.
     pub spec_drafted: usize,
     /// Draft tokens accepted across all speculative rounds.
@@ -344,8 +337,6 @@ pub(crate) struct ReqState {
     pub eligible_at: Option<Instant>,
     /// Wall time of the first generated token.
     pub first_token_at: Option<Instant>,
-    /// Wall time of the latest generated token (ITL anchor).
-    pub last_token_at: Option<Instant>,
     pub preemptions: usize,
     /// Speculative-decoding opt-in, preserved across preemptions (the
     /// drafter itself is rebuilt deterministically from `prompt` on
@@ -367,23 +358,16 @@ impl ReqState {
             deadline: req.deadline,
             eligible_at: None,
             first_token_at: None,
-            last_token_at: None,
             preemptions: 0,
             spec: req.spec,
             backend: req.backend,
         }
     }
 
-    /// Records one generated token's latency into the histograms.
-    pub(crate) fn record_token(&mut self, now: Instant, ttft: &mut Histogram, itl: &mut Histogram) {
-        if self.first_token_at.is_none() {
-            self.first_token_at = Some(now);
-            let eligible = self.eligible_at.expect("token before arrival");
-            ttft.record(now.duration_since(eligible).as_nanos() as u64);
-        } else if let Some(last) = self.last_token_at {
-            itl.record(now.duration_since(last).as_nanos() as u64);
-        }
-        self.last_token_at = Some(now);
+    /// Records a generated token's wall time: the first one sets the
+    /// request's time to first token.
+    pub(crate) fn record_token(&mut self, now: Instant) {
+        self.first_token_at.get_or_insert(now);
     }
 
     /// Builds the final outcome at retirement.

@@ -147,7 +147,6 @@ pub fn analyze(trace: &ScoreTrace, pwl: &PwlExp, cfg: &AnalysisConfig) -> Vec<St
             keys_read: large_mode_exact + window_count + active.len(),
             bytes_moved: 0,
             evictions: 0,
-            fanout_width: 0,
         });
     }
     out

@@ -8,8 +8,7 @@
 //! contract, attention fanned out as sample-chunk tasks on the shared
 //! worker pool — must be token-exact against one solo sequential `Session`
 //! decode per prompt, for every backend, and must report identical
-//! `StepStats` (including `den_fallbacks`) up to the scheduling metadata
-//! that `StepStats::algorithmic()` strips.
+//! `StepStats` (including `den_fallbacks`).
 //!
 //! The harness decodes seeded random models under a grid of
 //! {parallelism × batch size × window size × stream length} and asserts the
@@ -194,8 +193,7 @@ fn assert_stats_match(label: &str, kind: &str, seq: &[StepStats], pooled: &[Step
     );
     for (i, (a, b)) in seq.iter().zip(pooled).enumerate() {
         assert_eq!(
-            a.algorithmic(),
-            b.algorithmic(),
+            a, b,
             "{label}/{kind}: StepStats diverged at stream index {i}"
         );
     }
@@ -441,8 +439,8 @@ fn differential_grid() {
 /// fan-out on the same 16-point grid the exact/LAD sweep runs (den-fallback
 /// partition point included; its coarse PWL only parameterises LAD, but the
 /// long 48-step stream exercises many evictions). Stats equality covers the
-/// new traffic counters: `keys_scored`, `keys_read`, `bytes_moved` and
-/// `evictions` all survive `StepStats::algorithmic()`.
+/// traffic counters: `keys_scored`, `keys_read`, `bytes_moved` and
+/// `evictions`.
 #[test]
 fn backend_zoo_differential_grid() {
     let grid = default_grid();
@@ -469,7 +467,7 @@ proptest! {
     /// mid-decode and the fan-out splits at every chunk shape), fan-out
     /// widths 1-4 and every backend the grid sweeps, the lockstep decode
     /// must reproduce each prompt's solo `Session` tokens and final-step
-    /// algorithmic stats.
+    /// stats.
     #[test]
     fn random_ragged_batches_match_solo_sessions(
         seed in 0u64..5000,
@@ -497,14 +495,12 @@ proptest! {
         for p in &prompts {
             let mut session = Session::new(&model, &kind);
             expected_streams.push(session.generate_greedy(p, steps));
-            expected_stats.extend(session.last_stats().iter().map(|s| s.algorithmic()));
+            expected_stats.extend_from_slice(session.last_stats());
         }
 
         let batched = lockstep(&model, &kind, &prompts, steps, parallelism, None);
         prop_assert_eq!(&batched.streams, &expected_streams);
-        let batched_stats: Vec<StepStats> =
-            batched.final_stats.iter().map(|s| s.algorithmic()).collect();
-        prop_assert_eq!(&batched_stats, &expected_stats);
+        prop_assert_eq!(&batched.final_stats, &expected_stats);
     }
 }
 
@@ -771,7 +767,7 @@ fn stats_bytes_moved_matches_traffic_meter() {
 /// Empty-step leg: `BatchSession::step(&[])` is the documented idle no-op
 /// (the serving engine leans on it for arrival gaps). Idle steps sprinkled
 /// through a decode must return `StepOutcome::Idle`, advance nothing, and
-/// leave every token and final-step algorithmic stat bit-identical to a run
+/// leave every token and final-step stat bit-identical to a run
 /// without them.
 #[test]
 fn empty_steps_are_idle_and_invisible() {
@@ -798,7 +794,7 @@ fn empty_steps_are_idle_and_invisible() {
 /// same stream is decoded with the recorder in its default (disabled) state,
 /// with it enabled (spans actually recorded), and again after it has been
 /// enabled and disabled — all three must agree token-for-token and on every
-/// `algorithmic()` stat. Runs a slice of the default grid covering the
+/// `StepStats` field. Runs a slice of the default grid covering the
 /// LLaMA-style, OPT-style and den-fallback points, plus the batched
 /// executor (so the `batch.*` spans are exercised under the toggle too).
 #[test]

@@ -130,6 +130,14 @@ proptest! {
             pending = next(&mut rng, 256) as u32;
         }
 
+        // One more plain decode row: the restored state decodes and counts
+        // (evictions, keys read) exactly as the reference does.
+        prop_assert!(pool.append_token(id), "pool sized to never run dry");
+        spec.step(&[(slot, pending)]);
+        let want = reference.step(pending);
+        prop_assert_eq!(spec.logits(0), &want[..]);
+        prop_assert_eq!(spec.last_stats(slot), reference.last_stats());
+
         // Release returns exactly the blocks still held, eviction reclaims
         // already accounted.
         pool.release(id);
@@ -191,8 +199,10 @@ proptest! {
             pending = next(&mut rng, 256) as u32;
         }
         // One more plain decode row: the restored state keeps decoding
-        // bit-identically.
+        // bit-identically, stats included.
         spec.step(&[(slot, pending)]);
-        prop_assert_eq!(spec.logits(0), &reference.step(pending)[..]);
+        let want = reference.step(pending);
+        prop_assert_eq!(spec.logits(0), &want[..]);
+        prop_assert_eq!(spec.last_stats(slot), reference.last_stats());
     }
 }

@@ -13,6 +13,7 @@ use lad::core::decoder::LadConfig;
 use lad::core::pool::WorkerPool;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
+use lad::model::spec::SpecConfig;
 use lad::model::transformer::{argmax, Model, Session};
 use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
 use lad::obs::json::{self, Value};
@@ -24,7 +25,8 @@ fn prompt(salt: u32) -> Vec<u32> {
 }
 
 /// Stages the single-sequence LAD decode records on the main thread, plus
-/// the batched executor's `batch.*` stages and the pool's task span.
+/// the serving engine's and the batched executor's stages and the pool's
+/// task span — every span name the serving ledger's share table reads.
 const EXPECTED_STAGES: &[&str] = &[
     "session.step",
     "layer.qkv_proj",
@@ -34,6 +36,7 @@ const EXPECTED_STAGES: &[&str] = &[
     "session.logits",
     "lad.identify",
     "lad.mode_eval",
+    "lad.correct",
     "lad.window",
     "lad.mode_update",
     "batch.step",
@@ -42,6 +45,12 @@ const EXPECTED_STAGES: &[&str] = &[
     "batch.out_gemm",
     "batch.mlp_gemm",
     "batch.logits_gemm",
+    "batch.rollback",
+    "kernel.kv_read_f32",
+    "serve.tick",
+    "serve.decode_step",
+    "serve.prefill_chunk",
+    "spec.verify",
     "pool.task",
 ];
 
@@ -57,7 +66,8 @@ fn captured_decode_trace_matches_export_schemas() {
         logits = session.step(argmax(&logits));
     }
     // Two requests served through one engine whose batch fans attention out
-    // on the global pool.
+    // on the global pool; the second speculates, so verify rounds and
+    // rollbacks occur.
     let model_cfg = model.config();
     let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
     let pool = BlockPool::new(model_cfg, 2 * BlockPool::blocks_for(12 + 6) * block_bytes);
@@ -68,7 +78,7 @@ fn captured_decode_trace_matches_export_schemas() {
     };
     let mut engine = Engine::new(&model, &kind, pool, cfg);
     engine.submit(Request::new(1, prompt(1), 6));
-    engine.submit(Request::new(2, prompt(2), 6));
+    engine.submit(Request::new(2, prompt(2), 6).with_speculation(SpecConfig::recency(4)));
     let served = engine.run();
     // Whether the global pool's workers stole any of the batch's tasks is
     // up to timing (and it has no workers on a single-core host), so one
