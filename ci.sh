@@ -33,11 +33,11 @@ echo "== benchmark package (own workspace, path-depends on the crates' public"
 echo "   API; tier-1 never compiles it, so an API deletion would break it silently)"
 cargo test --locked --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== observability smoke (trace_decode example; validates trace + JSONL)"
+echo "== observability smoke (trace_decode example; validates the Chrome trace)"
 cargo run --release --example trace_decode
 
 echo "== serving observability smoke (serve_trace example; span coverage,"
-echo "   request timelines, metrics exposition, flight-recorder incident)"
+echo "   request timelines, JSON metrics snapshot, flight-recorder incident)"
 cargo run --release --example serve_trace
 
 echo "== accelerator pricing smoke (hardware_pipeline example; a LAD head's decode"

@@ -11,8 +11,7 @@
 //! | module | paper artefact |
 //! |---|---|
 //! | [`config`] | tile/accelerator configurations (LAD-1.5/2.5/3.5) |
-//! | [`hbm`] | HBM2 bandwidth + energy model (Ramulator substitute) |
-//! | [`hbm_sim`] | event-level HBM channel simulation |
+//! | [`hbm`] | analytic HBM2 bandwidth + energy model (Ramulator substitute) |
 //! | [`asic`] | per-module area/power (Table III, DC+CACTI substitute) |
 //! | [`traffic`] | per-step HBM byte accounting (Fig. 8 left) |
 //! | [`pipeline`] | the 6-stage attention pipeline; Eq. 7 ([`pipeline::stage_cycles`]) |
@@ -42,7 +41,6 @@ pub mod asic;
 pub mod config;
 pub mod gpu;
 pub mod hbm;
-pub mod hbm_sim;
 pub mod paged;
 pub mod perf;
 pub mod pipeline;

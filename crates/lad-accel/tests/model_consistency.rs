@@ -1,11 +1,9 @@
 //! Cross-model consistency: the independent hardware models (paged KV pool,
-//! channel-level HBM simulator, analytic rooflines, event schedule) must
-//! agree with each other where their domains overlap.
+//! analytic rooflines, event schedule) must agree with each other where
+//! their domains overlap.
 
 use lad_accel::config::AccelConfig;
 use lad_accel::gpu::{max_batch, GpuConfig};
-use lad_accel::hbm::HbmConfig;
-use lad_accel::hbm_sim::HbmSim;
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_accel::perf::{evaluate, feasible_batch, Platform};
 use lad_accel::schedule::simulate_step;
@@ -36,26 +34,6 @@ fn paged_pool_agrees_with_analytic_capacity() {
             "n={n}: analytic {analytic} vs paged {paged}"
         );
     }
-}
-
-#[test]
-fn channel_sim_brackets_roofline_efficiencies() {
-    // The A100 roofline assumes ~0.65 stream efficiency and ~0.15 gather
-    // efficiency; the channel-level HBM model must produce utilisations on
-    // the same side of each other (streams ≫ gathers).
-    let mut sim = HbmSim::new(HbmConfig::paper());
-    let stream = sim.stream(0, 32 * 1024 * 1024);
-    let mut sim = HbmSim::new(HbmConfig::paper());
-    // 64 B gathers at random addresses — the active-position pattern.
-    let gather = sim.gather(100_000, 64, 11);
-    assert!(
-        stream.bandwidth_utilization > 2.0 * gather.bandwidth_utilization,
-        "stream {} vs gather {}",
-        stream.bandwidth_utilization,
-        gather.bandwidth_utilization
-    );
-    // Gathers still achieve a usable fraction (channel parallelism works).
-    assert!(gather.bandwidth_utilization > 0.05);
 }
 
 #[test]

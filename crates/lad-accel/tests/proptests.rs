@@ -1,8 +1,6 @@
 //! Property-based tests of the accelerator models.
 
 use lad_accel::config::AccelConfig;
-use lad_accel::hbm::HbmConfig;
-use lad_accel::hbm_sim::{HbmSim, Request};
 use lad_accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad_accel::pipeline::{attention_period, stage_cycles, StageCycles};
 use lad_accel::traffic::AttentionTraffic;
@@ -77,23 +75,6 @@ proptest! {
         let no_prefetch = attention_period(&cfg, n, 128, &stats, hs, 0.0);
         prop_assert!(no_prefetch.seconds >= base.seconds - 1e-12);
         prop_assert!(no_prefetch.prefetch_bytes == 0.0);
-    }
-
-    /// The HBM simulator never reports more than peak bandwidth, and
-    /// transferred >= useful bytes.
-    #[test]
-    fn hbm_sim_is_physical(requests in prop::collection::vec(
-        (0u64..1 << 24, 1u32..2048), 1..64)) {
-        let mut sim = HbmSim::new(HbmConfig::paper());
-        let reqs: Vec<Request> = requests
-            .iter()
-            .map(|&(a, b)| Request::new(a, b))
-            .collect();
-        let outcome = sim.run(&reqs);
-        prop_assert!(outcome.bandwidth_utilization <= 1.0 + 1e-9);
-        prop_assert!(outcome.transferred_bytes >= outcome.useful_bytes);
-        prop_assert!(outcome.seconds > 0.0);
-        prop_assert!((0.0..=1.0).contains(&outcome.row_hit_ratio));
     }
 
     /// The paged block pool stays consistent with a naive shadow recount

@@ -1,23 +1,19 @@
-//! Trace exporters and validators.
+//! The span exporter and its validator.
 //!
-//! Two formats, both built from the [`ThreadEvents`] streams returned by
-//! [`crate::drain`]:
+//! [`chrome_trace`] renders the [`ThreadEvents`] streams returned by
+//! [`crate::drain`] as Chrome trace-event JSON: an object with a
+//! `traceEvents` array of `B`/`E`/`i` events plus `thread_name` metadata,
+//! one track per recording thread, timestamps in microseconds (nanosecond
+//! precision kept as three decimals). Loadable in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
-//! * **Chrome trace-event JSON** ([`chrome_trace`]): an object with a
-//!   `traceEvents` array of `B`/`E`/`i` events plus `thread_name` metadata,
-//!   one track per recording thread, timestamps in microseconds. Loadable in
-//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
-//! * **Flat JSONL** ([`jsonl`]): one JSON object per line per event, raw
-//!   nanosecond timestamps — trivially greppable / parseable downstream.
-//!
-//! The matching validators ([`validate_chrome_trace`], [`validate_jsonl`])
-//! re-parse the emitted text with [`crate::json`] and check the structural
-//! invariants CI relies on: valid JSON, required fields with the right
-//! types, non-negative durations, and properly nested B/E pairs per track.
+//! [`validate_chrome_trace`] re-parses the emitted text with
+//! [`crate::json`] and checks the structural invariants CI relies on: valid
+//! JSON, required fields with the right types, non-negative durations, and
+//! properly nested B/E pairs per track.
 
 use crate::json::{self, Value};
 use crate::{EventKind, ThreadEvents};
-use std::fmt::Write as _;
 
 /// Process id used for every track (the recorder is single-process).
 const TRACE_PID: u64 = 1;
@@ -110,42 +106,6 @@ fn micros(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1000, t_ns % 1000)
 }
 
-/// Renders the flat JSONL stream: one object per event, in thread order
-/// then time order, with raw nanosecond timestamps. Every line carries the
-/// full schema: `tid` (number), `thread` (string), `name` (string), `kind`
-/// (`"B"`/`"E"`/`"I"`), `t_ns` (number).
-pub fn jsonl(threads: &[ThreadEvents]) -> String {
-    let mut out = String::new();
-    for t in threads {
-        for ev in &t.events {
-            let _ = writeln!(
-                out,
-                "{{\"tid\":{},\"thread\":\"{}\",\"name\":\"{}\",\"kind\":\"{}\",\"t_ns\":{}}}",
-                t.tid,
-                json::escape(&t.label),
-                json::escape(ev.name),
-                ev.kind.code(),
-                ev.t_ns
-            );
-        }
-        // Ring overflow on this thread: one trailing marker carrying the
-        // drop count, timestamped at the thread's last surviving event so
-        // per-tid monotonicity holds.
-        if t.dropped > 0 {
-            let last_ts = t.events.iter().map(|e| e.t_ns).max().unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "{{\"tid\":{},\"thread\":\"{}\",\"name\":\"obs.dropped_events\",\
-                 \"kind\":\"I\",\"t_ns\":{last_ts},\"dropped\":{}}}",
-                t.tid,
-                json::escape(&t.label),
-                t.dropped
-            );
-        }
-    }
-    out
-}
-
 /// Checks that `trace` is a loadable Chrome trace: a valid JSON object with
 /// a `traceEvents` array whose events have the required fields and types,
 /// with B/E properly nested per `(pid, tid)` track (matching names, ends
@@ -229,60 +189,6 @@ pub fn validate_chrome_trace(trace: &str) -> Result<(), String> {
         if let Some((name, _)) = stack.last() {
             return Err(format!("track {tid}: span '{name}' never closed"));
         }
-    }
-    Ok(())
-}
-
-/// Checks every non-empty line of `text` against the JSONL event schema:
-/// valid JSON object with `tid` (non-negative number), `thread` (string),
-/// `name` (non-empty string), `kind` (`"B"`/`"E"`/`"I"`), `t_ns`
-/// (non-negative number), and per-tid non-decreasing timestamps.
-pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    let mut last_ts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    let mut lines = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        let v = json::parse(line).map_err(|e| err(&e.to_string()))?;
-        let tid = v
-            .get("tid")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| err("missing/invalid tid"))?;
-        v.get("thread")
-            .and_then(Value::as_str)
-            .ok_or_else(|| err("missing/invalid thread"))?;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| err("missing/invalid name"))?;
-        if name.is_empty() {
-            return Err(err("empty name"));
-        }
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| err("missing/invalid kind"))?;
-        if !matches!(kind, "B" | "E" | "I") {
-            return Err(err(&format!("kind '{kind}' not one of B/E/I")));
-        }
-        let t_ns = v
-            .get("t_ns")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| err("missing/invalid t_ns"))?;
-        if let Some(&prev) = last_ts.get(&tid) {
-            if t_ns < prev {
-                return Err(err(&format!(
-                    "timestamp went backwards on tid {tid} ({prev} -> {t_ns})"
-                )));
-            }
-        }
-        last_ts.insert(tid, t_ns);
-    }
-    if lines == 0 {
-        return Err("no events".into());
     }
     Ok(())
 }
@@ -378,28 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_through_validator() {
-        let threads = vec![thread(
-            2,
-            "lad-pool-1",
-            vec![
-                ev("pool.task", EventKind::Begin, 10),
-                ev("pool.steal", EventKind::Instant, 15),
-                ev("pool.task", EventKind::End, 20),
-            ],
-        )];
-        let text = jsonl(&threads);
-        assert_eq!(text.lines().count(), 3);
-        validate_jsonl(&text).unwrap();
-        let first = json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(first.get("tid").unwrap().as_u64(), Some(2));
-        assert_eq!(first.get("thread").unwrap().as_str(), Some("lad-pool-1"));
-        assert_eq!(first.get("kind").unwrap().as_str(), Some("B"));
-        assert_eq!(first.get("t_ns").unwrap().as_u64(), Some(10));
-    }
-
-    #[test]
-    fn dropped_events_surface_in_both_exporters() {
+    fn dropped_events_surface_as_a_counter_sample() {
         let mut t = thread(
             1,
             "main",
@@ -413,20 +298,9 @@ mod tests {
 
         let trace = chrome_trace(&threads);
         validate_chrome_trace(&trace).unwrap();
-        assert!(trace.contains("\"ph\":\"C\""));
         assert!(trace.contains("\"dropped\":17"));
-
-        let text = jsonl(&threads);
-        validate_jsonl(&text).unwrap();
-        let last = json::parse(text.lines().last().unwrap()).unwrap();
-        assert_eq!(
-            last.get("name").unwrap().as_str(),
-            Some("obs.dropped_events")
-        );
-        assert_eq!(last.get("dropped").unwrap().as_u64(), Some(17));
-        // The marker reuses the last surviving timestamp, so per-tid
-        // monotonicity holds.
-        assert_eq!(last.get("t_ns").unwrap().as_u64(), Some(200));
+        // The sample sits at the thread's last surviving timestamp.
+        assert!(trace.contains("\"name\":\"obs.dropped_events\",\"ph\":\"C\",\"ts\":0.200"));
     }
 
     #[test]
@@ -439,26 +313,5 @@ mod tests {
         let good =
             r#"{"traceEvents":[{"name":"c","ph":"C","ts":1.0,"pid":1,"tid":0,"args":{"d":3}}]}"#;
         validate_chrome_trace(good).unwrap();
-    }
-
-    #[test]
-    fn jsonl_validator_rejects_schema_violations() {
-        assert!(validate_jsonl("").is_err());
-        assert!(validate_jsonl("not json\n").is_err());
-        assert!(validate_jsonl(
-            "{\"tid\":0,\"thread\":\"t\",\"name\":\"x\",\"kind\":\"Q\",\"t_ns\":1}\n"
-        )
-        .is_err());
-        assert!(
-            validate_jsonl("{\"tid\":0,\"thread\":\"t\",\"kind\":\"B\",\"t_ns\":1}\n").is_err()
-        );
-        // Backwards time on one tid.
-        let backwards = "{\"tid\":0,\"thread\":\"t\",\"name\":\"x\",\"kind\":\"I\",\"t_ns\":5}\n\
-                         {\"tid\":0,\"thread\":\"t\",\"name\":\"x\",\"kind\":\"I\",\"t_ns\":3}\n";
-        assert!(validate_jsonl(backwards).is_err());
-        // ...but independent tids may interleave freely.
-        let interleaved = "{\"tid\":0,\"thread\":\"a\",\"name\":\"x\",\"kind\":\"I\",\"t_ns\":5}\n\
-                           {\"tid\":1,\"thread\":\"b\",\"name\":\"x\",\"kind\":\"I\",\"t_ns\":3}\n";
-        validate_jsonl(interleaved).unwrap();
     }
 }

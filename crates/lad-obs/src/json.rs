@@ -1,8 +1,8 @@
 //! Minimal JSON parsing and escaping.
 //!
 //! The build environment has no `serde_json`, but the observability layer
-//! needs to *verify* the documents it emits (Chrome traces, JSONL event
-//! streams) and the bench regression gate needs to *read* the committed
+//! needs to *verify* the documents it emits (Chrome traces, metrics
+//! snapshots, request-timeline JSONL) and the bench regression gate needs to *read* the committed
 //! `BENCH_*.json` baselines. This is a small recursive-descent parser over
 //! the JSON grammar — objects, arrays, strings (with escapes), numbers,
 //! booleans, null — plus the string-escaping helper the exporters use.

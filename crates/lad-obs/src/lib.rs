@@ -2,8 +2,7 @@
 //!
 //! A lightweight span/event recorder for the LAD decode hot paths, plus the
 //! analysis side: log-bucket latency [`Histogram`]s, a per-stage
-//! [`StageBreakdown`] table, and Chrome-trace / JSONL exporters
-//! ([`export`]).
+//! [`StageBreakdown`] table, and the Chrome-trace exporter ([`export`]).
 //!
 //! ## The zero-cost-when-off contract
 //!
@@ -152,17 +151,6 @@ pub enum EventKind {
     End,
     /// A point-in-time marker.
     Instant,
-}
-
-impl EventKind {
-    /// One-letter code used by the JSONL export (`B`/`E`/`I`).
-    pub fn code(self) -> &'static str {
-        match self {
-            EventKind::Begin => "B",
-            EventKind::End => "E",
-            EventKind::Instant => "I",
-        }
-    }
 }
 
 /// One recorded event. `Copy` and static-str-named so the record path moves
@@ -374,13 +362,6 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn event_kind_codes() {
-        assert_eq!(EventKind::Begin.code(), "B");
-        assert_eq!(EventKind::End.code(), "E");
-        assert_eq!(EventKind::Instant.code(), "I");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Process-wide metrics registry: sharded counters, gauges and log-bucket
-//! histograms behind one name table, with Prometheus-text and JSON
-//! exposition.
+//! histograms behind one name table, with a JSON exposition.
 //!
 //! The registry follows the span recorder's zero-cost-when-off contract:
 //! while metrics are **disabled** (the default, toggled by
@@ -23,9 +22,8 @@
 //!
 //! [`snapshot`] captures every registered metric (plus the recorder's and
 //! timeline's cumulative `dropped_events` counters) into a
-//! [`MetricsSnapshot`], which renders as Prometheus text
-//! ([`prometheus_text`]) or JSON ([`json_text`]); [`validate_prometheus`]
-//! re-parses the text form and checks the structural rules CI relies on.
+//! [`MetricsSnapshot`], which renders as JSON ([`json_text`]), read back by
+//! the crate's one parser ([`crate::json`]).
 
 use crate::histogram::Histogram;
 use crate::{json, shard_index, ShardedFlag, FLAG_SHARDS};
@@ -36,8 +34,7 @@ use std::sync::{Arc, Mutex};
 static METRICS_ENABLED: ShardedFlag = ShardedFlag::new();
 
 /// Turns metric recording on or off, process-wide. Registered metrics keep
-/// their accumulated values across toggles (counters are monotonic, like
-/// Prometheus counters).
+/// their accumulated values across toggles (counters are monotonic).
 pub fn set_metrics_enabled(on: bool) {
     METRICS_ENABLED.set(on);
 }
@@ -367,63 +364,6 @@ pub fn snapshot() -> MetricsSnapshot {
     MetricsSnapshot { entries }
 }
 
-/// Maps a dotted metric name to a Prometheus-legal one (`serve.admit` →
-/// `serve_admit`): every character outside `[A-Za-z0-9_:]` becomes `_`, and
-/// a leading digit gets a `_` prefix.
-pub fn sanitize_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Renders a snapshot as Prometheus exposition text: one `# TYPE` line per
-/// metric, counters/gauges as single samples, histograms as summaries
-/// (`{quantile="…"}` samples plus `_count` and `_sum`).
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snap.entries {
-        let name = sanitize_name(name);
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                let _ = writeln!(out, "{name} {v}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                let _ = writeln!(out, "{name} {v}");
-            }
-            MetricValue::Histogram {
-                count,
-                sum,
-                p50,
-                p95,
-                p99,
-                ..
-            } => {
-                let _ = writeln!(out, "# TYPE {name} summary");
-                let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {p50}");
-                let _ = writeln!(out, "{name}{{quantile=\"0.95\"}} {p95}");
-                let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {p99}");
-                let _ = writeln!(out, "{name}_count {count}");
-                let _ = writeln!(out, "{name}_sum {sum}");
-            }
-        }
-    }
-    out
-}
-
 /// Renders a snapshot as one JSON object: `{"metrics": [{"name", "kind",
 /// …}, …]}`, parseable by [`crate::json`].
 pub fn json_text(snap: &MetricsSnapshot) -> String {
@@ -465,111 +405,6 @@ pub fn json_text(snap: &MetricsSnapshot) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Checks `text` against the Prometheus exposition rules the repo relies
-/// on: every non-comment line is `name[{labels}] value` with a legal metric
-/// name and a numeric value; every sample's base name was declared by a
-/// preceding `# TYPE` line (modulo the summary `_count`/`_sum` suffixes);
-/// and no `(name, labels)` pair repeats.
-pub fn validate_prometheus(text: &str) -> Result<(), String> {
-    fn legal_name(s: &str) -> bool {
-        !s.is_empty()
-            && s.chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    let mut declared: Vec<String> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
-    let mut samples = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let mut parts = rest.split_whitespace();
-            match parts.next() {
-                Some("TYPE") => {
-                    let name = parts.next().ok_or_else(|| err("# TYPE without a name"))?;
-                    if !legal_name(name) {
-                        return Err(err(&format!("illegal metric name '{name}'")));
-                    }
-                    let kind = parts.next().ok_or_else(|| err("# TYPE without a kind"))?;
-                    if !matches!(
-                        kind,
-                        "counter" | "gauge" | "summary" | "histogram" | "untyped"
-                    ) {
-                        return Err(err(&format!("unknown metric kind '{kind}'")));
-                    }
-                    declared.push(name.to_owned());
-                }
-                Some("HELP") => {}
-                _ => return Err(err("unknown comment directive (expected # TYPE or # HELP)")),
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (name_part, value_part) = match line.find('}') {
-            Some(close) => {
-                let (head, tail) = line.split_at(close + 1);
-                (head, tail.trim())
-            }
-            None => {
-                let mut it = line.splitn(2, ' ');
-                let head = it.next().unwrap_or_default();
-                (head, it.next().unwrap_or_default().trim())
-            }
-        };
-        let base = match name_part.find('{') {
-            Some(open) => {
-                let labels = &name_part[open..];
-                if !labels.ends_with('}') {
-                    return Err(err("unterminated label block"));
-                }
-                let inner = &labels[1..labels.len() - 1];
-                for pair in inner.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| err(&format!("label '{pair}' is not key=\"value\"")))?;
-                    if !legal_name(k) {
-                        return Err(err(&format!("illegal label name '{k}'")));
-                    }
-                    if !(v.starts_with('"') && v.ends_with('"') && v.len() >= 2) {
-                        return Err(err(&format!("label value {v} is not quoted")));
-                    }
-                }
-                &name_part[..open]
-            }
-            None => name_part,
-        };
-        if !legal_name(base) {
-            return Err(err(&format!("illegal metric name '{base}'")));
-        }
-        if value_part.is_empty() || value_part.parse::<f64>().is_err() {
-            return Err(err(&format!("sample value '{value_part}' is not numeric")));
-        }
-        let root = base
-            .strip_suffix("_count")
-            .or_else(|| base.strip_suffix("_sum"))
-            .unwrap_or(base);
-        if !declared.iter().any(|d| d == base || d == root) {
-            return Err(err(&format!("sample '{base}' has no preceding # TYPE")));
-        }
-        let key = name_part.to_owned();
-        if seen.contains(&key) {
-            return Err(err(&format!("duplicate sample '{key}'")));
-        }
-        seen.push(key);
-        samples += 1;
-    }
-    if samples == 0 {
-        return Err("no samples".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -646,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn expositions_render_and_validate() {
+    fn json_exposition_carries_every_field() {
         let _g = flag_guard();
         let c = counter("test.expo_counter");
         let g = gauge("test.expo_gauge");
@@ -658,45 +493,27 @@ mod tests {
             h.record(v);
         }
         set_metrics_enabled(false);
-        let snap = snapshot();
-        let prom = prometheus_text(&snap);
-        validate_prometheus(&prom).unwrap();
-        assert!(prom.contains("# TYPE test_expo_counter counter"));
-        assert!(prom.contains("test_expo_gauge -3"));
-        assert!(prom.contains("test_expo_hist{quantile=\"0.5\"}"));
-        assert!(prom.contains("test_expo_hist_count 100"));
-        let json_out = json_text(&snap);
-        let doc = json::parse(&json_out).unwrap();
+        let doc = json::parse(&json_text(&snapshot())).unwrap();
         let metrics = doc.get("metrics").and_then(|m| m.as_array()).unwrap();
-        assert!(metrics
-            .iter()
-            .any(|m| m.get("name").and_then(|n| n.as_str()) == Some("test.expo_counter")));
-    }
-
-    #[test]
-    fn prometheus_validator_rejects_bad_text() {
-        assert!(validate_prometheus("").is_err());
-        assert!(validate_prometheus("9bad_name 1\n").is_err());
-        // Sample without a preceding TYPE declaration.
-        assert!(validate_prometheus("orphan 1\n").is_err());
-        // Non-numeric value.
-        assert!(validate_prometheus("# TYPE a counter\na abc\n").is_err());
-        // Duplicate sample.
-        assert!(validate_prometheus("# TYPE a counter\na 1\na 2\n").is_err());
-        // Unquoted label value.
-        assert!(validate_prometheus("# TYPE a summary\na{quantile=0.5} 1\n").is_err());
-        // Unknown kind.
-        assert!(validate_prometheus("# TYPE a widget\na 1\n").is_err());
-    }
-
-    #[test]
-    fn sanitize_maps_dots_and_leading_digits() {
+        let find = |name: &str| {
+            metrics
+                .iter()
+                .find(|m| m.get("name").and_then(|n| n.as_str()) == Some(name))
+                .unwrap_or_else(|| panic!("{name} missing"))
+        };
+        let field = |name: &str, key: &str| find(name).get(key).and_then(|v| v.as_f64());
         assert_eq!(
-            sanitize_name("serve.bytes_moved.h2o"),
-            "serve_bytes_moved_h2o"
+            find("test.expo_counter")
+                .get("kind")
+                .and_then(|k| k.as_str()),
+            Some("counter")
         );
-        assert_eq!(sanitize_name("2fast"), "_2fast");
-        assert_eq!(sanitize_name(""), "_");
+        assert_eq!(field("test.expo_counter", "value"), Some(7.0));
+        assert_eq!(field("test.expo_gauge", "value"), Some(-3.0));
+        assert_eq!(field("test.expo_hist", "count"), Some(100.0));
+        assert_eq!(field("test.expo_hist", "sum"), Some(5050.0));
+        assert_eq!(field("test.expo_hist", "max"), Some(100.0));
+        assert!(field("test.expo_hist", "p50").is_some());
     }
 
     #[test]

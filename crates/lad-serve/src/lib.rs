@@ -44,7 +44,6 @@ pub use engine::Engine;
 
 use lad_model::spec::SpecConfig;
 use lad_model::AttentionKind;
-use lad_obs::Histogram;
 use std::time::{Duration, Instant};
 
 /// One serving request.
@@ -282,9 +281,10 @@ pub struct ServeReport {
     pub preemptions: usize,
     /// End-to-end wall time of the run.
     pub wall: Duration,
-    /// Tokens committed per speculative verify round (empty when no request
-    /// opted into speculation; every sample is >= 1 — the bonus token).
-    pub accepted_len: Histogram,
+    /// Speculative verify rounds run. Each commits its matched drafts plus
+    /// one token, so the rounds committed `spec_accepted + spec_rounds`
+    /// tokens.
+    pub spec_rounds: usize,
     /// Draft tokens proposed across all speculative rounds.
     pub spec_drafted: usize,
     /// Draft tokens accepted across all speculative rounds.
@@ -312,10 +312,10 @@ impl ServeReport {
     /// Mean tokens committed per speculative verify round (0.0 when no
     /// request opted into speculation).
     pub fn mean_accepted_len(&self) -> f64 {
-        if self.accepted_len.count() == 0 {
+        if self.spec_rounds == 0 {
             return 0.0;
         }
-        self.accepted_len.mean()
+        (self.spec_accepted + self.spec_rounds) as f64 / self.spec_rounds as f64
     }
 }
 

@@ -8,11 +8,10 @@
 //!
 //! Outputs land in `target/`:
 //! * `target/serve_trace.trace.json` — Perfetto/Chrome trace of the run.
-//! * `target/serve_trace.jsonl` — flat span/instant event stream.
 //! * `target/serve_trace.timeline.jsonl` — one request-lifecycle event per
 //!   line (admit → prefill/decode → retire), validated as complete chains.
-//! * `target/serve_trace.prom` — Prometheus text exposition of every
-//!   registered metric at the end of the run.
+//! * `target/serve_trace.metrics.json` — JSON snapshot of every registered
+//!   metric at the end of the run.
 //! * `target/serve_trace.incidents.json` — flight-recorder captures (the
 //!   workload includes an unmeetable deadline, so at least one is
 //!   guaranteed).
@@ -26,8 +25,9 @@ use lad::accel::paged::BlockPool;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::Model;
-use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
-use lad::obs::metrics::{prometheus_text, snapshot, validate_prometheus};
+use lad::obs::export::{chrome_trace, validate_chrome_trace};
+use lad::obs::json;
+use lad::obs::metrics::{json_text, snapshot};
 use lad::obs::timeline::{drain_timeline, timeline_jsonl, validate_timeline_jsonl};
 use lad::obs::StageBreakdown;
 use lad::serve::{incidents_json, Engine, IncidentReason, Request, ServeConfig};
@@ -87,17 +87,15 @@ fn main() {
     // --- Export every artifact, re-validating each like CI does. ---
     let threads = lad::obs::drain();
     let trace = chrome_trace(&threads);
-    let lines = jsonl(&threads);
     validate_chrome_trace(&trace).expect("emitted Chrome trace must validate");
-    validate_jsonl(&lines).expect("emitted JSONL must validate");
 
     let (events, dropped) = drain_timeline();
     let timeline_lines = timeline_jsonl(&events);
     let chains = validate_timeline_jsonl(&timeline_lines).expect("timeline chains must validate");
 
     let snap = snapshot();
-    let prom = prometheus_text(&snap);
-    validate_prometheus(&prom).expect("Prometheus exposition must validate");
+    let metrics_text = json_text(&snap);
+    let metrics_doc = json::parse(&metrics_text).expect("metrics snapshot must parse");
 
     let incidents = incidents_json(&report.incidents);
 
@@ -105,9 +103,8 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create target/");
     for (name, data) in [
         ("serve_trace.trace.json", &trace),
-        ("serve_trace.jsonl", &lines),
         ("serve_trace.timeline.jsonl", &timeline_lines),
-        ("serve_trace.prom", &prom),
+        ("serve_trace.metrics.json", &metrics_text),
         ("serve_trace.incidents.json", &incidents),
     ] {
         let path = out_dir.join(name);
@@ -182,23 +179,30 @@ fn main() {
     );
 
     // --- Exposition content: the gauges and counters the run must have
-    // touched all appear in the Prometheus text. ---
+    // touched all appear in the JSON snapshot. ---
+    let names: Vec<&str> = metrics_doc
+        .get("metrics")
+        .and_then(json::Value::as_array)
+        .expect("metrics array")
+        .iter()
+        .filter_map(|m| m.get("name").and_then(json::Value::as_str))
+        .collect();
     for name in [
-        "serve_admissions",
-        "serve_retired",
-        "serve_tokens",
-        "serve_bytes_moved_exact",
-        "serve_bytes_moved_h2o",
-        "kv_blocks_total",
-        "kv_blocks_used",
-        "pool_park_nanos",
-        "pool_tasks_stolen",
-        "obs_dropped_events",
-        "timeline_dropped_events",
+        "serve.admissions",
+        "serve.retired",
+        "serve.tokens",
+        "serve.bytes_moved.exact",
+        "serve.bytes_moved.h2o",
+        "kv.blocks_total",
+        "kv.blocks_used",
+        "pool.park_nanos",
+        "pool.tasks_stolen",
+        "obs.dropped_events",
+        "timeline.dropped_events",
     ] {
         assert!(
-            prom.contains(name),
-            "Prometheus exposition is missing `{name}`"
+            names.contains(&name),
+            "metrics snapshot is missing `{name}`"
         );
     }
     assert_eq!(

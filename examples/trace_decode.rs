@@ -1,20 +1,16 @@
 //! Capture a decode timeline: run a short LAD decode with the recorder on,
 //! then serve two requests through a batched `Engine`, export a
-//! Perfetto-loadable Chrome trace plus a flat JSONL event stream, and print
-//! the per-stage latency table and the pool's scheduling counters.
+//! Perfetto-loadable Chrome trace, and print the per-stage latency table and
+//! the pool's scheduling counters.
 //!
 //! ```sh
 //! cargo run --release --example trace_decode
 //! ```
 //!
-//! Outputs land in `target/`:
-//! * `target/trace_decode.trace.json` — open at <https://ui.perfetto.dev>
-//!   (or `chrome://tracing`); one track per thread (`main` + any pool
-//!   workers — the global pool has none on a single-core host).
-//! * `target/trace_decode.jsonl` — one JSON object per event, for grepping
-//!   or downstream tooling.
-//!
-//! Both files are validated before the example exits, and CI runs it.
+//! The trace lands in `target/trace_decode.trace.json`: open it at
+//! <https://ui.perfetto.dev> (or `chrome://tracing`); one track per thread
+//! (`main` + any pool workers — the global pool has none on a single-core
+//! host). It is validated before the example exits, and CI runs it.
 
 use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
@@ -23,7 +19,7 @@ use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::{Model, Session};
 use lad::obs::breakdown::fmt_ns;
-use lad::obs::export::{chrome_trace, jsonl, validate_chrome_trace, validate_jsonl};
+use lad::obs::export::{chrome_trace, validate_chrome_trace};
 use lad::obs::StageBreakdown;
 use lad::serve::{Engine, Request, ServeConfig};
 
@@ -77,15 +73,11 @@ fn main() {
     let threads = lad::obs::drain();
 
     let trace = chrome_trace(&threads);
-    let lines = jsonl(&threads);
     validate_chrome_trace(&trace).expect("emitted Chrome trace must validate");
-    validate_jsonl(&lines).expect("emitted JSONL must validate");
     let out_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
     std::fs::create_dir_all(&out_dir).expect("create target/");
     let trace_path = out_dir.join("trace_decode.trace.json");
-    let jsonl_path = out_dir.join("trace_decode.jsonl");
     std::fs::write(&trace_path, &trace).expect("write trace");
-    std::fs::write(&jsonl_path, &lines).expect("write jsonl");
 
     let events: usize = threads.iter().map(|t| t.events.len()).sum();
     let dropped: u64 = threads.iter().map(|t| t.dropped).sum();
@@ -101,10 +93,9 @@ fn main() {
             t.events.len()
         );
     }
-    println!("\nwrote {}", trace_path.display());
     println!(
-        "wrote {}  (load the .trace.json in https://ui.perfetto.dev)\n",
-        jsonl_path.display()
+        "\nwrote {}  (load it in https://ui.perfetto.dev)\n",
+        trace_path.display()
     );
 
     // Per-stage latency table from the capture, then the global pool's

@@ -9,8 +9,8 @@
 //! * [`trace`] — synthetic attention-trace generation and statistics.
 //! * [`accel`] — the LAD accelerator simulator and GPU baselines.
 //! * [`eval`] — ROUGE / perplexity / dataset tooling.
-//! * [`obs`] — zero-cost-when-off tracing spans, latency histograms and
-//!   Chrome-trace / JSONL exporters.
+//! * [`obs`] — zero-cost-when-off tracing spans, metrics and request
+//!   timelines, latency histograms, and one JSON exporter per recorder.
 //! * [`serve`] — continuous-batching serving engine (FIFO admission,
 //!   chunked prefill, recompute preemption, TTFT/ITL/deadline metrics).
 

@@ -9,14 +9,15 @@
 //! Interpreting a failure: a broken **chain** (`validate_chains` error)
 //! means the engine emitted lifecycle events out of order — e.g. a decode
 //! tick after retirement, or a re-admission without a preemption; a missing
-//! **exposition name** means an instrumented subsystem stopped registering
+//! **snapshot entry** means an instrumented subsystem stopped registering
 //! its metrics (the handle resolution moved or the weave was dropped).
 
 use lad::accel::paged::BlockPool;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::Model;
-use lad::obs::metrics::{self, prometheus_text, validate_prometheus};
+use lad::obs::json::{self, Value};
+use lad::obs::metrics;
 use lad::obs::timeline::{self, TimelineKind};
 use lad::serve::{incidents_json, Engine, IncidentReason, Request, ServeConfig, ServeReport};
 use std::sync::Mutex;
@@ -298,7 +299,7 @@ fn preemption_storm_trips_the_flight_recorder_once() {
 }
 
 #[test]
-fn prometheus_exposition_covers_every_subsystem() {
+fn metrics_json_covers_every_subsystem() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Mixed backends so distinct per-backend traffic counters register, and
     // parallelism 2 so the worker pool's gauges see real scheduling.
@@ -318,32 +319,41 @@ fn prometheus_exposition_covers_every_subsystem() {
     let (report, _) = serve_recorded(&AttentionKind::Exact, 64, cfg, requests);
     assert_eq!(report.outcomes.len(), 3);
 
-    let snap = metrics::snapshot();
-    let prom = prometheus_text(&snap);
-    validate_prometheus(&prom).expect("exposition must validate");
+    let doc = json::parse(&metrics::json_text(&metrics::snapshot()))
+        .expect("metrics snapshot must parse");
+    let entries = doc
+        .get("metrics")
+        .and_then(Value::as_array)
+        .expect("metrics array");
+    let kind_of = |name: &str| {
+        entries
+            .iter()
+            .find(|m| m.get("name").and_then(Value::as_str) == Some(name))
+            .and_then(|m| m.get("kind").and_then(Value::as_str))
+    };
     // Every instrumented subsystem shows up: engine, worker pool, paged KV
     // pool, per-backend traffic, and the recorders' own loss counters.
-    for name in [
-        "serve_admissions",
-        "serve_retired",
-        "serve_active",
-        "serve_queued",
-        "serve_ttft_ns",
-        "pool_queue_depth",
-        "pool_park_nanos",
-        "pool_tasks_stolen",
-        "pool_tasks_executed",
-        "kv_blocks_total",
-        "kv_blocks_free",
-        "kv_blocks_used",
-        "kv_fragmentation_bytes",
-        "serve_bytes_moved_exact",
-        "serve_bytes_moved_topk",
-        "serve_bytes_moved_h2o",
-        "obs_dropped_events",
-        "timeline_dropped_events",
+    for (name, kind) in [
+        ("serve.admissions", "counter"),
+        ("serve.retired", "counter"),
+        ("serve.active", "gauge"),
+        ("serve.queued", "gauge"),
+        ("serve.ttft_ns", "histogram"),
+        ("pool.queue_depth", "gauge"),
+        ("pool.park_nanos", "counter"),
+        ("pool.tasks_stolen", "counter"),
+        ("pool.tasks_executed", "counter"),
+        ("kv.blocks_total", "gauge"),
+        ("kv.blocks_free", "gauge"),
+        ("kv.blocks_used", "gauge"),
+        ("kv.fragmentation_bytes", "gauge"),
+        ("serve.bytes_moved.exact", "counter"),
+        ("serve.bytes_moved.topk", "counter"),
+        ("serve.bytes_moved.h2o", "counter"),
+        ("obs.dropped_events", "counter"),
+        ("timeline.dropped_events", "counter"),
     ] {
-        assert!(prom.contains(name), "exposition is missing `{name}`");
+        assert_eq!(kind_of(name), Some(kind), "snapshot entry `{name}`");
     }
     // The traffic counters actually moved for the backends that served.
     assert!(metrics::counter("serve.bytes_moved.exact").value() > exact_before);
