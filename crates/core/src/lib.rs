@@ -26,7 +26,6 @@
 //! | [`mod@reference`] | Eq. 2–3 | exact and direct-PWL oracles |
 //! | [`locality`] | Sec. II-B, Fig. 2 | numerical-locality analysis |
 //! | [`stats`] | Sec. IV | per-step instrumentation for the accelerator |
-//! | [`pool`] | — | shared work-helping decode worker pool |
 //!
 //! ## Quickstart
 //!
@@ -56,7 +55,6 @@ pub mod decoder;
 pub mod kv;
 pub mod locality;
 pub mod modes;
-pub mod pool;
 pub mod reference;
 pub mod stats;
 
@@ -67,5 +65,4 @@ pub use decoder::{Identification, LadAttention, LadConfig, StepOutput};
 pub use kv::KvCache;
 pub use locality::{LocalityAnalyzer, LocalityReport};
 pub use modes::ModeTracker;
-pub use pool::{PoolMetrics, PoolScope, WorkerPool};
 pub use stats::{StatsSummary, StepStats};

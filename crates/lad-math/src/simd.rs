@@ -158,10 +158,10 @@ thread_local! {
 /// Runs `f` with `kernel` forced for every GEMM/KV-read issued *on this
 /// thread*, restoring the previous selection afterwards (panic-safe).
 ///
-/// The batch engine issues all its GEMMs on the stepping thread, and the
-/// decode worker pool runs each task under the kernel its spawning thread
-/// had active, so the per-head attention it fans out follows the override
-/// too: one call pins a whole decode to one kernel. Forcing [`Kernel::Simd`]
+/// The batch engine issues all its GEMMs on the stepping thread, and each
+/// thread it fans attention out to runs under the kernel the stepping thread
+/// had active, so the fanned-out attention follows the override too: one
+/// call pins a whole decode to one kernel. Forcing [`Kernel::Simd`]
 /// on a CPU without AVX2 silently degrades to scalar.
 pub fn with_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Kernel>);

@@ -7,10 +7,10 @@
 //! layer runs as a single cross-sample blocked GEMM ([`lad_math::gemm`]) —
 //! the weights stream once per step instead of once per sample. The
 //! attention heads, which own per-sample state, are the only part that fans
-//! out: one task per chunk of samples per layer on the shared
-//! [`WorkerPool`]. This is the only parallel decode path; the serving
-//! engine (`lad_serve::Engine`, speculative verify rounds included) drives
-//! it.
+//! out: one scoped thread per chunk of samples per layer, beyond the first
+//! chunk, which the stepping thread runs itself. This is the only parallel
+//! decode path; the serving engine (`lad_serve::Engine`, speculative verify
+//! rounds included) drives it.
 //!
 //! Neither batching nor scheduling changes results: the GEMM's ascending-`k`
 //! accumulation contract makes every row bit-identical to the per-sample
@@ -23,10 +23,10 @@ use crate::backend::{AttentionKind, HeadCheckpoint, HeadState, RowKind};
 use crate::config::{MlpKind, PositionKind};
 use crate::layers::{gelu, rope_in_place, silu, ROPE_BASE};
 use crate::transformer::Model;
-use lad_core::pool::WorkerPool;
 use lad_core::stats::StepStats;
 use lad_math::gemm::{gemm_bt_into, GemmScratch};
 use lad_math::vector;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Reused activation matrices of a [`BatchSession`]: every buffer holds
 /// `active` stacked per-sample rows, so after the first step the batched hot
@@ -208,11 +208,53 @@ impl RunWork<'_> {
     }
 }
 
-/// Steps a pool task's chunk of runs.
+/// Steps one fan-out chunk of runs.
 fn step_chunk(work: &mut [RunWork<'_>], d: usize) {
     for w in work {
         w.step(d);
     }
+}
+
+/// Runs `run` on every item: the first on the calling thread, each later one
+/// on its own scoped thread `lad-fanout-{i}`, under the kernel the calling
+/// thread has active ([`lad_math::simd::active_kernel`]), so a
+/// [`lad_math::with_kernel`] override around a step reaches the attention it
+/// fans out. A single item runs inline, with no scope and no spawn.
+///
+/// Every thread is joined before this returns, and the first panic is
+/// resumed with its original payload. The join also means each thread's
+/// recorder ring is free again for the next step's thread of the same name
+/// (`lad_obs`), so a traced decode keeps one track per fan-out slot.
+fn fan_out<T: Send>(items: impl Iterator<Item = T>, run: impl Fn(T) + Sync) {
+    let mut items = items.peekable();
+    let Some(first) = items.next() else {
+        return;
+    };
+    if items.peek().is_none() {
+        return run(first);
+    }
+    let kernel = lad_math::simd::active_kernel();
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .enumerate()
+            .map(|(i, item)| {
+                std::thread::Builder::new()
+                    .name(format!("lad-fanout-{}", i + 1))
+                    .spawn_scoped(scope, move || lad_math::with_kernel(kernel, || run(item)))
+                    .expect("spawn a fan-out thread")
+            })
+            .collect();
+        let mut panic = panic::catch_unwind(AssertUnwindSafe(|| run(first))).err();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            panic::resume_unwind(payload);
+        }
+    });
 }
 
 /// Step-synchronous batched decode session (the cross-sample GEMM engine).
@@ -223,8 +265,8 @@ fn step_chunk(work: &mut [RunWork<'_>], d: usize) {
 /// vectors are stacked into a `batch × hidden` matrix and every linear layer
 /// runs as *one* matrix-matrix product ([`lad_math::gemm`]) — the weights
 /// stream once per step, not once per sample. The attention heads, which own
-/// per-sample state, fan out as one pool task per (run-chunk, layer) on
-/// the process-global [`WorkerPool`].
+/// per-sample state, fan out as one scoped thread per (run-chunk, layer)
+/// beyond the first, which the stepping thread runs itself.
 ///
 /// The GEMM kernel's ascending-`k` accumulation contract makes every row of
 /// a batched projection bit-identical to the per-sample `matvec`, so tokens
@@ -274,8 +316,8 @@ pub struct BatchSession<'m> {
 
 impl<'m> BatchSession<'m> {
     /// Opens a step-synchronous session for `batch` samples over `model`,
-    /// with every head running `kind`. Fan-out widths above 1 schedule
-    /// sample chunks on the process-global [`WorkerPool`].
+    /// with every head running `kind`. Fan-out widths above 1 step sample
+    /// chunks on scoped threads, one per chunk beyond the first.
     ///
     /// # Panics
     ///
@@ -555,7 +597,6 @@ impl<'m> BatchSession<'m> {
         }
 
         let width = self.parallelism.min(runs.len());
-        let pool = (width > 1).then(WorkerPool::global);
         let chunk = runs.len().div_ceil(width);
 
         // The scratch matrices move out of `self` for the step so the head
@@ -624,7 +665,7 @@ impl<'m> BatchSession<'m> {
             let attn_span = lad_obs::span("batch.attn_fanout");
             {
                 // One work item per run, in run order, so chunks of runs can
-                // fan out as pool tasks that write their results in place.
+                // fan out to threads that write their results in place.
                 let mut work: Vec<RunWork<'_>> = Vec::with_capacity(runs.len());
                 let mut samples = self.heads.iter_mut().zip(&mut self.last_stats).enumerate();
                 let mut ckpts = self.ckpts.iter_mut();
@@ -664,17 +705,7 @@ impl<'m> BatchSession<'m> {
                     });
                     row0 += len;
                 }
-                let mut chunks = work.chunks_mut(chunk);
-                let first = chunks.next().expect("a step has at least one run");
-                match pool {
-                    None => step_chunk(first, d),
-                    Some(pool) => pool.scope(|scope| {
-                        for rest in chunks {
-                            scope.spawn(move || step_chunk(rest, d));
-                        }
-                        step_chunk(first, d);
-                    }),
-                }
+                fan_out(work.chunks_mut(chunk), |c| step_chunk(c, d));
             }
             drop(attn_span);
 
@@ -1067,7 +1098,7 @@ mod tests {
 
     #[test]
     fn step_runs_fanout_matches_inline() {
-        // Prompt chunks, verify runs and one-row runs under pool fan-out
+        // Prompt chunks, verify runs and one-row runs under threaded fan-out
         // must match the inline path bit for bit: logits, per-sample stats,
         // and the step after rolling back drafts. Five runs at widths 2, 3
         // and 4 split into uneven chunks of one to three runs.
@@ -1159,5 +1190,46 @@ mod tests {
             session.step(&[(1, 2), (0, 3)]);
         }));
         assert!(caught.is_err(), "unsorted sample list must panic");
+    }
+
+    #[test]
+    fn fanned_chunks_run_under_the_stepping_threads_kernel() {
+        use lad_math::{simd::active_kernel, with_kernel, Kernel};
+        let seen = std::sync::Mutex::new(Vec::new());
+        with_kernel(Kernel::Scalar, || {
+            fan_out(0..3, |i| {
+                let name = std::thread::current().name().map(str::to_owned);
+                seen.lock().unwrap().push((i, name, active_kernel()));
+            });
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|s| s.0);
+        let me = std::thread::current().name().map(str::to_owned);
+        assert_eq!(seen[0].1, me, "the stepping thread runs the first chunk");
+        for (i, name, _) in &seen[1..] {
+            assert_eq!(name.as_deref(), Some(format!("lad-fanout-{i}").as_str()));
+        }
+        assert!(seen.iter().all(|s| s.2 == Kernel::Scalar), "{seen:?}");
+    }
+
+    #[test]
+    fn fanned_chunk_panic_reaches_the_stepping_thread() {
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            fan_out(0..3, |i| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i == 2 {
+                    panic!("boom in chunk {i}");
+                }
+            });
+        }));
+        let payload = caught.expect_err("a chunk's panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "boom in chunk 2");
+        // Every chunk ran to completion before the panic resumed.
+        assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 }

@@ -174,7 +174,7 @@ mod tests {
                 ],
             },
             ThreadEvents {
-                label: "lad-pool-0".into(),
+                label: "lad-fanout-1".into(),
                 tid: 1,
                 dropped: 0,
                 events: vec![
@@ -227,15 +227,15 @@ mod tests {
         for v in [1_000u64, 2_000, 4_000] {
             bd.record("lad.identify", v);
         }
-        bd.record("pool.park", 2_500_000);
+        bd.record("batch.attn_fanout", 2_500_000);
         let table = bd.render();
         assert!(table.contains("stage"));
         assert!(table.contains("p95"));
         assert!(table.contains("lad.identify"));
-        assert!(table.contains("pool.park"));
+        assert!(table.contains("batch.attn_fanout"));
         assert!(
             table.contains("ms"),
-            "park total should render in ms: {table}"
+            "a 2.5 ms total should render in ms: {table}"
         );
     }
 

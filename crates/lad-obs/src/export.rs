@@ -227,17 +227,17 @@ mod tests {
             ),
             thread(
                 3,
-                "lad-pool-2",
+                "lad-fanout-1",
                 vec![
-                    ev("pool.task", EventKind::Begin, 1_200),
-                    ev("pool.task", EventKind::End, 1_800),
+                    ev("identify", EventKind::Begin, 1_200),
+                    ev("identify", EventKind::End, 1_800),
                 ],
             ),
         ];
         let trace = chrome_trace(&threads);
         validate_chrome_trace(&trace).unwrap();
         assert!(trace.contains("\"thread_name\""));
-        assert!(trace.contains("lad-pool-2"));
+        assert!(trace.contains("lad-fanout-1"));
         // ns -> us conversion keeps sub-microsecond precision.
         assert!(trace.contains("\"ts\":1.100"));
     }

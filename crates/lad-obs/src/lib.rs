@@ -221,19 +221,30 @@ thread_local! {
     static RING: OnceLock<Arc<RingHandle>> = const { OnceLock::new() };
 }
 
+/// Registers this thread's ring. A named thread continues the ring of an
+/// exited thread with the same name, so a fan-out that spawns a fresh thread
+/// per step stays one trace track per name. A ring is free when only the
+/// registry holds it (its thread's TLS has dropped its handle); the check runs
+/// under the registry lock, so two live threads never share a ring.
 fn register_current_thread() -> Arc<RingHandle> {
     static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+    let name = std::thread::current().name().map(str::to_owned);
+    let mut registry = REGISTRY
+        .lock()
+        .expect("no thread panics holding the ring registry");
+    if let Some(free) = registry
+        .iter()
+        .find(|h| Some(&h.label) == name.as_ref() && Arc::strong_count(h) == 1)
+    {
+        return Arc::clone(free);
+    }
     let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    let label = std::thread::current()
-        .name()
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("thread-{tid}"));
     let handle = Arc::new(RingHandle {
-        label,
+        label: name.unwrap_or_else(|| format!("thread-{tid}")),
         tid,
         buf: Mutex::new(RingBuf::with_capacity(RING_CAPACITY)),
     });
-    REGISTRY.lock().unwrap().push(Arc::clone(&handle));
+    registry.push(Arc::clone(&handle));
     handle
 }
 
@@ -301,7 +312,8 @@ pub fn instant(name: &'static str) {
 /// The drained events of one recording thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadEvents {
-    /// Thread name at registration (`lad-pool-0`, `main`, …).
+    /// Thread name at registration (`main`, `lad-fanout-1`, …); every thread
+    /// of one name that ran after the previous one exited shares the track.
     pub label: String,
     /// Stable per-thread ordinal, used as the trace track id.
     pub tid: u64,
@@ -362,6 +374,42 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn a_joined_threads_ring_is_reused_by_its_namesake() {
+        // The only test in this binary that enables the recorder.
+        let spawn = |name: &str, mark: &'static str, meet: Option<Arc<std::sync::Barrier>>| {
+            std::thread::Builder::new()
+                .name(name.to_owned())
+                .spawn(move || {
+                    instant(mark);
+                    if let Some(barrier) = meet {
+                        barrier.wait();
+                    }
+                })
+                .unwrap()
+        };
+        set_enabled(true);
+        spawn("obs-reuse", "first", None).join().unwrap();
+        spawn("obs-reuse", "second", None).join().unwrap();
+        // Two live threads of one name: each registers while the other still
+        // holds its ring, so they get one ring each.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let live = [
+            spawn("obs-live", "a", Some(Arc::clone(&barrier))),
+            spawn("obs-live", "b", Some(barrier)),
+        ];
+        for handle in live {
+            handle.join().unwrap();
+        }
+        set_enabled(false);
+        let threads = drain();
+        let reused: Vec<_> = threads.iter().filter(|t| t.label == "obs-reuse").collect();
+        assert_eq!(reused.len(), 1, "one track for the joined namesakes");
+        let names: Vec<_> = reused[0].events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["first", "second"]);
+        assert_eq!(threads.iter().filter(|t| t.label == "obs-live").count(), 2);
     }
 
     #[test]

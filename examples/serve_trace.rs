@@ -195,8 +195,6 @@ fn main() {
         "serve.bytes_moved.h2o",
         "kv.blocks_total",
         "kv.blocks_used",
-        "pool.park_nanos",
-        "pool.tasks_stolen",
         "obs.dropped_events",
         "timeline.dropped_events",
     ] {

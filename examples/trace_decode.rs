@@ -1,24 +1,23 @@
 //! Capture a decode timeline: run a short LAD decode with the recorder on,
 //! then serve two requests through a batched `Engine`, export a
-//! Perfetto-loadable Chrome trace, and print the per-stage latency table and
-//! the pool's scheduling counters.
+//! Perfetto-loadable Chrome trace, and print the per-stage latency table.
 //!
 //! ```sh
 //! cargo run --release --example trace_decode
 //! ```
 //!
 //! The trace lands in `target/trace_decode.trace.json`: open it at
-//! <https://ui.perfetto.dev> (or `chrome://tracing`); one track per thread
-//! (`main` + any pool workers — the global pool has none on a single-core
-//! host). It is validated before the example exits, and CI runs it.
+//! <https://ui.perfetto.dev> (or `chrome://tracing`); exactly two tracks:
+//! `main` and `lad-fanout-1`, the scoped thread that steps the second request's
+//! attention in every layer of the parallelism-2 serve (each step's thread
+//! continues the track of the one before). It is validated before the
+//! example exits, and CI runs it.
 
 use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
-use lad::core::pool::WorkerPool;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::transformer::{Model, Session};
-use lad::obs::breakdown::fmt_ns;
 use lad::obs::export::{chrome_trace, validate_chrome_trace};
 use lad::obs::StageBreakdown;
 use lad::serve::{Engine, Request, ServeConfig};
@@ -53,8 +52,8 @@ fn main() {
     }
 
     // Two requests served through one engine whose step-synchronous batch
-    // fans attention out on the global pool, so the batch.* and pool.*
-    // spans show up on the same timeline.
+    // fans attention out to a second thread, so the batch.* spans and the
+    // fanned-out attention show up on the same timeline.
     let model_cfg = model.config();
     let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
     let blocks = 2 * BlockPool::blocks_for(PROMPT_LEN + 8);
@@ -98,18 +97,9 @@ fn main() {
         trace_path.display()
     );
 
-    // Per-stage latency table from the capture, then the global pool's
-    // scheduling counters (this process ran nothing else on it).
+    // Per-stage latency table from the capture.
     let stages = StageBreakdown::from_events(&threads);
-    print!("{}", stages.render());
-    let pool = WorkerPool::global().metrics();
-    println!(
-        "pool: park {} total, {} tasks, {} steals, {} idle wakeups\n",
-        fmt_ns(pool.park_nanos),
-        pool.tasks_executed,
-        pool.tasks_stolen,
-        pool.idle_wakeups,
-    );
+    println!("{}", stages.render());
 
     // Span coverage of the single-sequence decode: the per-layer + logits
     // stages should account for nearly all of session.step's wall time.
@@ -137,8 +127,15 @@ fn main() {
             coverage * 100.0
         );
     }
-    // Batched serve sanity: both requests finished and its spans recorded.
+    // Batched serve sanity: both requests finished, its spans recorded, and
+    // every fan-out thread continued the one `lad-fanout-1` track.
     assert_eq!(served.total_tokens(), 2 * 8);
+    let labels: Vec<&str> = threads.iter().map(|t| t.label.as_str()).collect();
+    assert_eq!(
+        labels,
+        ["main", "lad-fanout-1"],
+        "one track per thread name"
+    );
     assert!(
         stages.get("batch.step").is_some(),
         "batch spans missing from capture"

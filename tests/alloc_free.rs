@@ -1,7 +1,7 @@
 //! Allocation accounting for the observability layer's zero-cost contract.
 //!
-//! A counting `#[global_allocator]` (per-thread counter, so pool workers and
-//! the test harness never pollute a measurement) pins two claims from
+//! A counting `#[global_allocator]` (per-thread counter, so other threads
+//! and the test harness never pollute a measurement) pins two claims from
 //! `crates/lad-obs/README.md`:
 //!
 //! 1. A disabled `span()` / `instant()` call allocates nothing — the record
@@ -27,6 +27,10 @@
 //! One `#[test]` only: the recorders and the allocation counter are
 //! process-global, and a sibling test running concurrently could enable a
 //! recorder mid-measurement.
+
+// A `GlobalAlloc` impl is unsafe by definition; the package denies
+// `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
 
 use lad::core::decoder::LadConfig;
 use lad::model::backend::AttentionKind;

@@ -5,8 +5,8 @@
 //! *batching* nor *scheduling* ever changes *results*: the step-synchronous
 //! batched executor (`BatchSession`, stepped in lockstep by `lockstep`) —
 //! cross-sample blocked GEMMs under a bit-exact ascending-`k` accumulation
-//! contract, attention fanned out as sample-chunk tasks on the shared
-//! worker pool — must be token-exact against one solo sequential `Session`
+//! contract, attention fanned out as sample chunks on scoped threads —
+//! must be token-exact against one solo sequential `Session`
 //! decode per prompt, for every backend, and must report identical
 //! `StepStats` (including `den_fallbacks`).
 //!
@@ -44,7 +44,7 @@ struct DiffConfig {
     prompt_len: usize,
     /// Greedy decode steps after the prompt.
     steps: usize,
-    /// Pool fan-out width of the batched engine's sample-chunk tasks.
+    /// Fan-out width of the batched engine's sample chunks.
     parallelism: usize,
     /// LAD latest-window size.
     window: usize,
@@ -223,7 +223,7 @@ fn run_config_kinds(cfg: &DiffConfig, kinds: &[(&str, AttentionKind)]) -> usize 
         }
 
         // Step-synchronous batched executor: cross-sample matrix-matrix
-        // projections (inline and pool-fanned) vs the per-sample reference,
+        // projections (inline and fanned) vs the per-sample reference,
         // token- and stats-exact.
         let gemm_inline = lockstep(&model, kind, &prompts, cfg.steps, 1, None);
         let gemm_fanned = lockstep(&model, kind, &prompts, cfg.steps, cfg.parallelism, None);
@@ -435,8 +435,8 @@ fn differential_grid() {
 
 /// Backend-zoo leg: the scheduling contract extends verbatim to the sparse
 /// backends — top-k score selection and budget-based H2O eviction must be
-/// oblivious to batch membership, the batched-GEMM engine and its pool
-/// fan-out on the same 16-point grid the exact/LAD sweep runs (den-fallback
+/// oblivious to batch membership, the batched-GEMM engine and its
+/// sample-chunk fan-out on the same 16-point grid the exact/LAD sweep runs (den-fallback
 /// partition point included; its coarse PWL only parameterises LAD, but the
 /// long 48-step stream exercises many evictions). Stats equality covers the
 /// traffic counters: `keys_scored`, `keys_read`, `bytes_moved` and
@@ -618,9 +618,10 @@ fn speculative_decode_matches_greedy_grid() {
 /// On hosts without AVX2 `Kernel::Simd` degrades to scalar and the leg
 /// passes vacuously (the bit-exactness claim is about the SIMD box CI runs
 /// on). Kernel overrides are thread-local: the engine runs its GEMMs on the
-/// stepping thread, and pool tasks run under their spawner's kernel, so the
-/// SIMD side runs entirely on SIMD kernels both inline (`parallelism` 1) and
-/// with attention fanned out over the pool (`parallelism` 2).
+/// stepping thread, and fan-out threads run under the stepping thread's
+/// kernel, so the SIMD side runs entirely on SIMD kernels both inline
+/// (`parallelism` 1) and with attention fanned out to a second thread
+/// (`parallelism` 2).
 #[test]
 fn simd_kernel_matches_scalar_on_grid() {
     use lad::math::{with_kernel, Kernel};
@@ -862,7 +863,7 @@ fn recorder_toggle_never_changes_results() {
 }
 
 /// The long grid: longer streams (past the window by a large margin), wider
-/// batches, and the den-fallback partition under batch + pool pressure.
+/// batches, and the den-fallback partition under batch + fan-out pressure.
 /// Heavy — run with `cargo test --release -- --ignored` (the CI slow job).
 #[test]
 #[ignore = "long-stream differential grid; run with --ignored in release"]

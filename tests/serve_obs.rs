@@ -302,7 +302,7 @@ fn preemption_storm_trips_the_flight_recorder_once() {
 fn metrics_json_covers_every_subsystem() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Mixed backends so distinct per-backend traffic counters register, and
-    // parallelism 2 so the worker pool's gauges see real scheduling.
+    // parallelism 2 so the counters also meter fanned-out attention.
     let cfg = ServeConfig {
         max_active: 3,
         prefill_chunk: 2,
@@ -331,18 +331,14 @@ fn metrics_json_covers_every_subsystem() {
             .find(|m| m.get("name").and_then(Value::as_str) == Some(name))
             .and_then(|m| m.get("kind").and_then(Value::as_str))
     };
-    // Every instrumented subsystem shows up: engine, worker pool, paged KV
-    // pool, per-backend traffic, and the recorders' own loss counters.
+    // Every instrumented subsystem shows up: engine, paged KV pool,
+    // per-backend traffic, and the recorders' own loss counters.
     for (name, kind) in [
         ("serve.admissions", "counter"),
         ("serve.retired", "counter"),
         ("serve.active", "gauge"),
         ("serve.queued", "gauge"),
         ("serve.ttft_ns", "histogram"),
-        ("pool.queue_depth", "gauge"),
-        ("pool.park_nanos", "counter"),
-        ("pool.tasks_stolen", "counter"),
-        ("pool.tasks_executed", "counter"),
         ("kv.blocks_total", "gauge"),
         ("kv.blocks_free", "gauge"),
         ("kv.blocks_used", "gauge"),

@@ -10,7 +10,6 @@
 
 use lad::accel::paged::{BlockPool, BLOCK_TOKENS};
 use lad::core::decoder::LadConfig;
-use lad::core::pool::WorkerPool;
 use lad::model::backend::AttentionKind;
 use lad::model::config::ModelConfig;
 use lad::model::spec::SpecConfig;
@@ -25,8 +24,8 @@ fn prompt(salt: u32) -> Vec<u32> {
 }
 
 /// Stages the single-sequence LAD decode records on the main thread, plus
-/// the serving engine's and the batched executor's stages and the pool's
-/// task span — every span name the serving ledger's share table reads.
+/// the serving engine's and the batched executor's stages — every span name
+/// the serving ledger's share table reads.
 const EXPECTED_STAGES: &[&str] = &[
     "session.step",
     "layer.qkv_proj",
@@ -51,7 +50,6 @@ const EXPECTED_STAGES: &[&str] = &[
     "serve.decode_step",
     "serve.prefill_chunk",
     "spec.verify",
-    "pool.task",
 ];
 
 #[test]
@@ -65,9 +63,9 @@ fn captured_decode_trace_matches_export_schemas() {
     for _ in 0..12 {
         logits = session.step(argmax(&logits));
     }
-    // Two requests served through one engine whose batch fans attention out
-    // on the global pool; the second speculates, so verify rounds and
-    // rollbacks occur.
+    // Two requests served through one engine whose batch fans the second
+    // request's attention out to a scoped thread in every layer; the second
+    // speculates, so verify rounds and rollbacks occur.
     let model_cfg = model.config();
     let block_bytes = model_cfg.layers * 2 * model_cfg.hidden * 2 * BLOCK_TOKENS;
     let pool = BlockPool::new(model_cfg, 2 * BlockPool::blocks_for(12 + 6) * block_bytes);
@@ -80,28 +78,28 @@ fn captured_decode_trace_matches_export_schemas() {
     engine.submit(Request::new(1, prompt(1), 6));
     engine.submit(Request::new(2, prompt(2), 6).with_speculation(SpecConfig::recency(4)));
     let served = engine.run();
-    // Whether the global pool's workers stole any of the batch's tasks is
-    // up to timing (and it has no workers on a single-core host), so one
-    // scope on a private two-worker pool puts a `pool.task` span on a worker
-    // track by construction: three tasks meet at one barrier, so at most one
-    // of them can run on the helping caller.
-    let pool = WorkerPool::new(2);
-    let barrier = std::sync::Barrier::new(3);
-    pool.scope(|scope| {
-        for _ in 0..3 {
-            scope.spawn(|| {
-                barrier.wait();
-            });
-        }
-    });
     lad::obs::set_enabled(false);
     let threads = lad::obs::drain();
     assert_eq!(served.total_tokens(), 2 * 6);
-    assert!(
-        threads.len() >= 2,
-        "expected main + worker tracks, got {}",
-        threads.len()
+    // Every step's fan-out thread is joined before the next one starts, so
+    // each continues the ring of the one before: the test thread plus one
+    // `lad-fanout-1` track, which carries the second request's attention.
+    assert_eq!(
+        threads.len(),
+        2,
+        "expected the test thread and one fan-out track, got {:?}",
+        threads.iter().map(|t| &t.label).collect::<Vec<_>>()
     );
+    let fanout = threads
+        .iter()
+        .find(|t| t.label == "lad-fanout-1")
+        .expect("a lad-fanout-1 track");
+    for stage in ["lad.identify", "kernel.kv_read_f32"] {
+        assert!(
+            fanout.events.iter().any(|e| e.name == stage),
+            "no '{stage}' span on the fan-out track"
+        );
+    }
 
     // The library validator accepts its own output...
     let trace = chrome_trace(&threads);
